@@ -188,11 +188,9 @@ def _build_parser():
 
     p = subs.add_parser("rank", help="rank of the diagram span under the functor")
     _add_group_flags(p, with_kl=True)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = subs.add_parser("kernel", help="kernel dimension and basis")
     _add_group_flags(p, with_kl=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-basis", action="store_true", help="dimension only")
 
     p = subs.add_parser("ideal-span",
@@ -208,7 +206,6 @@ def _build_parser():
     p.add_argument("--family", choices=["o", "sp"], default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--include-optional", action="store_true",
                    help="include the larger optional cases")
     return parser
@@ -321,7 +318,7 @@ def _dispatch(args, fmt):
 
     if cmd == "rank":
         spec = _group_from_args(args)
-        rank = hom_rank(args.k, args.l, spec, jobs=args.jobs)
+        rank = hom_rank(args.k, args.l, spec)
         from .diagram import enumerate_diagrams
         dim = len(enumerate_diagrams(args.k, args.l))
         _emit({"rank": rank, "kernel_dim": dim - rank}, fmt)
@@ -330,10 +327,10 @@ def _dispatch(args, fmt):
     if cmd == "kernel":
         spec = _group_from_args(args)
         if args.no_basis:
-            dim = kernel_dimension(args.k, args.l, spec, jobs=args.jobs)
+            dim = kernel_dimension(args.k, args.l, spec)
             _emit({"dimension": dim}, fmt)
             return 0
-        basis = kernel_basis(args.k, args.l, spec, jobs=args.jobs)
+        basis = kernel_basis(args.k, args.l, spec)
         _emit({"dimension": len(basis),
                "basis": [morphism_to_json(x) for x in basis]}, fmt)
         return 0
@@ -352,7 +349,7 @@ def _dispatch(args, fmt):
         return 0
 
     if cmd == "verify":
-        options = {"jobs": args.jobs, "include_optional": args.include_optional}
+        options = {"include_optional": args.include_optional}
         if args.family is not None:
             options["family"] = args.family
         m = args.m

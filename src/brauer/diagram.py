@@ -23,6 +23,10 @@ class DiagramError(ValueError):
     pass
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class Diagram:
     """Immutable canonical (k, l) perfect matching.
 
@@ -33,6 +37,10 @@ class Diagram:
     __slots__ = ("k", "l", "pairs", "partner", "_hash")
 
     def __init__(self, k, l, pairs):
+        for name, v in (("k", k), ("l", l)):
+            if not _is_int(v) or v < 0:
+                raise DiagramError("valency %s=%r is not a non-negative integer"
+                                   % (name, v))
         n = k + l
         partner = [-1] * n
         for arc in pairs:
@@ -40,7 +48,7 @@ class Diagram:
                 a, b = arc
             except (TypeError, ValueError):
                 raise DiagramError("arc %r is not a pair" % (arc,))
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not (_is_int(a) and _is_int(b)):
                 raise DiagramError("non-integer node in arc %r" % (arc,))
             if a == b or not (0 <= a < n) or not (0 <= b < n):
                 raise DiagramError("arc %r out of range for %d nodes" % (arc, n))
@@ -358,4 +366,6 @@ def diagram_from_json(obj):
         k, l, pairs = obj["k"], obj["l"], obj["pairs"]
     except (TypeError, KeyError):
         raise DiagramError("diagram JSON needs keys k, l, pairs")
-    return Diagram(int(k), int(l), [tuple(int(x) for x in p) for p in pairs])
+    if not isinstance(pairs, (list, tuple)):
+        raise DiagramError("diagram JSON pairs must be a list")
+    return Diagram(k, l, pairs)

@@ -442,11 +442,6 @@ def trace_check(d, spec):
     return ring.eq(functor_matrix(d, spec).trace(), expected)
 
 
-def _coevaluation_vector(spec):
-    gens = generator_matrices(spec)
-    return gens["U"]
-
-
 def verify_pau(spec):
     """Check the defining matrix relations of the generating pictures:
     crossing square and braiding, crossing symmetry of the coevaluation

@@ -11,7 +11,7 @@ from .diagram import enumerate_diagrams, identity as identity_diagram
 from .elements import sigma
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
                       functor_matrix, guard_cells)
-from .linalg import EliminationBasis
+from .linalg import EliminationBasis, rank_of_rows
 from .linear import from_diagram, lin_compose, lin_tensor, make_morphism
 
 __all__ = [
@@ -21,31 +21,13 @@ __all__ = [
 ]
 
 
-def _row_task(args):
-    d, family, m, modulus, cols = args
-    from .functor import group_spec
-
-    spec = group_spec(family, m, modulus=modulus, allow_small_modulus=True)
-    mat = functor_matrix(d, spec)
-    return {i * cols + j: v for (i, j), v in mat.entries.items()}
-
-
-def _vectorized_rows(k, l, spec, jobs=1):
+def _vectorized_rows(k, l, spec):
     """One sparse row per (k, l) diagram: its matrix flattened row-major.
 
-    Returns (diagrams, rows); with jobs > 1 the matrices are evaluated in a
-    process pool, preserving the deterministic diagram order."""
+    Returns (diagrams, rows) in the deterministic diagram order."""
     guard_cells(spec.m ** (k + l))
     diagrams = enumerate_diagrams(k, l)
     cols = spec.m ** k
-    if jobs and jobs > 1 and len(diagrams) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        modulus = getattr(spec.ring, "p", None)
-        tasks = [(d, spec.family, spec.m, modulus, cols) for d in diagrams]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row_task, tasks, chunksize=8))
-        return diagrams, rows
     rows = []
     for d in diagrams:
         mat = functor_matrix(d, spec)
@@ -53,32 +35,25 @@ def _vectorized_rows(k, l, spec, jobs=1):
     return diagrams, rows
 
 
-def _rank_of(rows, ring):
-    basis = EliminationBasis(ring)
-    for row in rows:
-        basis.add_row(row)
-    return basis.rank
-
-
-def hom_rank(k, l, spec, jobs=1):
+def hom_rank(k, l, spec):
     """Rank of the span of all (k, l) diagram matrices."""
-    _, rows = _vectorized_rows(k, l, spec, jobs=jobs)
-    return _rank_of(rows, spec.ring)
+    _, rows = _vectorized_rows(k, l, spec)
+    return rank_of_rows(rows, spec.ring)
 
 
-def kernel_dimension(k, l, spec, jobs=1):
+def kernel_dimension(k, l, spec):
     """Dimension of the space of diagram combinations mapped to zero."""
-    diagrams, rows = _vectorized_rows(k, l, spec, jobs=jobs)
-    return len(diagrams) - _rank_of(rows, spec.ring)
+    diagrams, rows = _vectorized_rows(k, l, spec)
+    return len(diagrams) - rank_of_rows(rows, spec.ring)
 
 
-def kernel_basis(k, l, spec, jobs=1):
+def kernel_basis(k, l, spec):
     """Deterministic basis of the kernel, one morphism per basis vector.
 
     Solves for coefficient vectors x with sum_D x_D * matrix(D) = 0 by
     transposing the vectorized rows, then converts each nullspace vector to
     a morphism over the group's field at the loop value eps * m."""
-    diagrams, rows = _vectorized_rows(k, l, spec, jobs=jobs)
+    diagrams, rows = _vectorized_rows(k, l, spec)
     by_cell = {}
     for idx, row in enumerate(rows):
         for cell, v in row.items():

@@ -1,24 +1,91 @@
-"""Backend selection for the matching kernels.
+"""Matching kernels: diagram composition (path tracing through the glued
+middle boundary, deleting closed loops) and closure loop counting.
 
-Imports the compiled kernels when the extension built, otherwise the
-pure-Python twins.  Set BRAUER_PURE=1 to force the fallback (used by the
-benchmark and by tests that cross-check the two backends).
+A matching on n nodes is given by its partner tuple: partner[i] = j iff
+{i, j} is an arc.  Node layout follows the package convention: for a (k, l)
+diagram, nodes 0..k-1 are the bottom boundary and k..k+l-1 the top.
 """
 
-import os
-
-if os.environ.get("BRAUER_PURE") == "1":
-    from brauer._matchops import closure_cycles, compose_partners
-
-    BACKEND = "python"
-else:
-    try:
-        from brauer._speedups import closure_cycles, compose_partners
-
-        BACKEND = "compiled"
-    except ImportError:
-        from brauer._matchops import closure_cycles, compose_partners
-
-        BACKEND = "python"
+# perfbench/one_pass.py records this in its info line; there is one backend.
+BACKEND = "python"
 
 __all__ = ["compose_partners", "closure_cycles", "BACKEND"]
+
+
+def compose_partners(lower, k, mid, upper, top):
+    """Glue `upper` (mid -> top) on top of `lower` (k -> mid).
+
+    Returns (loops, partner) where partner describes the residual matching on
+    k + top boundary nodes and loops counts the closed cycles deleted from
+    the middle.
+    """
+    n = k + top
+    res = [-1] * n
+    mid_seen = [False] * mid
+
+    for start in range(n):
+        if res[start] >= 0:
+            continue
+        if start < k:
+            in_upper = False
+            node = start
+        else:
+            in_upper = True
+            node = mid + (start - k)
+        while True:
+            if in_upper:
+                p = upper[node]
+                if p >= mid:
+                    end = k + (p - mid)
+                    break
+                mid_seen[p] = True
+                in_upper = False
+                node = k + p
+            else:
+                p = lower[node]
+                if p < k:
+                    end = p
+                    break
+                j = p - k
+                mid_seen[j] = True
+                in_upper = True
+                node = j
+        res[start] = end
+        res[end] = start
+
+    loops = 0
+    for j in range(mid):
+        if mid_seen[j]:
+            continue
+        loops += 1
+        cur = j
+        while True:
+            mid_seen[cur] = True
+            j2 = lower[k + cur] - k
+            mid_seen[j2] = True
+            cur = upper[j2]
+            if cur == j:
+                break
+    return loops, tuple(res)
+
+
+def closure_cycles(partner, r):
+    """Number of cycles when bottom node i is joined to top node i.
+
+    `partner` is the matching of an (r, r) diagram on 2r nodes.  This equals
+    the loop count of the full right closure of the diagram.
+    """
+    n = 2 * r
+    seen = [False] * n
+    cycles = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        cycles += 1
+        cur = s
+        while not seen[cur]:
+            seen[cur] = True
+            p = partner[cur]
+            seen[p] = True
+            cur = p + r if p < r else p - r
+    return cycles

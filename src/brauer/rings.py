@@ -363,18 +363,35 @@ class Integers(CoefficientRing):
         return True
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below _MR_LIMIT
+# (Sorenson and Webster, 2015); larger moduli are refused, not guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    if p >= _MR_LIMIT:
+        raise RingError("modulus %d exceeds the deterministic primality bound %d"
+                        % (p, _MR_LIMIT))
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

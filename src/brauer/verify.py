@@ -22,7 +22,8 @@ from .elements import (brauer_presentation_report, e_p_formula, e_p_rotation,
 from .functor import (functor_matrix, functor_matrix_layered, group_spec,
                       trace_check, verify_pau)
 from .invariants import (commutant_dimension, hom_rank, ideal_span_dimension,
-                         kernel_dimension, tensor_ideal_span_dimension)
+                         kernel_basis, kernel_dimension,
+                         tensor_ideal_span_dimension)
 from .linear import (from_diagram, identity_morphism, integrality_check,
                      lin_ast, lin_compose, lin_scale, lin_sub, lin_tensor,
                      make_morphism, reduce_mod_p)
@@ -322,7 +323,7 @@ def _double_factorial(r):
     return out
 
 
-def suite_kernel(jobs=1, family=None, m=None, **_):
+def suite_kernel(family=None, m=None, **_):
     """Kernel theorems and fullness: kernel dimensions agree with the
     two-sided ideal spans of the quasi-idempotents, ranks hit the full
     diagram count in the injective range, tensor-ideal slices match
@@ -334,28 +335,31 @@ def suite_kernel(jobs=1, family=None, m=None, **_):
         sp2 = group_spec("sp", 2)
         ph1 = phi(1)
         for r in (2, 3, 4):
-            kd = kernel_dimension(r, r, sp2, jobs=jobs)
+            kd = kernel_dimension(r, r, sp2)
             idim = ideal_span_dimension(r, ph1, sp2)
             checks.append(check("Sp(2) r=%d: kernel vs quasi-idempotent ideal" % r,
                                 kd, idim))
         checks.append(check("Sp(2): kernel dimension at (2, 2)",
-                            1, kernel_dimension(2, 2, sp2, jobs=jobs)))
+                            1, kernel_dimension(2, 2, sp2)))
         checks.append(check("Sp(2): rank at (1, 1) is 1!! (injective range)",
-                            _double_factorial(1), hom_rank(1, 1, sp2, jobs=jobs)))
+                            _double_factorial(1), hom_rank(1, 1, sp2)))
+        # Independent of kernel_dimension (15 - rank by definition): the
+        # nullspace basis has 15 - rank vectors and the functor kills each.
+        basis = kernel_basis(3, 3, sp2)
+        alive = sum(1 for x in basis if not functor_matrix(x, sp2).is_zero())
         checks.append(check(
-            "Sp(2): kernel at (3, 3) complements the rank in 15 diagrams",
-            15 - hom_rank(3, 3, sp2, jobs=jobs),
-            kernel_dimension(3, 3, sp2, jobs=jobs)))
+            "Sp(2): kernel basis at (3, 3) has 15 - rank vectors, all killed",
+            (15 - hom_rank(3, 3, sp2), 0), (len(basis), alive)))
 
     if ("sp", 4) in fams:
         sp4 = group_spec("sp", 4)
         for r in (1, 2):
             checks.append(check(
                 "Sp(4) r=%d: rank is (2r-1)!! (injective range)" % r,
-                _double_factorial(r), hom_rank(r, r, sp4, jobs=jobs)))
+                _double_factorial(r), hom_rank(r, r, sp4)))
         # At r = n + 1 = 3 the functor first fails to be injective: the
         # kernel is one-dimensional, spanned by the quasi-idempotent ideal.
-        kd = kernel_dimension(3, 3, sp4, jobs=jobs)
+        kd = kernel_dimension(3, 3, sp4)
         checks.append(check("Sp(4): kernel dimension at (3, 3)", 1, kd))
         checks.append(check("Sp(4) r=3: kernel vs quasi-idempotent ideal",
                             kd, ideal_span_dimension(3, phi(2), sp4)))
@@ -364,19 +368,19 @@ def suite_kernel(jobs=1, family=None, m=None, **_):
         o2 = group_spec("o", 2)
         e1 = e_p_rotation(2, 1, ring=o2.ring, delta=o2.delta_value())
         for r in (3, 4):
-            kd = kernel_dimension(r, r, o2, jobs=jobs)
+            kd = kernel_dimension(r, r, o2)
             idim = ideal_span_dimension(r, e1, o2)
             checks.append(check("O(2) r=%d: kernel vs bent-antisymmetrizer ideal" % r,
                                 kd, idim))
         checks.append(check("O(2): kernel dimension at (2, 2) (injective range)",
-                            0, kernel_dimension(2, 2, o2, jobs=jobs)))
+                            0, kernel_dimension(2, 2, o2)))
 
     if ("o", 3) in fams:
         o3 = group_spec("o", 3)
         checks.append(check("O(3): kernel dimension at (3, 3) (injective range)",
-                            0, kernel_dimension(3, 3, o3, jobs=jobs)))
+                            0, kernel_dimension(3, 3, o3)))
         e2 = e_p_rotation(3, 2, ring=o3.ring, delta=o3.delta_value())
-        kd = kernel_dimension(4, 4, o3, jobs=jobs)
+        kd = kernel_dimension(4, 4, o3)
         checks.append(check("O(3) r=4: kernel vs bent-antisymmetrizer ideal",
                             kd, ideal_span_dimension(4, e2, o3)))
 
@@ -384,7 +388,7 @@ def suite_kernel(jobs=1, family=None, m=None, **_):
         spec = group_spec(fam, dim)
         for (kk, ll) in ((4, 0), (3, 1), (2, 2)):
             tid = tensor_ideal_span_dimension(kk, ll, spec)
-            kd = kernel_dimension(kk, ll, spec, jobs=jobs)
+            kd = kernel_dimension(kk, ll, spec)
             checks.append(check(
                 "%s slice (%d, %d): tensor ideal vs kernel" % (spec.label(), kk, ll),
                 kd, tid))
@@ -399,11 +403,11 @@ def suite_kernel(jobs=1, family=None, m=None, **_):
             checks.append(check(
                 "%s r=%d: rank equals commutant dimension (fullness)"
                 % (spec.label(), r),
-                commutant_dimension(r, spec), hom_rank(r, r, spec, jobs=jobs)))
+                commutant_dimension(r, spec), hom_rank(r, r, spec)))
     return checks
 
 
-def suite_charp(jobs=1, **_):
+def suite_charp(**_):
     """Positive characteristic reruns: the quasi-idempotents still vanish
     under the functor and every kernel, ideal, and slice dimension matches
     its characteristic-zero value."""
@@ -416,8 +420,8 @@ def suite_charp(jobs=1, **_):
     checks.append(check_bool("Sp(2)/F_5: functor kills the quasi-idempotent",
                              functor_matrix(ph1p, sp2p).is_zero()))
     for r in (2, 3, 4):
-        kd0 = kernel_dimension(r, r, sp2, jobs=jobs)
-        kdp = kernel_dimension(r, r, sp2p, jobs=jobs)
+        kd0 = kernel_dimension(r, r, sp2)
+        kdp = kernel_dimension(r, r, sp2p)
         checks.append(check("Sp(2)/F_5 r=%d: kernel matches characteristic 0" % r,
                             kd0, kdp))
         checks.append(check("Sp(2)/F_5 r=%d: kernel vs quasi-idempotent ideal" % r,
@@ -438,10 +442,10 @@ def suite_charp(jobs=1, **_):
     checks.append(check_bool("O(3)/F_7: functor kills every bent antisymmetrizer",
                              ok))
     checks.append(check("O(3)/F_7: kernel at (3, 3) matches characteristic 0",
-                        kernel_dimension(3, 3, o3, jobs=jobs),
-                        kernel_dimension(3, 3, o3p, jobs=jobs)))
-    kd0 = kernel_dimension(4, 4, o3, jobs=jobs)
-    kdp = kernel_dimension(4, 4, o3p, jobs=jobs)
+                        kernel_dimension(3, 3, o3),
+                        kernel_dimension(3, 3, o3p)))
+    kd0 = kernel_dimension(4, 4, o3)
+    kdp = kernel_dimension(4, 4, o3p)
     checks.append(check("O(3)/F_7: kernel at (4, 4) matches characteristic 0",
                         kd0, kdp))
     e2p = reduce_mod_p(e_p_rotation(3, 2), 7)

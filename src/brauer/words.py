@@ -54,13 +54,6 @@ def make_word(domain, layers):
     return Word(domain, layers)
 
 
-def word_codomain(w):
-    width = w.domain
-    for lay in w.layers:
-        width = lay.out_width()
-    return width
-
-
 _LAYER_DIAGRAMS = {}
 
 

@@ -11,9 +11,11 @@ from brauer import (
     commutant_dimension,
     e_p_formula,
     enumerate_diagrams,
+    functor_matrix,
     group_spec,
     hom_rank,
     ideal_span_dimension,
+    kernel_basis,
     kernel_dimension,
     phi,
     tensor_ideal_span_dimension,
@@ -87,8 +89,11 @@ def test_07_kernel_theorems():
         expect("Sp(2) kernel==ideal r=%d" % r,
                ideal_span_dimension(r, phi(1), SP2), kd)
     expect("Sp(2) first kernel", kernel_dimension(2, 2, SP2), 1)
-    expect("Sp(2) kernel complements rank at r=3",
-           kernel_dimension(3, 3, SP2), 15 - hom_rank(3, 3, SP2))
+    basis = kernel_basis(3, 3, SP2)
+    expect("Sp(2) kernel basis complements rank at r=3",
+           len(basis), 15 - hom_rank(3, 3, SP2))
+    expect("Sp(2) functor kills the kernel basis at r=3",
+           sum(1 for x in basis if not functor_matrix(x, SP2).is_zero()), 0)
 
     # injectivity below the first kernel: odd double factorials
     expect("Sp(2) rank r=1", hom_rank(1, 1, SP2), double_factorial(1))

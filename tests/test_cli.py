@@ -220,6 +220,14 @@ class TestFunctorCommands:
         assert rc == 0
         assert payload == {"dimension": 0}
 
+    def test_negative_valency_is_user_error(self, capsys):
+        rc = run(["functor-matrix", "--family", "sp", "--m", "2",
+                  '{"k": -2, "l": 2, "pairs": []}'])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_modulus_guard(self, capsys):
         rc, _ = invoke(capsys, "rank", "--family", "o", "--m", "3",
                        "--modulus", "3", "--k", "1", "--l", "1")
@@ -311,3 +319,16 @@ class TestHarness:
             capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"rank": 2, "kernel_dim": 1}
+
+    def test_benchmark_probe_reports_backend(self, tmp_path):
+        # perfbench/one_pass.py reads brauer.ops.BACKEND for its info line.
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, str(repo / "perfbench" / "one_pass.py"), "ideals",
+             "0", "probe"],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["backend"] == "python"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauer import _matchops, ops
 from brauer.diagram import (
     Diagram,
     DiagramError,
@@ -93,6 +92,33 @@ def test_make_diagram_validation():
         make_diagram(1, 0, [(0, 1)])
     with pytest.raises(DiagramError):
         make_diagram(2, 2, [(0, 1), (2, 5)])
+
+
+@pytest.mark.parametrize("k,l,pairs", [
+    (-1, 3, [(0, 1)]),
+    (2, -2, []),
+    (True, 1, [(0, 1)]),
+    (2.0, 0, [(0, 1)]),
+    (2, 0, [(False, True)]),
+])
+def test_diagram_rejects_invalid_valencies_and_nodes(k, l, pairs):
+    with pytest.raises(DiagramError):
+        Diagram(k, l, pairs)
+
+
+@pytest.mark.parametrize("obj", [
+    {"k": 2.9, "l": 0, "pairs": [[0, 1]]},
+    {"k": "2", "l": 0, "pairs": [[0, 1]]},
+    {"k": 2, "l": True, "pairs": [[0, 2]]},
+    {"k": -2, "l": 2, "pairs": []},
+    {"k": 2, "l": 0, "pairs": [[0, 1.0]]},
+    {"k": 2, "l": 0, "pairs": [["0", 1]]},
+    {"k": 2, "l": 0, "pairs": [[True, 0]]},
+    {"k": 2, "l": 0, "pairs": 1},
+])
+def test_diagram_from_json_rejects_non_integral_values(obj):
+    with pytest.raises(DiagramError):
+        diagram_from_json(obj)
 
 
 def test_canonical_form():
@@ -321,20 +347,3 @@ def test_crossing_count_counts_inversions(pi):
         if pi[i] > pi[j]
     )
     assert crossing_count(permutation_diagram(pi)) == inv
-
-
-@given(composable_pairs())
-@settings(max_examples=200, deadline=None)
-def test_backends_agree(pair):
-    d1, d2 = pair
-    got = ops.compose_partners(d2.partner, d2.k, d2.l, d1.partner, d1.l)
-    want = _matchops.compose_partners(d2.partner, d2.k, d2.l, d1.partner, d1.l)
-    assert got == want
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_backends_agree_closure(data):
-    r = data.draw(st.integers(0, 4))
-    d = data.draw(diagrams(k=r, l=r))
-    assert ops.closure_cycles(d.partner, r) == _matchops.closure_cycles(d.partner, r)

@@ -57,10 +57,6 @@ class TestRanks:
         count = len(enumerate_diagrams(3, 1))
         assert kernel_dimension(3, 1, SP2) == count - hom_rank(3, 1, SP2)
 
-    def test_parallel_rows_agree(self):
-        assert hom_rank(3, 3, SP2, jobs=2) == 5
-        assert kernel_dimension(3, 3, SP2, jobs=2) == 10
-
 
 class TestKernels:
     @pytest.mark.parametrize("r,expected", [(2, 1), (3, 10), (4, 91)])

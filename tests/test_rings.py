@@ -108,6 +108,30 @@ class TestRingProtocol:
         with pytest.raises(RingError):
             PrimeField(1)
 
+    def test_prime_field_large_prime_is_fast(self):
+        f = PrimeField(2 ** 61 - 1)
+        assert f.mul(2, f.exact_div(f.one(), 2)) == 1
+
+    @pytest.mark.parametrize("n", [561, 3215031751, (2 ** 31 - 1) * (2 ** 61 - 1)])
+    def test_prime_field_rejects_pseudoprimes(self, n):
+        # 561 is a Carmichael number, 3215031751 a strong pseudoprime to
+        # the bases 2, 3, 5 and 7.
+        with pytest.raises(RingError):
+            PrimeField(n)
+
+    def test_prime_field_refuses_moduli_beyond_the_exact_bound(self):
+        with pytest.raises(RingError):
+            PrimeField(2 ** 89 - 1)
+
+    def test_primality_matches_trial_division(self):
+        from brauer.rings import _is_prime
+
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(-3, 5000) if _is_prime(n)] == \
+            [n for n in range(-3, 5000) if trial(n)]
+
     def test_prime_field_cached_instances(self):
         assert PrimeField(5) is PrimeField(5)
 

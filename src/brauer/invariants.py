@@ -2,12 +2,17 @@
 
 Everything here reduces to exact sparse elimination: diagram matrices are
 vectorized into rows, infinitesimal invariance and commutation conditions
-into linear systems, and two-sided ideal slices into iterated row spaces.
+into linear systems, two-sided ideals into the closure of a generator under
+the algebra generators s_i and e_i, and tensor-ideal slices into iterated
+row spaces.
 """
 
 from __future__ import annotations
 
-from .diagram import enumerate_diagrams, identity as identity_diagram
+from collections import deque
+
+from .diagram import (e_i, enumerate_diagrams, identity as identity_diagram,
+                      s_i)
 from .elements import sigma
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
                       functor_matrix, guard_cells)
@@ -182,13 +187,25 @@ def _rows_to_morphisms(basis, diagrams, k, l, ring, delta):
     return out
 
 
+def _diagram_count(k, l):
+    """|B(k, l)| = (k + l - 1)!! for even k + l, without enumerating."""
+    if (k + l) % 2:
+        return 0
+    count = 1
+    for j in range(k + l - 1, 1, -2):
+        count *= j
+    return count
+
+
 def ideal_span_dimension(r, gen, spec):
     """Dimension of the two-sided ideal slice in degree (r, r) generated by
     a square morphism, padded with identity strands on the right.
 
-    Computed in two stages: first the row space W of gen right-composed
-    with every diagram, then the row space of every diagram left-composed
-    with a basis of W."""
+    B_r is generated as an algebra by the s_i and e_i, so the ideal is the
+    closure of the padded generator under left and right composition with
+    those 2(r - 1) diagrams: a worklist composes each element that raised
+    the rank with every generator on both sides until the rank stops
+    growing."""
     gen = _morphism_to_spec_field(gen, spec)
     if gen.k != gen.l:
         raise FunctorError("ideal generator must be square, got (%d, %d)"
@@ -200,62 +217,66 @@ def ideal_span_dimension(r, gen, spec):
     if gen.k < r:
         padded = lin_tensor(gen, from_diagram(identity_diagram(r - gen.k),
                                               ring=ring, delta=delta))
-    diagrams = enumerate_diagrams(r, r)
-    index = {d: i for i, d in enumerate(diagrams)}
-    stage1 = EliminationBasis(ring)
-    for d in diagrams:
-        w = lin_compose(padded, from_diagram(d, ring=ring, delta=delta))
-        stage1.add_row({index[s]: w.coeff(s) for s in w.support()})
-    witnesses = _rows_to_morphisms(stage1, diagrams, r, r, ring, delta)
-    stage2 = EliminationBasis(ring)
-    for w in witnesses:
-        for d in diagrams:
-            full = lin_compose(from_diagram(d, ring=ring, delta=delta), w)
-            stage2.add_row({index[s]: full.coeff(s) for s in full.support()})
-    return stage2.rank
+    index = {d: i for i, d in enumerate(enumerate_diagrams(r, r))}
+    generators = [from_diagram(g(r, i), ring=ring, delta=delta)
+                  for i in range(1, r) for g in (s_i, e_i)]
+    basis = EliminationBasis(ring)
+
+    def feed(y):
+        return basis.add_row({index[d]: c for d, c in y.terms.items()})
+
+    queue = deque([padded] if feed(padded) else [])
+    while queue:
+        x = queue.popleft()
+        for g in generators:
+            for y in (lin_compose(g, x), lin_compose(x, g)):
+                if feed(y):
+                    queue.append(y)
+    return basis.rank
 
 
-def tensor_ideal_span_dimension(k, l, spec, max_middle=None):
+def tensor_ideal_span_dimension(k, l, spec):
     """Dimension of the (k, l) slice of the tensor ideal generated by the
-    vanishing symmetrizer on m + 1 strands: the span of all composites
-    through a middle layer carrying one padded copy of it.
+    vanishing symmetrizer Sigma on m + 1 strands: the span of all composites
+    c o (Sigma (x) I) o d through a middle layer of width s.
 
-    Middle widths run over the correct parity up to ``max_middle``
-    (default k + l + min(k, l))."""
+    Middle widths s run over the parity of k from m + 1 up to the fixed
+    bound k + l + min(k, l).  Padding Sigma on the right only is enough:
+    I_a (x) Sigma (x) I_b is a loop-free permutation conjugate of
+    Sigma (x) I_(a+b), and composing with a permutation permutes B(k, s)
+    and B(s, l).  Raises FunctorError when |B(k, s)| * |B(s, l)| at the
+    widest middle exceeds the cell budget."""
     if (k + l) % 2:
         return 0
     ring, m = spec.ring, spec.m
     delta = spec.delta_value()
     base = m + 1
+    widest = k + l + min(k, l)
+    if widest < base:
+        return 0
+    guard_cells(_diagram_count(k, widest) * _diagram_count(widest, l))
     gen = sigma(spec.eps, base, ring=ring, delta=delta)
-    if max_middle is None:
-        max_middle = k + l + min(k, l)
     targets = enumerate_diagrams(k, l)
     target_index = {d: i for i, d in enumerate(targets)}
     total = EliminationBasis(ring)
-    for s in range(base, max_middle + 1):
+    for s in range(base, widest + 1):
         if (s - k) % 2:
             continue
         lower = enumerate_diagrams(k, s)
         lower_index = {d: i for i, d in enumerate(lower)}
+        mid = gen
+        if s > base:
+            mid = lin_tensor(gen, from_diagram(identity_diagram(s - base),
+                                               ring=ring, delta=delta))
         stage1 = EliminationBasis(ring)
-        for a in range(0, s - base + 1):
-            b = s - base - a
-            mid = gen
-            if a:
-                mid = lin_tensor(from_diagram(identity_diagram(a), ring=ring,
-                                              delta=delta), mid)
-            if b:
-                mid = lin_tensor(mid, from_diagram(identity_diagram(b), ring=ring,
-                                                   delta=delta))
-            for d in lower:
-                w = lin_compose(mid, from_diagram(d, ring=ring, delta=delta))
-                stage1.add_row({lower_index[s2]: w.coeff(s2) for s2 in w.support()})
+        for d in lower:
+            w = lin_compose(mid, from_diagram(d, ring=ring, delta=delta))
+            stage1.add_row({lower_index[d2]: c for d2, c in w.terms.items()})
         witnesses = _rows_to_morphisms(stage1, lower, k, s, ring, delta)
         for c in enumerate_diagrams(s, l):
             top = from_diagram(c, ring=ring, delta=delta)
             for w in witnesses:
                 full = lin_compose(top, w)
-                total.add_row({target_index[s2]: full.coeff(s2)
-                               for s2 in full.support()})
+                total.add_row({target_index[d2]: v
+                               for d2, v in full.terms.items()})
     return total.rank

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .diagram import (
     Diagram,
+    _is_int,
     ast,
     compose,
     diagram_from_json,
@@ -75,8 +76,12 @@ class Morphism:
     def __init__(self, k, l, ring, delta, terms):
         if not isinstance(ring, CoefficientRing):
             raise MorphismError("ring must be a CoefficientRing descriptor")
-        self.k = int(k)
-        self.l = int(l)
+        for name, v in (("k", k), ("l", l)):
+            if not _is_int(v) or v < 0:
+                raise MorphismError("valency %s=%r is not a non-negative integer"
+                                    % (name, v))
+        self.k = k
+        self.l = l
         self.ring = ring
         self.delta = _coerce_delta(ring, delta)
         cleaned = {}

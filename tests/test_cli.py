@@ -228,6 +228,16 @@ class TestFunctorCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("k", ["-2", "2.9"])
+    def test_invalid_morphism_valency_is_user_error(self, capsys, k):
+        rc = run(["functor-matrix", "--family", "sp", "--m", "2",
+                  '{"k": %s, "l": 2, "ring": "Rationals", "delta": "-2", '
+                  '"terms": []}' % k])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_modulus_guard(self, capsys):
         rc, _ = invoke(capsys, "rank", "--family", "o", "--m", "3",
                        "--modulus", "3", "--k", "1", "--l", "1")
@@ -255,6 +265,20 @@ class TestIdealSpan:
                                   "--slice", "3,1")
         assert rc == 0
         assert payload == {"dimension": 1}
+
+    def test_symplectic_kernel_at_degree_five(self, capsys):
+        rc, payload = invoke_json(capsys, "ideal-span", "--family", "sp", "--m", "2",
+                                  "--gen", "phi:1", "--r", "5")
+        assert rc == 0
+        assert payload == {"dimension": 903}
+
+    def test_slice_over_budget_is_user_error(self, capsys):
+        # |B(3, 9)| * |B(9, 3)| = 10395^2 composites at the widest middle
+        rc = run(["ideal-span", "--family", "sp", "--m", "2", "--slice", "3,3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_requires_generator_or_slice(self, capsys):
         rc, _ = invoke(capsys, "ideal-span", "--family", "sp", "--m", "2")

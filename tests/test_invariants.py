@@ -5,6 +5,7 @@ import pytest
 
 from brauer import (
     ExactMatrix,
+    FunctorError,
     reduce_mod_p,
     commutant_dimension,
     e_p_formula,
@@ -17,14 +18,91 @@ from brauer import (
     kernel_dimension,
     lie_generators,
     phi,
+    sigma,
     tensor_ideal_span_dimension,
 )
+from brauer.diagram import e_i, identity
+from brauer.functor import _morphism_to_spec_field
 from brauer.invariants import _reflection, derived_action
+from brauer.linalg import EliminationBasis
+from brauer.linear import (from_diagram, lin_compose, lin_tensor,
+                           make_morphism)
 
 O2 = group_spec("o", 2)
 O3 = group_spec("o", 3)
 SP2 = group_spec("sp", 2)
 SP4 = group_spec("sp", 4)
+SP2_F5 = group_spec("sp", 2, modulus=5)
+O2_F5 = group_spec("o", 2, modulus=5)
+O3_F7 = group_spec("o", 3, modulus=7)
+
+
+# Oracle: the direct double-loop spans, kept only to cross-check the
+# generator-closure engine at small degree.  Every composite B o x o B
+# (every c o (I_a (x) Sigma (x) I_b) o d for slices) goes into elimination.
+
+def _oracle_witnesses(basis, diagrams, k, l, ring, delta):
+    rows = basis.reduced_rows()
+    return [make_morphism(k, l, {diagrams[i]: c for i, c in rows[p].items()},
+                          ring=ring, delta=delta)
+            for p in sorted(rows)]
+
+
+def _oracle_ideal_span(r, gen, spec):
+    gen = _morphism_to_spec_field(gen, spec)
+    ring, delta = spec.ring, spec.delta_value()
+    padded = gen
+    if gen.k < r:
+        padded = lin_tensor(gen, from_diagram(identity(r - gen.k),
+                                              ring=ring, delta=delta))
+    diagrams = enumerate_diagrams(r, r)
+    index = {d: i for i, d in enumerate(diagrams)}
+    stage1 = EliminationBasis(ring)
+    for d in diagrams:
+        w = lin_compose(padded, from_diagram(d, ring=ring, delta=delta))
+        stage1.add_row({index[t]: c for t, c in w.terms.items()})
+    stage2 = EliminationBasis(ring)
+    for w in _oracle_witnesses(stage1, diagrams, r, r, ring, delta):
+        for d in diagrams:
+            full = lin_compose(from_diagram(d, ring=ring, delta=delta), w)
+            stage2.add_row({index[t]: c for t, c in full.terms.items()})
+    return stage2.rank
+
+
+def _oracle_tensor_span(k, l, spec):
+    if (k + l) % 2:
+        return 0
+    ring, delta = spec.ring, spec.delta_value()
+    base = spec.m + 1
+    gen = sigma(spec.eps, base, ring=ring, delta=delta)
+    targets = enumerate_diagrams(k, l)
+    target_index = {d: i for i, d in enumerate(targets)}
+    total = EliminationBasis(ring)
+    for s in range(base, k + l + min(k, l) + 1):
+        if (s - k) % 2:
+            continue
+        lower = enumerate_diagrams(k, s)
+        lower_index = {d: i for i, d in enumerate(lower)}
+        stage1 = EliminationBasis(ring)
+        for a in range(0, s - base + 1):
+            b = s - base - a
+            mid = gen
+            if a:
+                mid = lin_tensor(from_diagram(identity(a), ring=ring,
+                                              delta=delta), mid)
+            if b:
+                mid = lin_tensor(mid, from_diagram(identity(b), ring=ring,
+                                                   delta=delta))
+            for d in lower:
+                w = lin_compose(mid, from_diagram(d, ring=ring, delta=delta))
+                stage1.add_row({lower_index[t]: c for t, c in w.terms.items()})
+        witnesses = _oracle_witnesses(stage1, lower, k, s, ring, delta)
+        for c in enumerate_diagrams(s, l):
+            top = from_diagram(c, ring=ring, delta=delta)
+            for w in witnesses:
+                full = lin_compose(top, w)
+                total.add_row({target_index[t]: v for t, v in full.terms.items()})
+    return total.rank
 
 
 def gram_matrix(spec):
@@ -169,6 +247,33 @@ class TestIdeals:
     def test_space_orthogonal_kernel_is_principal(self):
         assert ideal_span_dimension(4, e_p_formula(3, 2), O3) == 14
 
+    def test_symplectic_kernel_at_degree_five(self):
+        # 945 - C_5 = 903
+        assert ideal_span_dimension(5, phi(1), SP2) == 903
+        assert kernel_dimension(5, 5, SP2) == 903
+
+    @pytest.mark.parametrize("spec,gen,widths", [
+        (SP2, phi(1), (2, 3, 4)),
+        (SP2_F5, reduce_mod_p(phi(1), 5), (2, 3, 4)),
+        (SP4, phi(2), (3, 4)),
+        (O2, e_p_formula(2, 1), (3, 4)),
+        (O2_F5, reduce_mod_p(e_p_formula(2, 1), 5), (3, 4)),
+        (O3, e_p_formula(3, 2), (4,)),
+        (O3_F7, reduce_mod_p(e_p_formula(3, 2), 7), (4,)),
+        (O3, sigma(1, 2), (2, 3, 4)),
+        (O3, from_diagram(e_i(2, 1)), (2, 3, 4)),
+        (SP2, from_diagram(identity(1)), (1, 2, 3)),
+    ], ids=["sp2-phi1", "sp2f5-phi1", "sp4-phi2", "o2-ep", "o2f5-ep", "o3-ep",
+            "o3f7-ep", "o3-sigma2", "o3-e1", "sp2-id1"])
+    def test_closure_matches_double_loop(self, spec, gen, widths):
+        for r in widths:
+            assert ideal_span_dimension(r, gen, spec) == _oracle_ideal_span(
+                r, gen, spec)
+
+    def test_zero_generator_spans_nothing(self):
+        zero = make_morphism(2, 2, {})
+        assert ideal_span_dimension(3, zero, SP2) == 0
+
 
 class TestTensorSlices:
     @pytest.mark.parametrize("k,l", [(4, 0), (3, 1), (2, 2)])
@@ -183,6 +288,22 @@ class TestTensorSlices:
 
     def test_odd_valency_is_trivial(self):
         assert tensor_ideal_span_dimension(2, 1, SP2) == 0
+
+    @pytest.mark.parametrize("spec", [SP2, O2, O3, SP2_F5, O2_F5],
+                             ids=lambda s: s.label())
+    def test_one_padding_matches_all_offsets(self, spec):
+        for k in range(5):
+            for l in range(5 - k):
+                assert tensor_ideal_span_dimension(k, l, spec) == \
+                    _oracle_tensor_span(k, l, spec), (k, l)
+
+    def test_slice_budget_counts_widest_middle(self, monkeypatch):
+        # (2, 2) over Sp(2) reaches middle width 6: |B(2, 6)| * |B(6, 2)| = 105^2
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "11025")
+        assert tensor_ideal_span_dimension(2, 2, SP2) == 1
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "11024")
+        with pytest.raises(FunctorError):
+            tensor_ideal_span_dimension(2, 2, SP2)
 
 
 class TestPrimeCharacteristic:

@@ -54,6 +54,12 @@ class TestConstruction:
         with pytest.raises(MorphismError):
             make_morphism(2, 2, {e_i(2, 1): True})
 
+    @pytest.mark.parametrize("k,l", [(-2, 2), (2, -1), (2.9, 2), (2, 2.0),
+                                     (True, 1), ("2", 2)])
+    def test_invalid_valency_rejected(self, k, l):
+        with pytest.raises(MorphismError):
+            make_morphism(k, l, {})
+
     def test_context_mismatch_in_add(self):
         x = from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(2))
         y = from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(3))

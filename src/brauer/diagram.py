@@ -27,6 +27,13 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_sizes(error, what, **sizes):
+    """Raise ``error`` unless every size is a non-negative int (not a bool)."""
+    for name, v in sizes.items():
+        if not _is_int(v) or v < 0:
+            raise error("%s %s=%r is not a non-negative integer" % (what, name, v))
+
+
 class Diagram:
     """Immutable canonical (k, l) perfect matching.
 
@@ -37,10 +44,7 @@ class Diagram:
     __slots__ = ("k", "l", "pairs", "partner", "_hash")
 
     def __init__(self, k, l, pairs):
-        for name, v in (("k", k), ("l", l)):
-            if not _is_int(v) or v < 0:
-                raise DiagramError("valency %s=%r is not a non-negative integer"
-                                   % (name, v))
+        _check_sizes(DiagramError, "valency", k=k, l=l)
         n = k + l
         partner = [-1] * n
         for arc in pairs:
@@ -303,6 +307,7 @@ def enumerate_diagrams(k, l):
     The order pairs the smallest unmatched node with each larger node in
     increasing order, recursively.  Count is (k+l-1)!! for even k+l.
     """
+    _check_sizes(DiagramError, "valency", k=k, l=l)
     key = (k, l)
     cached = _ENUM_CACHE.get(key)
     if cached is None:

@@ -20,6 +20,7 @@ from math import factorial
 
 from . import diagram as dg
 from .diagram import Diagram, closure_loops, identity, lower_diagram, make_diagram, tensor
+from .functor import max_cells
 from .linear import (
     Morphism,
     MorphismError,
@@ -110,12 +111,26 @@ def from_permutation(pi, ring=QQ_DELTA, delta=None):
     return from_diagram(dg.permutation_diagram(tuple(pi)), ring=ring, delta=delta)
 
 
+def _guard_permutations(n):
+    """Refuse a sum over Sym_n before enumerating it when its n! terms
+    exceed the BRAUER_MAX_CELLS budget."""
+    limit = max_cells()
+    count = 1
+    for j in range(2, n + 1):
+        count *= j
+        if count > limit:
+            raise ElementError(
+                "a sum over Sym_%d needs %d! terms, above the limit %d; "
+                "raise BRAUER_MAX_CELLS to allow it" % (n, n, limit))
+
+
 def sigma(eps, r, ring=QQ_DELTA, delta=None):
     """Sum over Sym_r of (-eps)^length; symmetrizer for eps=-1, antisymmetrizer for +1."""
     if eps not in (1, -1):
         raise ElementError("eps must be +1 or -1")
     if r < 0:
         raise ElementError("degree must be nonnegative")
+    _guard_permutations(r)
     terms = {}
     for pi in permutations(range(r)):
         terms[dg.permutation_diagram(pi)] = (-eps) ** inversions(pi)
@@ -136,6 +151,7 @@ def antisymmetrizer_block(k, l, r, ring=QQ_DELTA, delta=None):
             "window [%d, %d] out of range for %d strands" % (k, l, r)
         )
     window = list(range(k - 1, l))
+    _guard_permutations(len(window))
     terms = {}
     for w in permutations(window):
         full = list(range(r))

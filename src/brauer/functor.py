@@ -22,9 +22,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
-from .diagram import Diagram, closure_loops, crossing_count
+from .diagram import Diagram, _check_sizes, closure_loops, crossing_count
 from .linear import Morphism, specialize_delta
 from .report import check_bool
 from .rings import PolynomialsInDelta, PrimeField, Rationals, QQ
@@ -140,8 +139,9 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "ring", "entries")
 
     def __init__(self, rows, cols, ring, entries):
-        object.__setattr__(self, "rows", int(rows))
-        object.__setattr__(self, "cols", int(cols))
+        _check_sizes(FunctorError, "matrix", rows=rows, cols=cols)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "ring", ring)
         clean = {}
         for (i, j), v in entries.items():
@@ -283,7 +283,7 @@ def matrix_from_json(obj):
     from .rings import ring_from_name
 
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
         ring = ring_from_name(obj["ring"])
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -331,44 +331,57 @@ def layer_matrix(lay, spec):
     return mat
 
 
+def _form_signs(form, ring):
+    """Nonzero cells (i, j, s) of a form matrix with the value as an integer
+    sign s = +-1; the functor's forms have no other nonzero values."""
+    one = ring.one()
+    minus = ring.neg(one)
+    cells = []
+    for i, row in enumerate(form):
+        for j, v in enumerate(row):
+            if ring.is_zero(v):
+                continue
+            if ring.eq(v, one):
+                cells.append((i, j, 1))
+            elif ring.eq(v, minus):
+                cells.append((i, j, -1))
+            else:
+                raise FunctorError("form cell (%d, %d) is %s, not +-1"
+                                   % (i, j, ring.fmt(v)))
+    return cells
+
+
 @lru_cache(maxsize=1 << 14)
 def _diagram_matrix(d, spec):
+    """Direct contraction.  Each arc contributes m choices of (row offset,
+    column offset, sign): a through strand an index t on both sides, a
+    bottom arc a form cell, a top arc a dual-form cell.  Every cell of the
+    product of choices is nonzero with value eps^crossings times the
+    product of the +-1 signs, so cells are built as integer signs and
+    mapped to one of the two field elements +-1 at the end."""
     m, ring = spec.m, spec.ring
     k, l = d.k, d.l
     guard_cells(m ** (k + l))
-    throughs, bottoms, tops = [], [], []
-    for a, b in d.pairs:
-        if b < k:
-            bottoms.append((a, b))
-        elif a >= k:
-            tops.append((a - k, b - k))
-        else:
-            throughs.append((a, b - k))
-    sign = ring.power(ring.from_int(spec.eps), crossing_count(d))
-    gram_cells = [(i, j, v) for i, row in enumerate(spec.gram)
-                  for j, v in enumerate(row) if not ring.is_zero(v)]
-    dual_cells = [(i, j, v) for i, row in enumerate(spec.dual_change)
-                  for j, v in enumerate(row) if not ring.is_zero(v)]
     pow_k = [m ** (k - 1 - a) for a in range(k)]
     pow_l = [m ** (l - 1 - b) for b in range(l)]
-    entries = {}
-    for thr in product(range(m), repeat=len(throughs)):
-        for bot in product(gram_cells, repeat=len(bottoms)):
-            for top in product(dual_cells, repeat=len(tops)):
-                val = sign
-                row = 0
-                col = 0
-                for (a, b), t in zip(throughs, thr):
-                    col += t * pow_k[a]
-                    row += t * pow_l[b]
-                for (a, a2), (i, j, v) in zip(bottoms, bot):
-                    col += i * pow_k[a] + j * pow_k[a2]
-                    val = ring.mul(val, v)
-                for (b, b2), (i, j, v) in zip(tops, top):
-                    row += i * pow_l[b] + j * pow_l[b2]
-                    val = ring.mul(val, v)
-                if not ring.is_zero(val):
-                    entries[(row, col)] = val
+    gram_cells = _form_signs(spec.gram, ring)
+    dual_cells = _form_signs(spec.dual_change, ring)
+    sign = -1 if spec.eps == -1 and crossing_count(d) % 2 else 1
+    cells = [(0, 0, sign)]
+    for a, b in d.pairs:
+        if b < k:
+            choices = [(0, i * pow_k[a] + j * pow_k[b], s)
+                       for i, j, s in gram_cells]
+        elif a >= k:
+            choices = [(i * pow_l[a - k] + j * pow_l[b - k], 0, s)
+                       for i, j, s in dual_cells]
+        else:
+            choices = [(t * pow_l[b - k], t * pow_k[a], 1) for t in range(m)]
+        cells = [(row + dr, col + dc, s * ds)
+                 for row, col, s in cells for dr, dc, ds in choices]
+    one = ring.one()
+    minus = ring.neg(one)
+    entries = {(row, col): one if s > 0 else minus for row, col, s in cells}
     return ExactMatrix(m ** l, m ** k, ring, entries)
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from collections import deque
 
-from .diagram import (e_i, enumerate_diagrams, identity as identity_diagram,
-                      s_i)
+from .diagram import (_check_sizes, e_i, enumerate_diagrams,
+                      identity as identity_diagram, s_i)
 from .elements import sigma
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
                       functor_matrix, guard_cells)
 from .linalg import EliminationBasis, rank_of_rows
 from .linear import from_diagram, lin_compose, lin_tensor, make_morphism
+from .rings import PrimeField
 
 __all__ = [
     "hom_rank", "kernel_dimension", "kernel_basis", "lie_generators",
@@ -30,6 +31,7 @@ def _vectorized_rows(k, l, spec):
     """One sparse row per (k, l) diagram: its matrix flattened row-major.
 
     Returns (diagrams, rows) in the deterministic diagram order."""
+    _check_sizes(FunctorError, "valency", k=k, l=l)
     guard_cells(spec.m ** (k + l))
     diagrams = enumerate_diagrams(k, l)
     cols = spec.m ** k
@@ -55,23 +57,31 @@ def kernel_dimension(k, l, spec):
 def kernel_basis(k, l, spec):
     """Deterministic basis of the kernel, one morphism per basis vector.
 
-    Solves for coefficient vectors x with sum_D x_D * matrix(D) = 0 by
-    transposing the vectorized rows, then converts each nullspace vector to
-    a morphism over the group's field at the loop value eps * m."""
+    Eliminates the vectorized diagram rows, each extended by a tag column
+    after the m^(k+l) cell columns, in reverse diagram order: diagram i gets
+    column m^(k+l) + n - 1 - i.  A diagram f that depends on earlier ones
+    reduces to a row with no cells left, whose lead is its own tag and whose
+    other tags are earlier independent diagrams; that row is the reduced
+    echelon nullspace vector of free column f.  Vectors come out in diagram
+    order, as primitive integers with a positive f entry over the
+    rationals, scaled to f entry 1 over F_p, and are converted to morphisms
+    over the group's field at the loop value eps * m."""
     diagrams, rows = _vectorized_rows(k, l, spec)
-    by_cell = {}
-    for idx, row in enumerate(rows):
-        for cell, v in row.items():
-            by_cell.setdefault(cell, {})[idx] = v
+    n = len(diagrams)
+    top = spec.m ** (k + l) + n - 1
     basis = EliminationBasis(spec.ring)
-    for cell in sorted(by_cell):
-        basis.add_row(by_cell[cell])
-    vectors = basis.nullspace(range(len(diagrams)))
+    for idx, row in enumerate(rows):
+        row[top - idx] = 1
+        basis.add_row(row)
     ring = spec.ring
     delta = spec.delta_value()
     out = []
-    for vec in vectors:
-        terms = {diagrams[idx]: coeff for idx, coeff in vec.items()}
+    for lead in sorted((c for c in basis.pivots if c > top - n), reverse=True):
+        vec = basis.pivots[lead]
+        if isinstance(ring, PrimeField):
+            inv = pow(vec[lead], -1, ring.p)
+            vec = {c: v * inv % ring.p for c, v in vec.items()}
+        terms = {diagrams[top - c]: v for c, v in vec.items()}
         out.append(make_morphism(k, l, terms, ring=ring, delta=delta))
     return out
 
@@ -246,6 +256,7 @@ def tensor_ideal_span_dimension(k, l, spec):
     Sigma (x) I_(a+b), and composing with a permutation permutes B(k, s)
     and B(s, l).  Raises FunctorError when |B(k, s)| * |B(s, l)| at the
     widest middle exceeds the cell budget."""
+    _check_sizes(FunctorError, "valency", k=k, l=l)
     if (k + l) % 2:
         return 0
     ring, m = spec.ring, spec.m

@@ -5,8 +5,11 @@ Rows are sparse {column: coefficient} dicts fed incrementally into an
 deterministic result for a deterministic feed order.  Over the rationals,
 rows are rescaled to primitive integer vectors and combined fraction-free
 (cross-multiplication followed by content removal), so no rational
-arithmetic happens during elimination; prime fields use field arithmetic
-directly.  Ranks, reduced row echelon forms, and nullspace bases are exact.
+arithmetic happens during elimination; integer entries and fractions with
+denominator 1 enter as plain ints, and only a row with a real denominator is
+scaled.  Over a prime field F_p, entries are ints in [0, p) combined inline
+modulo p, with one modular inverse per row combination.  Ranks, reduced row
+echelon forms, and nullspace bases are exact.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class EliminationBasis:
         if not isinstance(ring, (Rationals, PrimeField)):
             raise LinAlgError("elimination requires a field: %s" % ring)
         self.ring = ring
-        self._int_mode = isinstance(ring, Rationals)
+        self._p = None if isinstance(ring, Rationals) else ring.p
         self.pivots = {}
 
     @property
@@ -48,118 +51,129 @@ class EliminationBasis:
         return sorted(self.pivots)
 
     def _prepare(self, row):
-        if self._int_mode:
-            entries = {}
-            scale = 1
+        """The row with zero entries dropped: a primitive integer vector
+        over the rationals, residues in [0, p) over F_p."""
+        p = self._p
+        if p is not None:
+            out = {}
             for c, v in row.items():
-                f = Fraction(v)
-                if f:
-                    entries[c] = f
-                    scale = scale * f.denominator // gcd(scale, f.denominator)
-            out = {c: int(f * scale) for c, f in entries.items()}
-            g = _row_content(out)
-            if g > 1:
-                out = {c: v // g for c, v in out.items()}
+                v %= p
+                if v:
+                    out[c] = v
             return out
-        ring = self.ring
-        return {c: v for c, v in ((c, ring.from_int(v) if isinstance(v, int) else v)
-                                  for c, v in row.items()) if not ring.is_zero(v)}
+        out = {}
+        scale = 1
+        for c, v in row.items():
+            if v.__class__ is not int:
+                if not isinstance(v, Fraction):
+                    v = Fraction(v)
+                d = v.denominator
+                if d == 1:
+                    v = v.numerator
+                else:
+                    scale = scale * d // gcd(scale, d)
+            if v:
+                out[c] = v
+        if scale > 1:
+            out = {c: int(v * scale) for c, v in out.items()}
+        g = _row_content(out)
+        if g > 1:
+            out = {c: v // g for c, v in out.items()}
+        return out
 
     def _combine_int(self, row, lead, piv):
+        """ra * row - pa * piv with the lead cancelled.  The sign of the
+        result is free (stored rows are normalized), so ra is taken positive
+        and the common case ra = 1 copies the row unscaled."""
         a, b = row[lead], piv[lead]
         g = gcd(a, b)
         ra, pa = b // g, a // g
-        out = dict()
-        for c, v in row.items():
-            out[c] = v * ra
+        if ra < 0:
+            ra, pa = -ra, -pa
+        out = dict(row) if ra == 1 else {c: v * ra for c, v in row.items()}
+        get = out.get
         for c, v in piv.items():
-            nv = out.get(c, 0) - v * pa
+            nv = get(c, 0) - v * pa
             if nv:
                 out[c] = nv
             else:
-                out.pop(c, None)
+                del out[c]
         g = _row_content(out)
         if g > 1:
             out = {c: v // g for c, v in out.items()}
         return out
 
     def _combine_field(self, row, lead, piv):
-        ring = self.ring
-        factor = ring.exact_div(row[lead], piv[lead])
+        p = self._p
+        f = row[lead] * pow(piv[lead], -1, p) % p
         out = dict(row)
+        get = out.get
         for c, v in piv.items():
-            nv = ring.sub(out.get(c, ring.zero()), ring.mul(factor, v))
-            if ring.is_zero(nv):
-                out.pop(c, None)
-            else:
+            nv = (get(c, 0) - f * v) % p
+            if nv:
                 out[c] = nv
+            else:
+                del out[c]
         return out
+
+    def _reduce(self, row):
+        """Reduce a prepared row until its lead column has no pivot.
+
+        Returns (remainder, lead); the remainder is empty and the lead None
+        when the row lies in the span."""
+        pivots = self.pivots
+        combine = self._combine_int if self._p is None else self._combine_field
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                return row, lead
+            row = combine(row, lead, piv)
+        return row, None
 
     def add_row(self, row):
         """Reduce a row against the basis; store it if independent.
 
         Returns True when the row increased the rank.
         """
-        row = self._prepare(row)
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                if self._int_mode and row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                self.pivots[lead] = row
-                return True
-            if self._int_mode:
-                row = self._combine_int(row, lead, piv)
-            else:
-                row = self._combine_field(row, lead, piv)
-        return False
+        row, lead = self._reduce(self._prepare(row))
+        if lead is None:
+            return False
+        if self._p is None and row[lead] < 0:
+            row = {c: -v for c, v in row.items()}
+        self.pivots[lead] = row
+        return True
 
     def contains(self, row):
         """Whether the row lies in the current row space (no mutation)."""
-        row = self._prepare(row)
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return False
-            if self._int_mode:
-                row = self._combine_int(row, lead, piv)
-            else:
-                row = self._combine_field(row, lead, piv)
-        return True
+        return self._reduce(self._prepare(row))[1] is None
 
     def reduced_rows(self):
         """Pivot rows in reduced row echelon form (leading ones, back-reduced),
         keyed by pivot column, with field coefficients."""
-        ring = self.ring
+        p = self._p
         rows = {}
-        for p in sorted(self.pivots, reverse=True):
-            raw = self.pivots[p]
-            if self._int_mode:
-                lead = raw[p]
+        for q in sorted(self.pivots, reverse=True):
+            raw = self.pivots[q]
+            lead = raw[q]
+            if p is None:
                 row = {c: Fraction(v, lead) for c, v in raw.items()}
             else:
-                lead = raw[p]
-                row = {c: ring.exact_div(v, lead) for c, v in raw.items()}
-            for q in [c for c in row if c != p and c in rows]:
-                factor = row.pop(q)
-                for c, v in rows[q].items():
-                    if c == q:
+                inv = pow(lead, -1, p)
+                row = {c: v * inv % p for c, v in raw.items()}
+            for r in [c for c in row if c != q and c in rows]:
+                factor = row.pop(r)
+                for c, v in rows[r].items():
+                    if c == r:
                         continue
-                    if self._int_mode:
-                        nv = row.get(c, Fraction(0)) - factor * v
-                        if nv:
-                            row[c] = nv
-                        else:
-                            row.pop(c, None)
+                    nv = row.get(c, 0) - factor * v
+                    if p is not None:
+                        nv %= p
+                    if nv:
+                        row[c] = nv
                     else:
-                        nv = ring.sub(row.get(c, ring.zero()), ring.mul(factor, v))
-                        if ring.is_zero(nv):
-                            row.pop(c, None)
-                        else:
-                            row[c] = nv
-            rows[p] = row
+                        row.pop(c, None)
+            rows[q] = row
         return rows
 
     def nullspace(self, columns):
@@ -167,30 +181,27 @@ class EliminationBasis:
         column universe, one vector per free column in column order.
 
         Over the rationals each vector is scaled to primitive integers with
-        the free-column entry positive.
+        the free-column entry positive; over F_p the free-column entry is 1.
         """
-        columns = list(columns)
+        p = self._p
         rows = self.reduced_rows()
         basis = []
         for f in columns:
             if f in rows:
                 continue
-            vec = {f: self.ring.one() if not self._int_mode else Fraction(1)}
-            for p, row in rows.items():
+            vec = {f: 1}
+            for q, row in rows.items():
                 if f in row:
-                    if self._int_mode:
-                        vec[p] = -row[f]
-                    else:
-                        vec[p] = self.ring.neg(row[f])
-            if self._int_mode:
+                    vec[q] = -row[f] if p is None else -row[f] % p
+            if p is None:
                 scale = 1
                 for v in vec.values():
-                    scale = scale * v.denominator // gcd(scale, v.denominator)
-                ints = {c: int(v * scale) for c, v in vec.items()}
-                g = _row_content(ints)
+                    d = v.denominator
+                    scale = scale * d // gcd(scale, d)
+                vec = {c: int(v * scale) for c, v in vec.items()}
+                g = _row_content(vec)
                 if g > 1:
-                    ints = {c: v // g for c, v in ints.items()}
-                vec = ints
+                    vec = {c: v // g for c, v in vec.items()}
             basis.append(vec)
         return basis
 

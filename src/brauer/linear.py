@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .diagram import (
     Diagram,
-    _is_int,
+    _check_sizes,
     ast,
     compose,
     diagram_from_json,
@@ -76,10 +76,7 @@ class Morphism:
     def __init__(self, k, l, ring, delta, terms):
         if not isinstance(ring, CoefficientRing):
             raise MorphismError("ring must be a CoefficientRing descriptor")
-        for name, v in (("k", k), ("l", l)):
-            if not _is_int(v) or v < 0:
-                raise MorphismError("valency %s=%r is not a non-negative integer"
-                                    % (name, v))
+        _check_sizes(MorphismError, "valency", k=k, l=l)
         self.k = k
         self.l = l
         self.ring = ring

@@ -300,6 +300,9 @@ class Rationals(CoefficientRing):
     def zero(self):
         return Fraction(0)
 
+    def is_zero(self, a):
+        return not a
+
     def from_int(self, n):
         return Fraction(n)
 
@@ -413,6 +416,9 @@ class PrimeField(CoefficientRing):
 
     def zero(self):
         return 0
+
+    def is_zero(self, a):
+        return not a
 
     def from_int(self, n):
         return int(n) % self.p

@@ -150,6 +150,14 @@ class TestElementCommands:
         assert payload["delta"] == "-2"
         assert all(t["coeff"] == "2" for t in payload["terms"])
 
+    def test_sigma_over_term_budget_is_user_error(self, capsys):
+        # 12! = 479001600 permutation terms, above the default 10^7 budget
+        rc = run(["sigma", "--eps", "1", "--r", "12"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_bad_parameters_are_user_errors(self, capsys):
         assert invoke(capsys, "phi", "--n", "0")[0] == 2
         assert invoke(capsys, "ep", "--m", "2", "--p", "5")[0] == 2
@@ -233,6 +241,18 @@ class TestFunctorCommands:
         rc = run(["functor-matrix", "--family", "sp", "--m", "2",
                   '{"k": %s, "l": 2, "ring": "Rationals", "delta": "-2", '
                   '"terms": []}' % k])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--family", "sp", "--m", "2", "--k", "-1", "--l", "3"],
+        ["kernel", "--family", "sp", "--m", "2", "--k", "-2", "--l", "2"],
+        ["ideal-span", "--family", "sp", "--m", "2", "--slice=-2,2"],
+    ], ids=["rank", "kernel", "ideal-span"])
+    def test_negative_valency_on_rank_path_is_user_error(self, capsys, argv):
+        rc = run(argv)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""

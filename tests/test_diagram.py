@@ -106,6 +106,13 @@ def test_diagram_rejects_invalid_valencies_and_nodes(k, l, pairs):
         Diagram(k, l, pairs)
 
 
+@pytest.mark.parametrize("k,l", [(-1, 3), (3, -1), (-2, 2), (True, 1),
+                                 (2.0, 0), ("2", 2)])
+def test_enumerate_diagrams_rejects_invalid_valencies(k, l):
+    with pytest.raises(DiagramError):
+        enumerate_diagrams(k, l)
+
+
 @pytest.mark.parametrize("obj", [
     {"k": 2.9, "l": 0, "pairs": [[0, 1]]},
     {"k": "2", "l": 0, "pairs": [[0, 1]]},

@@ -120,6 +120,21 @@ class TestSigma:
     def test_cap_suite(self, r, k):
         assert_all(verify_sigma_cap(r, k))
 
+    def test_term_budget_boundary(self, monkeypatch):
+        # 4! = 24 terms: allowed at a budget of 24, refused at 23
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "24")
+        assert len(sigma(1, 4).terms) == 24
+        assert len(antisymmetrizer_block(2, 5, 6).terms) == 24
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "23")
+        with pytest.raises(ElementError):
+            sigma(1, 4)
+        with pytest.raises(ElementError):
+            antisymmetrizer_block(2, 5, 6)
+        with pytest.raises(ElementError):
+            phi(3)
+        assert len(sigma(-1, 3).terms) == 6
+        assert len(antisymmetrizer_block(1, 3, 6).terms) == 6
+
     def test_suite_argument_guards(self):
         with pytest.raises(ElementError):
             verify_sigma_identities(0)

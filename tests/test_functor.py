@@ -117,6 +117,17 @@ class TestExactMatrix:
         with pytest.raises(FunctorError):
             ExactMatrix.from_rows(QQ, [[1, 2], [3]])
 
+    @pytest.mark.parametrize("rows,cols", [(-1, 2), (2, -3), (True, 2),
+                                           (2, 0.25), (2.0, 2), ("2", 2)])
+    def test_invalid_dimensions_rejected(self, rows, cols):
+        with pytest.raises(FunctorError):
+            ExactMatrix(rows, cols, QQ, {})
+
+    def test_json_dimensions_are_not_truncated(self):
+        obj = {"rows": 2.9, "cols": 2, "ring": "Rationals", "entries": []}
+        with pytest.raises(FunctorError):
+            matrix_from_json(obj)
+
     def test_arithmetic(self):
         a = ExactMatrix.from_rows(QQ, [[1, 2], [3, 4]])
         b = ExactMatrix.from_rows(QQ, [[0, 1], [1, 0]])
@@ -228,9 +239,11 @@ class TestFunctorMatrix:
                 big = functor_matrix(tensor(d1, d2), spec)
                 assert big == functor_matrix(d1, spec).tensor(functor_matrix(d2, spec))
 
-    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("spec", DESK_SPECS + [
+        group_spec("sp", 2, modulus=5), group_spec("o", 3, modulus=7)],
+        ids=lambda s: s.label())
     def test_layered_agrees_with_direct(self, spec):
-        for k, l in ((2, 2), (3, 1), (0, 2)):
+        for k, l in ((2, 2), (3, 1), (0, 2), (3, 3), (4, 2)):
             for d in enumerate_diagrams(k, l):
                 assert functor_matrix_layered(d, spec) == functor_matrix(d, spec)
 

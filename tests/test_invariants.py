@@ -26,7 +26,7 @@ from brauer.functor import _morphism_to_spec_field
 from brauer.invariants import _reflection, derived_action
 from brauer.linalg import EliminationBasis
 from brauer.linear import (from_diagram, lin_compose, lin_tensor,
-                           make_morphism)
+                           make_morphism, morphism_to_json)
 
 O2 = group_spec("o", 2)
 O3 = group_spec("o", 3)
@@ -35,6 +35,7 @@ SP4 = group_spec("sp", 4)
 SP2_F5 = group_spec("sp", 2, modulus=5)
 O2_F5 = group_spec("o", 2, modulus=5)
 O3_F7 = group_spec("o", 3, modulus=7)
+O1 = group_spec("o", 1)
 
 
 # Oracle: the direct double-loop spans, kept only to cross-check the
@@ -105,6 +106,25 @@ def _oracle_tensor_span(k, l, spec):
     return total.rank
 
 
+# Oracle: the transposed-nullspace kernel basis, kept only to cross-check the
+# tagged elimination.  One row per matrix cell over the diagram columns; the
+# reduced-echelon nullspace gives one vector per dependent diagram.
+
+def _oracle_kernel_basis(k, l, spec):
+    diagrams = enumerate_diagrams(k, l)
+    cols = spec.m ** k
+    by_cell = {}
+    for idx, d in enumerate(diagrams):
+        for (i, j), v in functor_matrix(d, spec).entries.items():
+            by_cell.setdefault(i * cols + j, {})[idx] = v
+    basis = EliminationBasis(spec.ring)
+    for cell in sorted(by_cell):
+        basis.add_row(by_cell[cell])
+    return [make_morphism(k, l, {diagrams[i]: c for i, c in vec.items()},
+                          ring=spec.ring, delta=spec.delta_value())
+            for vec in basis.nullspace(range(len(diagrams)))]
+
+
 def gram_matrix(spec):
     entries = {}
     for i, row in enumerate(spec.gram):
@@ -158,6 +178,31 @@ class TestKernels:
         expected = phi(1)
         assert basis[0].terms == expected.terms
         assert functor_matrix(basis[0], SP2).is_zero()
+
+    @pytest.mark.parametrize("spec,k,l", [
+        (O1, 3, 3), (O2, 3, 3), (O3, 4, 4), (O3_F7, 4, 4), (SP2, 3, 3),
+        (SP2_F5, 3, 3), (SP4, 3, 3), (SP2, 2, 4), (O2, 1, 5), (SP2_F5, 1, 5),
+    ], ids=lambda v: v.label() if hasattr(v, "label") else str(v))
+    def test_tagged_kernel_matches_transposed_oracle(self, spec, k, l):
+        got = [morphism_to_json(x) for x in kernel_basis(k, l, spec)]
+        want = [morphism_to_json(x) for x in _oracle_kernel_basis(k, l, spec)]
+        assert got == want
+        assert len(got) == kernel_dimension(k, l, spec)
+
+    @pytest.mark.parametrize("call", [
+        lambda: hom_rank(-1, 3, SP2),
+        lambda: hom_rank(3, -1, SP2),
+        lambda: hom_rank(True, 1, SP2),
+        lambda: kernel_dimension(-2, 2, SP2),
+        lambda: kernel_basis(-2, 2, SP2),
+        lambda: kernel_basis(2.0, 2, SP2),
+        lambda: tensor_ideal_span_dimension(-2, 2, SP2),
+        lambda: tensor_ideal_span_dimension(-1, 1, SP2),
+        lambda: tensor_ideal_span_dimension(2, -4, SP2),
+    ])
+    def test_invalid_valencies_rejected(self, call):
+        with pytest.raises(FunctorError):
+            call()
 
     def test_kernel_basis_elements_die(self):
         for b in kernel_basis(3, 3, SP2):

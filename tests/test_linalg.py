@@ -117,6 +117,27 @@ class TestPrimeFieldMode:
         assert len(vecs) == 1
         assert dot(row, vecs[0], gf7) == gf7.zero()
 
+    def test_leads_need_a_modular_inverse(self):
+        # rows (3, 1, 5) and (2, 6, 1) over F_7; 3^-1 = 5 mod 7
+        gf7 = PrimeField(7)
+        basis = EliminationBasis(gf7)
+        assert basis.add_row({0: 3, 1: 1, 2: 5})
+        assert basis.add_row({0: 2, 1: 6, 2: 1})
+        # (2, 6, 1) - (2 * 3^-1) (3, 1, 5) = (0, 3, 0)
+        assert basis.pivots == {0: {0: 3, 1: 1, 2: 5}, 1: {1: 3}}
+        assert basis.reduced_rows() == {0: {0: 1, 2: 4}, 1: {1: 1}}
+        assert basis.nullspace(range(3)) == [{2: 1, 0: 3}]
+        assert basis.contains({0: 1, 2: 4})
+        assert not basis.contains({2: 1})
+        assert not basis.add_row({0: 5, 1: 7, 2: 6})  # r1 + r2, entries mod 7
+
+    def test_entries_are_reduced_mod_p(self):
+        gf7 = PrimeField(7)
+        basis = EliminationBasis(gf7)
+        assert basis.add_row({0: -4, 1: 8, 2: 14})
+        assert basis.pivots == {0: {0: 3, 1: 1}}
+        assert not basis.add_row({0: 7, 1: -7})
+
     def test_reduced_rows_leading_one(self):
         gf5 = PrimeField(5)
         basis = EliminationBasis(gf5)

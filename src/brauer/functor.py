@@ -98,12 +98,13 @@ def group_spec(family, m, modulus=None, allow_small_modulus=False):
     key = _FAMILY_ALIASES.get(str(family).lower())
     if key is None:
         raise FunctorError("unknown family %r (use 'o' or 'sp')" % (family,))
-    m = int(m)
+    _check_sizes(FunctorError, "group", m=m)
     if m < 1:
         raise FunctorError("dimension must be positive: %d" % m)
     if modulus is None:
         ring = QQ
     else:
+        _check_sizes(FunctorError, "group", modulus=modulus)
         ring = PrimeField(modulus)
         if modulus < m + 2 and not allow_small_modulus:
             raise FunctorError(
@@ -290,7 +291,11 @@ def matrix_from_json(obj):
         raise FunctorError("malformed matrix object: %s" % exc)
     entries = {}
     for item in raw:
-        i, j, text = int(item[0]), int(item[1]), item[2]
+        try:
+            i, j, text = item
+        except (TypeError, ValueError):
+            raise FunctorError("matrix entry %r is not [row, col, value]" % (item,))
+        _check_sizes(FunctorError, "matrix entry", row=i, col=j)
         entries[(i, j)] = ring.parse(text)
     return ExactMatrix(rows, cols, ring, entries)
 

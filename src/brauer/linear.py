@@ -33,6 +33,7 @@ from .rings import (
     PrimeField,
     Rationals,
     RingError,
+    rational,
     ring_from_name,
 )
 
@@ -47,7 +48,7 @@ def _coerce_coeff(ring, value):
     if isinstance(value, int):
         return ring.from_int(value)
     if isinstance(ring, Rationals) and isinstance(value, Fraction):
-        return value
+        return rational(value)
     if isinstance(ring, PolynomialsInDelta):
         if isinstance(value, Fraction):
             return Poly.const(value)

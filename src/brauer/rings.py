@@ -6,6 +6,13 @@ add/neg/sub/mul, exact division where possible, integer injection, string
 round-trip) so the linear-algebra layer can stay generic over the
 coefficient domain.  All arithmetic is exact; nothing here ever touches
 floating point.
+
+A rational (an element of ``Rationals`` or a ``Poly`` coefficient) has one
+canonical form, produced by :func:`rational`: a plain ``int`` when its
+denominator is 1, otherwise a ``fractions.Fraction`` with denominator > 1.
+Integer coefficients, the common case, thus never pay for ``Fraction``
+arithmetic.  ``int`` and ``Fraction`` agree under ``==``, ``hash`` and
+``str``, so equality, hashing and output do not depend on the form.
 """
 
 from __future__ import annotations
@@ -20,31 +27,43 @@ class RingError(ValueError):
     """Raised for invalid ring operations or malformed coefficient strings."""
 
 
+def rational(q):
+    """The canonical form of the exact rational ``q`` (an ``int``, a
+    ``Fraction``, or anything ``Fraction`` accepts): an ``int`` when
+    integral, otherwise a ``Fraction``."""
+    if q.__class__ is int:
+        return q
+    if q.__class__ is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 class Poly:
     """Univariate polynomial over the rationals in the variable ``d``.
 
     Coefficients are stored densely, lowest degree first, with no trailing
-    zeros; the zero polynomial has an empty coefficient tuple.  Instances
-    are immutable value objects.
+    zeros, each in the canonical form of :func:`rational`; the zero
+    polynomial has an empty coefficient tuple.  Instances are immutable
+    value objects.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def const(cls, value):
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @classmethod
     def monomial(cls, power, coeff=1):
         if power < 0:
             raise RingError("monomial power must be nonnegative")
-        return cls((0,) * power + (Fraction(coeff),))
+        return cls((0,) * power + (coeff,))
 
     @classmethod
     def variable(cls):
@@ -88,7 +107,7 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -124,10 +143,11 @@ class Poly:
         dq = len(rem) - len(div)
         if dq < 0:
             return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         lead = div[-1]
         for shift in range(dq, -1, -1):
-            c = rem[shift + len(div) - 1] / lead
+            # Through Fraction: int / int would give a float.
+            c = rational(Fraction(rem[shift + len(div) - 1], lead))
             quot[shift] = c
             if c:
                 for i, d in enumerate(div):
@@ -135,11 +155,11 @@ class Poly:
         return Poly(quot), Poly(rem)
 
     def evaluate(self, value):
-        value = Fraction(value)
-        acc = Fraction(0)
+        value = rational(value)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
-        return acc
+        return rational(acc)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -210,12 +230,12 @@ def parse_poly(text):
             else:
                 p = 0
         else:
-            c = Fraction(1)
+            c = 1
             p = int(m.group("pow2")) if m.group("pow2") else 1
-        coeffs[p] = coeffs.get(p, Fraction(0)) + sign * c
+        coeffs[p] = coeffs.get(p, 0) + sign * c
     if not coeffs:
         return Poly()
-    out = [Fraction(0)] * (max(coeffs) + 1)
+    out = [0] * (max(coeffs) + 1)
     for p, c in coeffs.items():
         out[p] = c
     return Poly(out)
@@ -224,9 +244,11 @@ def parse_poly(text):
 class CoefficientRing:
     """Descriptor protocol shared by all exact coefficient rings.
 
-    Elements are plain Python values (``Fraction``, ``int``, ``Poly``);
+    Elements are plain Python values (``int``, ``Fraction``, ``Poly``);
     the descriptor supplies the arithmetic so generic code never needs to
-    know the concrete element type.
+    know the concrete element type.  Rationals are ``int`` when integral
+    and ``Fraction`` (denominator > 1) otherwise, as :func:`rational`
+    makes them; the polynomial ring keeps its coefficients the same way.
     """
 
     name = "?"
@@ -298,36 +320,39 @@ class Rationals(CoefficientRing):
     name = "Rationals"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def is_zero(self, a):
         return not a
 
     def from_int(self, n):
-        return Fraction(n)
+        return rational(n)
 
     def add(self, a, b):
-        return a + b
+        return rational(a + b)
 
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return rational(a - b)
+
     def mul(self, a, b):
-        return a * b
+        return rational(a * b)
 
     def exact_div(self, a, b):
         if b == 0:
             raise RingError("division by zero")
-        return Fraction(a) / b
+        return rational(Fraction(a) / b)
 
     def parse(self, s):
         try:
-            return Fraction(s.strip())
+            return rational(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError("malformed rational %r" % (s,)) from exc
 
     def is_integral(self, a):
-        return Fraction(a).denominator == 1
+        return rational(a).__class__ is int
 
 
 class Integers(CoefficientRing):
@@ -404,6 +429,8 @@ class PrimeField(CoefficientRing):
     _cache = {}
 
     def __new__(cls, p):
+        if p.__class__ is not int:
+            raise RingError("modulus %r is not an integer" % (p,))
         inst = cls._cache.get(p)
         if inst is None:
             if not _is_prime(p):

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .diagram import enumerate_diagrams, identity as identity_diagram
+from .diagram import _check_sizes, enumerate_diagrams, identity as identity_diagram
 from .elements import (brauer_presentation_report, e_p_formula, e_p_rotation,
                        f_p, phi, sigma, verify_afu, verify_sigma_cap,
                        verify_sigma_identities)
@@ -39,13 +39,19 @@ _DESK_GROUPS = (("o", 2), ("o", 3), ("sp", 2), ("sp", 4))
 _SMALL_GROUPS = (("o", 2), ("o", 3), ("sp", 2))
 
 
+def _check_m(m):
+    if m is not None:
+        _check_sizes(ValueError, "suite option", m=m)
+
+
 def _restrict(groups, family=None, m=None):
+    _check_m(m)
     out = []
     for fam, dim in groups:
         if family is not None and fam != {"orthogonal": "o", "symplectic": "sp"}.get(
                 str(family).lower(), str(family).lower()):
             continue
-        if m is not None and dim != int(m):
+        if m is not None and dim != m:
             continue
         out.append((fam, dim))
     return out
@@ -246,9 +252,10 @@ def suite_ep(include_optional=False, family=None, m=None, **_):
     annihilation by cap generators, flip and crossing-conjugation symmetry,
     the p = 0 degenerate case, and functor vanishing."""
     checks = []
+    _check_m(m)
     sizes = [2, 3] + ([4, 5] if include_optional else [])
     if m is not None:
-        sizes = [d for d in sizes if d == int(m)]
+        sizes = [d for d in sizes if d == m]
     if family is not None and _restrict([("o", 2)], family, None) == []:
         return checks
     for dim in sizes:

@@ -14,7 +14,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from brauer.diagram import Diagram, DiagramError, compose, identity, make_diagram
+from brauer.diagram import (
+    Diagram,
+    DiagramError,
+    _check_sizes,
+    compose,
+    identity,
+    make_diagram,
+)
 
 
 class Layer(NamedTuple):
@@ -40,10 +47,12 @@ class Word(NamedTuple):
 
 def make_word(domain, layers):
     """Validate valency chaining and build a Word."""
-    layers = tuple(Layer(int(a), g, int(b)) for (a, g, b) in layers)
+    _check_sizes(WordError, "word", domain=domain)
+    layers = tuple(Layer(a, g, b) for (a, g, b) in layers)
     width = domain
     for lay in layers:
-        if lay.gen not in ("X", "A", "U") or lay.left < 0 or lay.right < 0:
+        _check_sizes(WordError, "layer", left=lay.left, right=lay.right)
+        if lay.gen not in ("X", "A", "U"):
             raise WordError("bad layer %r" % (lay,))
         if lay.in_width() != width:
             raise WordError(

@@ -331,6 +331,33 @@ class TestVerify:
         assert payload["passed"] == 0
 
 
+    @pytest.mark.parametrize("suite", ["pau", "ep", "kernel"])
+    @pytest.mark.parametrize("m", [2.9, 3.0, "3", True])
+    def test_suite_dimension_is_not_truncated(self, suite, m):
+        from brauer.verify import run_suite
+
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            run_suite(suite, m=m)
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenOutput:
+    """JSON output of integer-coefficient commands, pinned byte for byte."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("phi_n3.json", ["phi", "--n", "3"]),
+        ("ep_m3_p2.json", ["ep", "--m", "3", "--p", "2"]),
+        ("kernel_o3_k4_l4.json",
+         ["kernel", "--family", "o", "--m", "3", "--k", "4", "--l", "4"]),
+    ])
+    def test_output_matches_golden_file(self, capsys, name, argv):
+        rc, out = invoke(capsys, *argv)
+        assert rc == 0
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 class TestHarness:
     def test_text_format(self, capsys):
         rc, out = invoke(capsys, "--format", "text", "rank", "--family", "sp",

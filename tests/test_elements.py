@@ -372,3 +372,16 @@ def test_hypothesis_sigma_absorbs_sigma(r, s):
     big = sigma(1, r)
     small = antisymmetrizer_block(1, s, r)
     assert lin_compose(small, big) == lin_scale(factorial(s), big)
+
+
+@pytest.mark.parametrize("make", [lambda: phi(2), lambda: phi(3),
+                                  lambda: e_p_rotation(3, 2),
+                                  lambda: sigma(1, 4)],
+                         ids=["phi2", "phi3", "ep_rotation_3_2", "sigma_1_4"])
+def test_integer_elements_have_int_coefficients(make):
+    x = make()
+    values = list(x.terms.values())
+    assert values
+    for c in values:
+        coeffs = c.coeffs if isinstance(c, Poly) else (c,)
+        assert all(v.__class__ is int for v in coeffs)

@@ -80,6 +80,16 @@ class TestGroupSpec:
         with pytest.raises(FunctorError):
             group_spec("o", 0)
 
+    @pytest.mark.parametrize("m", [2.9, 3.0, "3", True, -2])
+    def test_dimension_is_not_truncated(self, m):
+        with pytest.raises(FunctorError):
+            group_spec("o", m)
+
+    @pytest.mark.parametrize("modulus", [7.5, 7.0, "7", True])
+    def test_modulus_must_be_an_int(self, modulus):
+        with pytest.raises(FunctorError):
+            group_spec("o", 3, modulus=modulus)
+
     def test_small_modulus_guard(self):
         with pytest.raises(FunctorError):
             group_spec("o", 3, modulus=3)
@@ -122,6 +132,15 @@ class TestExactMatrix:
     def test_invalid_dimensions_rejected(self, rows, cols):
         with pytest.raises(FunctorError):
             ExactMatrix(rows, cols, QQ, {})
+
+    @pytest.mark.parametrize("entry", [[2.9, 0, "1"], [2, 0.0, "1"],
+                                       [True, 0, "1"], [2, False, "1"],
+                                       ["1", 0, "1"], [-1, 0, "1"],
+                                       [1, 0], [1, 0, "1", 2], 5])
+    def test_json_entry_indices_are_not_truncated(self, entry):
+        obj = {"rows": 3, "cols": 3, "ring": "Rationals", "entries": [entry]}
+        with pytest.raises(FunctorError):
+            matrix_from_json(obj)
 
     def test_json_dimensions_are_not_truncated(self):
         obj = {"rows": 2.9, "cols": 2, "ring": "Rationals", "entries": []}

@@ -19,6 +19,7 @@ from brauer.rings import (
     Rationals,
     RingError,
     ZZ,
+    rational,
     ring_from_name,
 )
 
@@ -159,3 +160,64 @@ class TestRingNames:
     def test_delta_helpers(self):
         assert QQ_DELTA.delta() == Poly.variable()
         assert QQ_DELTA.delta_power(3) == Poly.variable() ** 3
+
+
+def _is_canonical(c):
+    return c.__class__ is int or (c.__class__ is Fraction and c.denominator > 1)
+
+
+_small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestCanonicalForm:
+    """Rationals are ints while integral and Fractions only otherwise."""
+
+    def test_helper(self):
+        assert rational(Fraction(6, 3)).__class__ is int
+        assert rational(Fraction(1, 2)) == Fraction(1, 2)
+        assert rational(True).__class__ is int
+        assert rational("3/4") == Fraction(3, 4)
+        assert rational(7) == 7
+
+    def test_rationals_stay_integral(self):
+        assert QQ.zero().__class__ is int and QQ.one().__class__ is int
+        assert QQ.from_int(5).__class__ is int
+        assert QQ.mul(Fraction(1, 2), 4).__class__ is int
+        assert QQ.add(Fraction(1, 3), Fraction(2, 3)).__class__ is int
+        assert QQ.sub(Fraction(1, 2), Fraction(-1, 2)).__class__ is int
+        assert QQ.exact_div(6, 3).__class__ is int
+        assert QQ.exact_div(1, 3) == Fraction(1, 3)
+        assert QQ.parse("4/2").__class__ is int
+        assert QQ.power(Fraction(1, 2), 2) == Fraction(1, 4)
+
+    def test_divmod_has_no_float(self):
+        quo, rem = Poly((1, 2)).divmod(Poly((3,)))
+        assert str(quo) == "2/3*d+1/3"
+        assert quo.coeffs == (Fraction(1, 3), Fraction(2, 3))
+        assert rem.is_zero()
+        assert all(c.__class__ is Fraction for c in quo.coeffs)
+
+    def test_poly_constructors_and_evaluate(self):
+        assert Poly((Fraction(4, 2), 0.5)).coeffs == (2, Fraction(1, 2))
+        assert Poly.const(Fraction(3)).coeffs[0].__class__ is int
+        assert Poly.monomial(2, Fraction(-4, 2)).coeffs == (0, 0, -2)
+        assert all(_is_canonical(c) for c in Poly.monomial(2).coeffs)
+        assert Poly((1, Fraction(1, 2))).evaluate(2).__class__ is int
+        assert Poly((1, 1)).evaluate(Fraction(1, 2)) == Fraction(3, 2)
+
+    @given(st.lists(_small_fractions, max_size=5),
+           st.lists(_small_fractions, min_size=1, max_size=4))
+    def test_divmod_identity_and_canonical_coefficients(self, a, b):
+        a, b = Poly(tuple(a)), Poly(tuple(b))
+        if b.is_zero():
+            return
+        quo, rem = a.divmod(b)
+        assert quo * b + rem == a
+        assert rem.is_zero() or rem.degree < b.degree
+        for p in (a, b, quo, rem, a * b, a + b, a - b, -a):
+            assert all(_is_canonical(c) for c in p.coeffs)
+
+    @pytest.mark.parametrize("bad", [7.0, 7.5, "7", True])
+    def test_prime_field_rejects_non_int_modulus(self, bad):
+        with pytest.raises(RingError):
+            PrimeField(bad)

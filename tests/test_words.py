@@ -44,6 +44,20 @@ def test_word_validation():
         make_word(2, [(0, "Q", 0)])
 
 
+@pytest.mark.parametrize("domain,layers", [
+    (2, [(0.9, "X", 0)]),
+    (2, [(0, "X", 0.0)]),
+    (3, [(True, "X", 0)]),
+    (2, [("0", "X", 0)]),
+    (2, [(-1, "X", 1)]),
+    (2.0, [(0, "X", 0)]),
+    (True, []),
+])
+def test_word_widths_are_not_truncated(domain, layers):
+    with pytest.raises(WordError):
+        make_word(domain, layers)
+
+
 def test_synthesize_examples():
     w = synthesize_word(e_i(2, 1))
     assert [lay.gen for lay in w.layers] == ["A", "U"]

@@ -296,6 +296,8 @@ def matrix_from_json(obj):
         except (TypeError, ValueError):
             raise FunctorError("matrix entry %r is not [row, col, value]" % (item,))
         _check_sizes(FunctorError, "matrix entry", row=i, col=j)
+        if not isinstance(text, str):
+            raise FunctorError("matrix entry value %r is not a string" % (text,))
         entries[(i, j)] = ring.parse(text)
     return ExactMatrix(rows, cols, ring, entries)
 

@@ -136,8 +136,8 @@ class TestExactMatrix:
     @pytest.mark.parametrize("entry", [[2.9, 0, "1"], [2, 0.0, "1"],
                                        [True, 0, "1"], [2, False, "1"],
                                        ["1", 0, "1"], [-1, 0, "1"],
-                                       [1, 0], [1, 0, "1", 2], 5])
-    def test_json_entry_indices_are_not_truncated(self, entry):
+                                       [1, 0], [1, 0, "1", 2], 5, [1, 0, 1]])
+    def test_malformed_json_entries_rejected(self, entry):
         obj = {"rows": 3, "cols": 3, "ring": "Rationals", "entries": [entry]}
         with pytest.raises(FunctorError):
             matrix_from_json(obj)

@@ -330,7 +330,6 @@ class TestVerify:
         assert rc == 1
         assert payload["passed"] == 0
 
-
     @pytest.mark.parametrize("suite", ["pau", "ep", "kernel"])
     @pytest.mark.parametrize("m", [2.9, 3.0, "3", True])
     def test_suite_dimension_is_not_truncated(self, suite, m):

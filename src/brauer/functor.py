@@ -146,6 +146,9 @@ class ExactMatrix:
         object.__setattr__(self, "ring", ring)
         clean = {}
         for (i, j), v in entries.items():
+            if i.__class__ is not int or j.__class__ is not int:
+                raise FunctorError("entry index (%r, %r) is not a pair of ints"
+                                   % (i, j))
             if not (0 <= i < rows and 0 <= j < cols):
                 raise FunctorError("entry (%d, %d) outside %dx%d" % (i, j, rows, cols))
             if not ring.is_zero(v):
@@ -295,7 +298,6 @@ def matrix_from_json(obj):
             i, j, text = item
         except (TypeError, ValueError):
             raise FunctorError("matrix entry %r is not [row, col, value]" % (item,))
-        _check_sizes(FunctorError, "matrix entry", row=i, col=j)
         if not isinstance(text, str):
             raise FunctorError("matrix entry value %r is not a string" % (text,))
         entries[(i, j)] = ring.parse(text)

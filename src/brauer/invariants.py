@@ -10,13 +10,14 @@ row spaces.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 from .diagram import (_check_sizes, e_i, enumerate_diagrams,
                       identity as identity_diagram, s_i)
 from .elements import sigma
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
                       functor_matrix, guard_cells)
-from .linalg import EliminationBasis, rank_of_rows
+from .linalg import EliminationBasis, nullspace_of_rows, rank_of_rows
 from .linear import from_diagram, lin_compose, lin_tensor, make_morphism
 from .rings import PrimeField
 
@@ -144,46 +145,132 @@ def derived_action(x_mat, r):
     return total
 
 
-def _commuting_rows(rho, n):
-    """Linear conditions on an n x n unknown M for rho M - M rho = 0,
-    unknowns indexed row-major."""
-    ring = rho.ring
+def _commutant_group(spec):
+    """The group data the commutant is solved over, and its reflection.
+
+    The symplectic family, and O(m) in characteristic 2, keep the spec's
+    own form (and, for O(m), its reflection).  Otherwise O(m) moves to the
+    split form S, with S[i][m - 1 - i] = 1, where the diagonal of so(S) is
+    a Cartan subalgebra; its reflection negates the middle basis vector for
+    odd m and swaps the two middle basis vectors for even m."""
+    ring = spec.ring
+    if spec.family != "orthogonal" or (isinstance(ring, PrimeField)
+                                       and ring.p == 2):
+        return spec, _reflection(spec)
+    m = spec.m
+    one, zero = ring.one(), ring.zero()
+    split = tuple(tuple(one if i + j == m - 1 else zero for j in range(m))
+                  for i in range(m))
+    h = m // 2
+    if m % 2:
+        entries = {(i, i): one for i in range(m)}
+        entries[(h, h)] = ring.neg(one)
+    else:
+        entries = {(i, i): one for i in range(m) if i not in (h - 1, h)}
+        entries[(h - 1, h)] = entries[(h, h - 1)] = one
+    return (replace(spec, gram=split, dual_change=split),
+            ExactMatrix(m, m, ring, entries))
+
+
+def _word_classes(group, refl, r):
+    """The m^r basis words of the r-fold tensor power, grouped by key.
+
+    A word's key holds its weight under each diagonal solution of
+    X^T G + G X = 0, summed over its letters in the field, and, when the
+    reflection (None for the symplectic family) is diagonal, the parity of
+    its letters on which the reflection is -1.  Returns the classes as
+    lists of word indices."""
+    ring, m, gram = group.ring, group.m, group.gram
+    rows = []
+    for a in range(m):
+        for b in range(m):
+            g = gram[a][b]
+            if not ring.is_zero(g):
+                rows.append({a: g, b: g} if a != b else {a: ring.add(g, g)})
+    cartan = nullspace_of_rows(rows, range(m), ring)
+    letters = [[h.get(a, 0) for h in cartan] for a in range(m)]
+    mods = [ring.p if isinstance(ring, PrimeField) else 0] * len(cartan)
+    if refl is not None and all(i == j for i, j in refl.entries):
+        for a in range(m):
+            letters[a].append(0 if ring.eq(refl.get(a, a), ring.one()) else 1)
+        mods.append(2)
+    keys = [(0,) * len(mods)]
+    for _ in range(r):
+        keys = [tuple((v + w) % q if q else v + w
+                      for v, w, q in zip(key, letter, mods))
+                for key in keys for letter in letters]
+    classes = {}
+    for word, key in enumerate(keys):
+        classes.setdefault(key, []).append(word)
+    return list(classes.values())
+
+
+def _commutator_rows(rho, kept, n):
+    """Rows of rho M - M rho = 0 for an n x n unknown M whose only nonzero
+    entries are the kept ones; kept maps a * n + b to the column of M_ab.
+    Only rows with a nonzero entry on a kept unknown are returned."""
     by_row = {}
     by_col = {}
     for (a, c), v in rho.entries.items():
         by_row.setdefault(a, []).append((c, v))
         by_col.setdefault(c, []).append((a, v))
-    for a in range(n):
-        for b in range(n):
-            row = {}
-            for c, v in by_row.get(a, ()):
-                key = c * n + b
-                row[key] = ring.add(row.get(key, ring.zero()), v)
-            for c, v in by_col.get(b, ()):
-                key = a * n + c
-                row[key] = ring.sub(row.get(key, ring.zero()), v)
-            if row:
-                yield row
+    rows = {}
+    for key, col in kept.items():
+        x, y = divmod(key, n)
+        # M_xy enters row (a, y) as rho_ax M_xy and row (x, b) as -M_xy rho_yb.
+        for a, v in by_col.get(x, ()):
+            row = rows.setdefault(a * n + y, {})
+            row[col] = row.get(col, 0) + v
+        for b, v in by_row.get(y, ()):
+            row = rows.setdefault(x * n + b, {})
+            row[col] = row.get(col, 0) - v
+    return [row for row in rows.values() if any(row.values())]
 
 
 def commutant_dimension(r, spec):
     """Dimension of the algebra of matrices on the r-fold tensor power
-    commuting with the group action (infinitesimal action plus, for the
-    orthogonal family, the reflection)."""
+    commuting with the group action: the infinitesimal action of the form's
+    Lie algebra plus, for the orthogonal family, the r-th tensor power of a
+    reflection.
+
+    Only the unknowns M_ab that can be nonzero are solved for.  For a
+    diagonal constraint D, [D, M]_ab = (D_aa - D_bb) M_ab, so every
+    solution has M_ab = 0 unless words a and b have the same key (see
+    :func:`_word_classes`): the same weight under the diagonal part of the
+    Lie algebra and, when the reflection is diagonal, the same reflection
+    parity.  The commutator rows of the Lie generators and the reflection
+    power are built on the same-key pairs alone (a diagonal reflection's
+    rows are then all zero and dropped), and the dimension is their count
+    minus the rank.
+
+    Outside characteristic 2, O(m) is solved on the split form (see
+    :func:`_commutant_group`), whose Cartan subalgebra is diagonal.  This is
+    exact: a linear system has the same rank over the algebraic closure of
+    its field, where an isometry from the identity form to the split form
+    conjugates so(m) to so(m) and the spec's reflection to the split one.
+    In characteristic 2 the two forms are not equivalent, so O(m) keeps
+    the spec's identity form there, whose diagonal still bounds the
+    classes."""
+    _check_sizes(FunctorError, "degree", r=r)
     n = spec.m ** r
     guard_cells(n * n)
-    basis = EliminationBasis(spec.ring)
-    for gen in lie_generators(spec):
-        for row in _commuting_rows(derived_action(gen, r), n):
-            basis.add_row(row)
-    refl = _reflection(spec)
+    group, refl = _commutant_group(spec)
+    kept = {}
+    for words in _word_classes(group, refl, r):
+        for a in words:
+            for b in words:
+                kept[a * n + b] = len(kept)
+    actions = [derived_action(x, r) for x in lie_generators(group)]
     if refl is not None:
         power = ExactMatrix.identity(1, spec.ring)
         for _ in range(r):
             power = power.tensor(refl)
-        for row in _commuting_rows(power, n):
+        actions.append(power)
+    basis = EliminationBasis(spec.ring)
+    for rho in actions:
+        for row in _commutator_rows(rho, kept, n):
             basis.add_row(row)
-    return n * n - basis.rank
+    return len(kept) - basis.rank
 
 
 def _rows_to_morphisms(basis, diagrams, k, l, ring, delta):

@@ -127,6 +127,12 @@ class TestExactMatrix:
         with pytest.raises(FunctorError):
             ExactMatrix.from_rows(QQ, [[1, 2], [3]])
 
+    @pytest.mark.parametrize("index", [(2.9, 0), (0, 1.0), (True, 0),
+                                       (0, False), ("1", 0), (None, 0)])
+    def test_non_int_entry_indices_rejected(self, index):
+        with pytest.raises(FunctorError):
+            ExactMatrix(3, 3, QQ, {index: 1})
+
     @pytest.mark.parametrize("rows,cols", [(-1, 2), (2, -3), (True, 2),
                                            (2, 0.25), (2.0, 2), ("2", 2)])
     def test_invalid_dimensions_rejected(self, rows, cols):

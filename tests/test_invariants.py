@@ -22,14 +22,16 @@ from brauer import (
     tensor_ideal_span_dimension,
 )
 from brauer.diagram import e_i, identity
-from brauer.functor import _morphism_to_spec_field
-from brauer.invariants import _reflection, derived_action
+from brauer.functor import _morphism_to_spec_field, guard_cells
+from brauer.invariants import (_commutant_group, _reflection, _word_classes,
+                               derived_action)
 from brauer.linalg import EliminationBasis
 from brauer.linear import (from_diagram, lin_compose, lin_tensor,
                            make_morphism, morphism_to_json)
 
 O2 = group_spec("o", 2)
 O3 = group_spec("o", 3)
+O4 = group_spec("o", 4)
 SP2 = group_spec("sp", 2)
 SP4 = group_spec("sp", 4)
 SP2_F5 = group_spec("sp", 2, modulus=5)
@@ -123,6 +125,65 @@ def _oracle_kernel_basis(k, l, spec):
     return [make_morphism(k, l, {diagrams[i]: c for i, c in vec.items()},
                           ring=spec.ring, delta=spec.delta_value())
             for vec in basis.nullspace(range(len(diagrams)))]
+
+
+# Oracle: the full-unknown commutant, kept only to cross-check the
+# weight-class solve.  One unknown per cell of the m^r x m^r matrix M and
+# one commutator row per cell, on the spec's own form and reflection.
+
+def _commuting_rows(rho, n):
+    """Linear conditions on an n x n unknown M for rho M - M rho = 0,
+    unknowns indexed row-major."""
+    ring = rho.ring
+    by_row = {}
+    by_col = {}
+    for (a, c), v in rho.entries.items():
+        by_row.setdefault(a, []).append((c, v))
+        by_col.setdefault(c, []).append((a, v))
+    for a in range(n):
+        for b in range(n):
+            row = {}
+            for c, v in by_row.get(a, ()):
+                key = c * n + b
+                row[key] = ring.add(row.get(key, ring.zero()), v)
+            for c, v in by_col.get(b, ()):
+                key = a * n + c
+                row[key] = ring.sub(row.get(key, ring.zero()), v)
+            if row:
+                yield row
+
+
+def _oracle_commutant_dimension(r, spec):
+    """Dimension of the algebra of matrices on the r-fold tensor power
+    commuting with the group action (infinitesimal action plus, for the
+    orthogonal family, the reflection)."""
+    n = spec.m ** r
+    guard_cells(n * n)
+    basis = EliminationBasis(spec.ring)
+    for gen in lie_generators(spec):
+        for row in _commuting_rows(derived_action(gen, r), n):
+            basis.add_row(row)
+    refl = _reflection(spec)
+    if refl is not None:
+        power = ExactMatrix.identity(1, spec.ring)
+        for _ in range(r):
+            power = power.tensor(refl)
+        for row in _commuting_rows(power, n):
+            basis.add_row(row)
+    return n * n - basis.rank
+
+
+def _commutant_grid():
+    """O(1)-O(5), Sp(2), Sp(4), Sp(6) over QQ, a prime p >= m + 2, F_2 and
+    F_3, at every r <= 3 with at most 1296 oracle unknowns."""
+    groups = [("o", m) for m in range(1, 6)] + [("sp", m) for m in (2, 4, 6)]
+    for family, m in groups:
+        for modulus in (None, 7 if m <= 5 else 11, 2, 3):
+            spec = group_spec(family, m, modulus=modulus,
+                              allow_small_modulus=True)
+            for r in (1, 2, 3):
+                if m ** (2 * r) <= 1296:
+                    yield spec, r
 
 
 def gram_matrix(spec):
@@ -269,10 +330,49 @@ class TestCommutant:
         assert commutant_dimension(2, SP2) == 2
         assert commutant_dimension(2, O2) == 3
 
-    @pytest.mark.parametrize("spec", [O2, O3, SP2], ids=lambda s: s.label())
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "r,spec",
+        [(r, s) for r in (1, 2, 3) for s in (O2, O3, SP2)]
+        + [(3, SP4), (3, O4), (4, O2)],
+        ids=lambda v: v.label() if hasattr(v, "label") else None)
     def test_image_fills_commutant(self, spec, r):
         assert hom_rank(r, r, spec) == commutant_dimension(r, spec)
+
+    @pytest.mark.parametrize("spec,r", list(_commutant_grid()),
+                             ids=lambda v: v.label() if hasattr(v, "label") else None)
+    def test_matches_full_unknown_oracle(self, spec, r):
+        assert commutant_dimension(r, spec) == _oracle_commutant_dimension(r, spec)
+
+    @pytest.mark.parametrize("r", [True, "2", -1, 2.5, None])
+    def test_invalid_degree_rejected(self, r):
+        with pytest.raises(FunctorError):
+            commutant_dimension(r, O2)
+
+    @pytest.mark.parametrize("spec", [group_spec("o", m) for m in range(1, 6)]
+                             + [O3_F7, group_spec("o", 4, modulus=3,
+                                                  allow_small_modulus=True)],
+                             ids=lambda s: s.label())
+    def test_split_form_and_reflection(self, spec):
+        group, refl = _commutant_group(spec)
+        form = gram_matrix(group)
+        assert refl.transpose().mul(form).mul(refl) == form
+        assert refl.mul(refl) == ExactMatrix.identity(spec.m, spec.ring)
+        assert refl != ExactMatrix.identity(spec.m, spec.ring)
+        assert all(i + j == spec.m - 1 for i, j in form.entries)
+
+    def test_characteristic_two_keeps_the_identity_form(self):
+        spec = group_spec("o", 2, modulus=2, allow_small_modulus=True)
+        assert _commutant_group(spec) == (spec, _reflection(spec))
+        assert commutant_dimension(2, spec) == 4
+
+    @pytest.mark.parametrize("r,spec,kept", [(3, O3, 141), (2, group_spec("sp", 6), 90),
+                                             (3, SP4, 400), (3, O4, 400),
+                                             (3, group_spec("o", 3, modulus=5), 141)],
+                             ids=lambda v: v.label() if hasattr(v, "label") else None)
+    def test_unknowns_restricted_to_weight_classes(self, r, spec, kept):
+        classes = _word_classes(*_commutant_group(spec), r)
+        assert sorted(w for c in classes for w in c) == list(range(spec.m ** r))
+        assert sum(len(c) ** 2 for c in classes) == kept
 
 
 class TestIdeals:

@@ -211,13 +211,22 @@ def _build_parser():
     return parser
 
 
+def _int_pair(flag, form, text, prefix=""):
+    """The two comma-separated integers after prefix in a flag value."""
+    try:
+        a, b = (int(t) for t in text[len(prefix):].split(","))
+    except ValueError:
+        raise ValueError("%s expects %s with two integers, got %r"
+                         % (flag, form, text)) from None
+    return a, b
+
+
 def _generator_from_flag(text, spec):
     if text.startswith("phi:"):
         n = int(text[4:])
         gen = phi(n)
     elif text.startswith("ep:"):
-        m_txt, p_txt = text[3:].split(",")
-        gen = e_p_formula(int(m_txt), int(p_txt))
+        gen = e_p_formula(*_int_pair("--gen", "ep:M,P", text, "ep:"))
     else:
         gen = morphism_from_json(_load_json_arg(text))
     if gen.ring != spec.ring and gen.delta is not None:
@@ -338,8 +347,8 @@ def _dispatch(args, fmt):
     if cmd == "ideal-span":
         spec = _group_from_args(args)
         if args.slice_kl:
-            k_txt, l_txt = args.slice_kl.split(",")
-            dim = tensor_ideal_span_dimension(int(k_txt), int(l_txt), spec)
+            k, l = _int_pair("--slice", "K,L", args.slice_kl)
+            dim = tensor_ideal_span_dimension(k, l, spec)
             _emit({"dimension": dim}, fmt)
             return 0
         if not args.gen or args.r is None:

@@ -302,7 +302,10 @@ def ideal_span_dimension(r, gen, spec):
     closure of the padded generator under left and right composition with
     those 2(r - 1) diagrams: a worklist composes each element that raised
     the rank with every generator on both sides until the rank stops
-    growing."""
+    growing.  Raises FunctorError unless r is a non-negative int, and when
+    |B(r, r)|^2 exceeds the cell budget."""
+    _check_sizes(FunctorError, "degree", r=r)
+    guard_cells(_diagram_count(r, r) ** 2)
     gen = _morphism_to_spec_field(gen, spec)
     if gen.k != gen.l:
         raise FunctorError("ideal generator must be square, got (%d, %d)"
@@ -332,6 +335,43 @@ def ideal_span_dimension(r, gen, spec):
     return basis.rank
 
 
+def _lower_orbit_representatives(k, s, a):
+    """One diagram of B(k, s) per orbit of Sym(a) permuting its first a top
+    nodes, the first in enumeration order.
+
+    Two diagrams share an orbit exactly when they join the same nodes
+    outside the block to the block and agree on the arcs that do not touch
+    it: the key records, for every node outside the block, its partner, or
+    -1 when the partner is in the block."""
+    block = range(k, k + a)
+    outside = [i for i in range(k + s) if i not in block]
+    reps = {}
+    for d in enumerate_diagrams(k, s):
+        p = d.partner
+        reps.setdefault(tuple(-1 if p[i] in block else p[i] for i in outside),
+                        d)
+    return list(reps.values())
+
+
+def _upper_orbit_representatives(s, l, a):
+    """One diagram of B(s, l) per orbit of Sym(a) x Sym(s - a) permuting its
+    first a and its last s - a bottom nodes, the first in enumeration order.
+
+    Two diagrams share an orbit exactly when they agree on the top-top
+    arcs, on which top nodes are reached from each block, and on the number
+    of caps joining the two blocks: the key records, for every top node, its
+    top partner or -1 (first block) or -2 (second block), and that count."""
+    tops = range(s, s + l)
+    reps = {}
+    for c in enumerate_diagrams(s, l):
+        p = c.partner
+        key = (tuple(p[t] if p[t] >= s else -1 if p[t] < a else -2
+                     for t in tops),
+               sum(1 for i in range(a) if a <= p[i] < s))
+        reps.setdefault(key, c)
+    return list(reps.values())
+
+
 def tensor_ideal_span_dimension(k, l, spec):
     """Dimension of the (k, l) slice of the tensor ideal generated by the
     vanishing symmetrizer Sigma on m + 1 strands: the span of all composites
@@ -342,7 +382,20 @@ def tensor_ideal_span_dimension(k, l, spec):
     I_a (x) Sigma (x) I_b is a loop-free permutation conjugate of
     Sigma (x) I_(a+b), and composing with a permutation permutes B(k, s)
     and B(s, l).  Raises FunctorError when |B(k, s)| * |B(s, l)| at the
-    widest middle exceeds the cell budget."""
+    widest middle exceeds the cell budget.
+
+    Only one diagram per symmetry orbit is composed.  Write
+    M = Sigma (x) I_(s-m-1) and W = span{M o d : d in B(k, s)}.  Sigma is a
+    signed sum over Sym(m + 1), so it absorbs a permutation sigma of its
+    strands from either side up to the sign (-eps)^len(sigma).
+      - Stage 1: M o (sigma (x) I) o d = +-M o d, so W is spanned by M o d
+        with one d per orbit of Sym(m + 1) on d's first m + 1 top nodes
+        (:func:`_lower_orbit_representatives`).
+      - Stage 2: for P = sigma (x) tau with tau in Sym(s - m - 1),
+        P o M o d = +-M o (I (x) tau) o d, and (I (x) tau) o d is again in
+        B(k, s), so P o W = W and c o P o W = c o W.  The slice is therefore
+        spanned by c o W with one c per orbit of Sym(m + 1) x Sym(s - m - 1)
+        on c's bottom nodes (:func:`_upper_orbit_representatives`)."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
     if (k + l) % 2:
         return 0
@@ -367,11 +420,11 @@ def tensor_ideal_span_dimension(k, l, spec):
             mid = lin_tensor(gen, from_diagram(identity_diagram(s - base),
                                                ring=ring, delta=delta))
         stage1 = EliminationBasis(ring)
-        for d in lower:
+        for d in _lower_orbit_representatives(k, s, base):
             w = lin_compose(mid, from_diagram(d, ring=ring, delta=delta))
             stage1.add_row({lower_index[d2]: c for d2, c in w.terms.items()})
         witnesses = _rows_to_morphisms(stage1, lower, k, s, ring, delta)
-        for c in enumerate_diagrams(s, l):
+        for c in _upper_orbit_representatives(s, l, base):
             top = from_diagram(c, ring=ring, delta=delta)
             for w in witnesses:
                 full = lin_compose(top, w)

@@ -286,6 +286,40 @@ class TestIdealSpan:
         assert rc == 0
         assert payload == {"dimension": 1}
 
+    def test_slice_with_six_boundary_points(self, capsys):
+        # kernel_dimension(4, 2) over Sp(2): |B_3| - C_3 = 15 - 5
+        rc, payload = invoke_json(capsys, "ideal-span", "--family", "sp", "--m", "2",
+                                  "--slice", "4,2")
+        assert rc == 0
+        assert payload == {"dimension": 10}
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--slice", "4"], "--slice expects K,L with two integers, got '4'"),
+        (["--slice", "1,2,3"],
+         "--slice expects K,L with two integers, got '1,2,3'"),
+        (["--slice", "a,2"], "--slice expects K,L with two integers, got 'a,2'"),
+        (["--gen", "ep:3", "--r", "3"],
+         "--gen expects ep:M,P with two integers, got 'ep:3'"),
+        (["--gen", "ep:3,2,1", "--r", "3"],
+         "--gen expects ep:M,P with two integers, got 'ep:3,2,1'"),
+    ], ids=["slice-one", "slice-three", "slice-not-int", "ep-one", "ep-three"])
+    def test_malformed_pair_flags_are_user_errors(self, capsys, flags, message):
+        rc = run(["ideal-span", "--family", "o", "--m", "3"] + flags)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+    def test_degree_over_budget_is_user_error(self, capsys):
+        # |B(12, 12)|^2 = (23!!)^2 cells; without the budget this enumerates
+        # B(12, 12) until memory runs out
+        rc = run(["ideal-span", "--family", "sp", "--m", "2", "--gen", "phi:1",
+                  "--r", "12"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: computation needs")
+
     def test_symplectic_kernel_at_degree_five(self, capsys):
         rc, payload = invoke_json(capsys, "ideal-span", "--family", "sp", "--m", "2",
                                   "--gen", "phi:1", "--r", "5")

@@ -21,10 +21,11 @@ from brauer import (
     sigma,
     tensor_ideal_span_dimension,
 )
-from brauer.diagram import e_i, identity
+from brauer.diagram import compose, e_i, identity, s_i
 from brauer.functor import _morphism_to_spec_field, guard_cells
-from brauer.invariants import (_commutant_group, _reflection, _word_classes,
-                               derived_action)
+from brauer.invariants import (_commutant_group, _lower_orbit_representatives,
+                               _reflection, _upper_orbit_representatives,
+                               _word_classes, derived_action)
 from brauer.linalg import EliminationBasis
 from brauer.linear import (from_diagram, lin_compose, lin_tensor,
                            make_morphism, morphism_to_json)
@@ -415,6 +416,19 @@ class TestIdeals:
             assert ideal_span_dimension(r, gen, spec) == _oracle_ideal_span(
                 r, gen, spec)
 
+    @pytest.mark.parametrize("r", [True, False, "3", 2.5, -1, None])
+    def test_invalid_degree_rejected(self, r):
+        with pytest.raises(FunctorError, match="degree"):
+            ideal_span_dimension(r, phi(1), SP2)
+
+    def test_degree_budget_counts_square_of_diagrams(self, monkeypatch):
+        # |B(4, 4)|^2 = 105^2
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "11025")
+        assert ideal_span_dimension(4, phi(1), SP2) == 91
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "11024")
+        with pytest.raises(FunctorError):
+            ideal_span_dimension(4, phi(1), SP2)
+
     def test_zero_generator_spans_nothing(self):
         zero = make_morphism(2, 2, {})
         assert ideal_span_dimension(3, zero, SP2) == 0
@@ -434,13 +448,57 @@ class TestTensorSlices:
     def test_odd_valency_is_trivial(self):
         assert tensor_ideal_span_dimension(2, 1, SP2) == 0
 
-    @pytest.mark.parametrize("spec", [SP2, O2, O3, SP2_F5, O2_F5],
+    @pytest.mark.parametrize("spec", [O1, SP2, O2, O3, SP2_F5, O2_F5, SP4,
+                                      O3_F7],
                              ids=lambda s: s.label())
     def test_one_padding_matches_all_offsets(self, spec):
         for k in range(5):
             for l in range(5 - k):
                 assert tensor_ideal_span_dimension(k, l, spec) == \
                     _oracle_tensor_span(k, l, spec), (k, l)
+
+    @pytest.mark.parametrize("spec,k,l,expected", [
+        (SP2, 4, 2, 10), (O2, 4, 2, 5), (O2, 0, 6, 5), (SP4, 0, 6, 1),
+    ], ids=["sp2-4-2", "o2-4-2", "o2-0-6", "sp4-0-6"])
+    def test_six_point_slices_match_kernels(self, spec, k, l, expected):
+        assert tensor_ideal_span_dimension(k, l, spec) == expected
+        assert kernel_dimension(k, l, spec) == expected
+
+    @pytest.mark.parametrize("k,l,upper,count", [
+        (6, 2, True, 8), (6, 6, True, 530), (2, 6, False, 25),
+        (4, 8, False, 2205),
+    ], ids=["B62-right", "B66-right", "B26-left", "B48-left"])
+    def test_one_representative_per_block_orbit(self, k, l, upper, count):
+        # Orbits by graph search over the block transpositions:
+        # Sym(3) x Sym(s - 3) on the bottom of B(s, l), or Sym(3) on the
+        # first three top nodes of B(k, s).
+        if upper:
+            s = k
+            reps = _upper_orbit_representatives(s, l, 3)
+            moves = [s_i(s, i) for i in range(1, s) if i != 3]
+            step = lambda d, t: compose(d, t)[1]
+        else:
+            s = l
+            reps = _lower_orbit_representatives(k, s, 3)
+            moves = [s_i(s, i) for i in (1, 2)]
+            step = lambda d, t: compose(t, d)[1]
+        assert len(reps) == len(set(reps)) == count
+        rep_set = set(reps)
+        seen = set()
+        for d in enumerate_diagrams(k, l):
+            if d in seen:
+                continue
+            orbit, queue = {d}, [d]
+            while queue:
+                x = queue.pop()
+                for t in moves:
+                    y = step(x, t)
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+            seen |= orbit
+            assert len(orbit & rep_set) == 1
+        assert rep_set <= seen
 
     def test_slice_budget_counts_widest_middle(self, monkeypatch):
         # (2, 2) over Sp(2) reaches middle width 6: |B(2, 6)| * |B(6, 2)| = 105^2

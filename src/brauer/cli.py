@@ -76,7 +76,11 @@ def _load_json_arg(text):
 def _parse_delta(text):
     if text is None or text == "symbolic":
         return None
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--delta expects a rational number or 'symbolic', "
+                         "got %r" % text) from None
 
 
 def _ring_and_delta(args):
@@ -223,7 +227,11 @@ def _int_pair(flag, form, text, prefix=""):
 
 def _generator_from_flag(text, spec):
     if text.startswith("phi:"):
-        n = int(text[4:])
+        try:
+            n = int(text[4:])
+        except ValueError:
+            raise ValueError("--gen expects phi:N with one integer, got %r"
+                             % text) from None
         gen = phi(n)
     elif text.startswith("ep:"):
         gen = e_p_formula(*_int_pair("--gen", "ep:M,P", text, "ep:"))

@@ -2,9 +2,8 @@
 
 Everything here reduces to exact sparse elimination: diagram matrices are
 vectorized into rows, infinitesimal invariance and commutation conditions
-into linear systems, two-sided ideals into the closure of a generator under
-the algebra generators s_i and e_i, and tensor-ideal slices into iterated
-row spaces.
+into linear systems, and two-sided ideals and tensor-ideal slices into the
+closure of seed morphisms under the algebra generators s_i and e_i.
 """
 
 from __future__ import annotations
@@ -294,16 +293,51 @@ def _diagram_count(k, l):
     return count
 
 
+def _closure_rank(seeds, left, right, k, l, ring, delta):
+    """Rank of the smallest subspace of Hom(k, l) that holds the seeds and is
+    closed under left composition with the morphisms in left and right
+    composition with those in right.
+
+    The queue starts from the reduced echelon basis of the seeds, so a
+    dependent seed is dropped before it is composed.  A worklist then
+    composes each element that raised the rank with every generator until
+    the rank stops growing."""
+    diagrams = enumerate_diagrams(k, l)
+    index = {d: i for i, d in enumerate(diagrams)}
+    seed_rows = EliminationBasis(ring)
+    for x in seeds:
+        seed_rows.add_row({index[d]: c for d, c in x.terms.items()})
+    basis = EliminationBasis(ring)
+
+    def feed(y):
+        return basis.add_row({index[d]: c for d, c in y.terms.items()})
+
+    queue = deque(x for x in _rows_to_morphisms(seed_rows, diagrams, k, l,
+                                                ring, delta) if feed(x))
+    while queue:
+        x = queue.popleft()
+        for y in ([lin_compose(g, x) for g in left]
+                  + [lin_compose(x, g) for g in right]):
+            if feed(y):
+                queue.append(y)
+    return basis.rank
+
+
+def _algebra_generators(r, ring, delta):
+    """The s_i and e_i of B_r, which generate it as an algebra."""
+    return [from_diagram(g(r, i), ring=ring, delta=delta)
+            for i in range(1, r) for g in (s_i, e_i)]
+
+
 def ideal_span_dimension(r, gen, spec):
     """Dimension of the two-sided ideal slice in degree (r, r) generated by
     a square morphism, padded with identity strands on the right.
 
     B_r is generated as an algebra by the s_i and e_i, so the ideal is the
-    closure of the padded generator under left and right composition with
-    those 2(r - 1) diagrams: a worklist composes each element that raised
-    the rank with every generator on both sides until the rank stops
-    growing.  Raises FunctorError unless r is a non-negative int, and when
-    |B(r, r)|^2 exceeds the cell budget."""
+    closure (:func:`_closure_rank`) of the padded generator under left and
+    right composition with those 2(r - 1) diagrams.  Raises FunctorError
+    unless r is a non-negative int, and when |B(r, r)|^2 exceeds the cell
+    budget."""
     _check_sizes(FunctorError, "degree", r=r)
     guard_cells(_diagram_count(r, r) ** 2)
     gen = _morphism_to_spec_field(gen, spec)
@@ -317,117 +351,51 @@ def ideal_span_dimension(r, gen, spec):
     if gen.k < r:
         padded = lin_tensor(gen, from_diagram(identity_diagram(r - gen.k),
                                               ring=ring, delta=delta))
-    index = {d: i for i, d in enumerate(enumerate_diagrams(r, r))}
-    generators = [from_diagram(g(r, i), ring=ring, delta=delta)
-                  for i in range(1, r) for g in (s_i, e_i)]
-    basis = EliminationBasis(ring)
-
-    def feed(y):
-        return basis.add_row({index[d]: c for d, c in y.terms.items()})
-
-    queue = deque([padded] if feed(padded) else [])
-    while queue:
-        x = queue.popleft()
-        for g in generators:
-            for y in (lin_compose(g, x), lin_compose(x, g)):
-                if feed(y):
-                    queue.append(y)
-    return basis.rank
-
-
-def _lower_orbit_representatives(k, s, a):
-    """One diagram of B(k, s) per orbit of Sym(a) permuting its first a top
-    nodes, the first in enumeration order.
-
-    Two diagrams share an orbit exactly when they join the same nodes
-    outside the block to the block and agree on the arcs that do not touch
-    it: the key records, for every node outside the block, its partner, or
-    -1 when the partner is in the block."""
-    block = range(k, k + a)
-    outside = [i for i in range(k + s) if i not in block]
-    reps = {}
-    for d in enumerate_diagrams(k, s):
-        p = d.partner
-        reps.setdefault(tuple(-1 if p[i] in block else p[i] for i in outside),
-                        d)
-    return list(reps.values())
-
-
-def _upper_orbit_representatives(s, l, a):
-    """One diagram of B(s, l) per orbit of Sym(a) x Sym(s - a) permuting its
-    first a and its last s - a bottom nodes, the first in enumeration order.
-
-    Two diagrams share an orbit exactly when they agree on the top-top
-    arcs, on which top nodes are reached from each block, and on the number
-    of caps joining the two blocks: the key records, for every top node, its
-    top partner or -1 (first block) or -2 (second block), and that count."""
-    tops = range(s, s + l)
-    reps = {}
-    for c in enumerate_diagrams(s, l):
-        p = c.partner
-        key = (tuple(p[t] if p[t] >= s else -1 if p[t] < a else -2
-                     for t in tops),
-               sum(1 for i in range(a) if a <= p[i] < s))
-        reps.setdefault(key, c)
-    return list(reps.values())
+    generators = _algebra_generators(r, ring, delta)
+    return _closure_rank([padded], generators, generators, r, r, ring, delta)
 
 
 def tensor_ideal_span_dimension(k, l, spec):
     """Dimension of the (k, l) slice of the tensor ideal generated by the
     vanishing symmetrizer Sigma on m + 1 strands: the span of all composites
-    c o (Sigma (x) I) o d through a middle layer of width s.
+    c o (I_a (x) Sigma (x) I_b) o d.
 
-    Middle widths s run over the parity of k from m + 1 up to the fixed
-    bound k + l + min(k, l).  Padding Sigma on the right only is enough:
-    I_a (x) Sigma (x) I_b is a loop-free permutation conjugate of
-    Sigma (x) I_(a+b), and composing with a permutation permutes B(k, s)
-    and B(s, l).  Raises FunctorError when |B(k, s)| * |B(s, l)| at the
-    widest middle exceeds the cell budget.
+    Three facts reduce every slice to one closure.
+      - Bending.  :func:`brauer.diagram.raise_diagram` is a loop-free
+        bijection B(k, l) -> B(k - 1, l + 1), inverted by a zigzag.  The
+        tensor ideal is closed under (x) I and composition, so bending maps
+        one slice onto the other, and dim slice(k, l) = dim slice(0, n) with
+        n = k + l.
+      - One middle width.  Let M_s = Sigma (x) I_(s-m-1).  Then
+        M_s = (I_(s-1) (x) cap (x) I_1) o (M_s (x) I_2) o (I_s (x) cup), a
+        loop-free zigzag on the last strand, so every composite through
+        width s is also a composite through width s + 2.  Widths up to
+        k + l + min(k, l) span the (k, l) slice; at k = 0 that bound is n,
+        so width n alone spans slice(0, n), and no width serves when
+        n < m + 1.  I_a (x) Sigma (x) I_b is a loop-free permutation
+        conjugate of M_n, and composing with a permutation permutes B(0, n)
+        and B_n, so M_n is the only middle.  The span found lies in the
+        ideal, which lies in the kernel of the functor, so wherever it
+        equals :func:`kernel_dimension` (every slice the tests check, up to
+        k + l = 8) it is the whole slice.
+      - Closure.  slice(0, n) = span{c o M_n o d : c in B_n, d in B(0, n)}:
+        the closure (:func:`_closure_rank`) of the seeds M_n o d under left
+        composition with the s_i and e_i of B_n.
 
-    Only one diagram per symmetry orbit is composed.  Write
-    M = Sigma (x) I_(s-m-1) and W = span{M o d : d in B(k, s)}.  Sigma is a
-    signed sum over Sym(m + 1), so it absorbs a permutation sigma of its
-    strands from either side up to the sign (-eps)^len(sigma).
-      - Stage 1: M o (sigma (x) I) o d = +-M o d, so W is spanned by M o d
-        with one d per orbit of Sym(m + 1) on d's first m + 1 top nodes
-        (:func:`_lower_orbit_representatives`).
-      - Stage 2: for P = sigma (x) tau with tau in Sym(s - m - 1),
-        P o M o d = +-M o (I (x) tau) o d, and (I (x) tau) o d is again in
-        B(k, s), so P o W = W and c o P o W = c o W.  The slice is therefore
-        spanned by c o W with one c per orbit of Sym(m + 1) x Sym(s - m - 1)
-        on c's bottom nodes (:func:`_upper_orbit_representatives`)."""
+    Raises FunctorError when |B(0, n)|^2 exceeds the cell budget, the
+    analogue of the |B(r, r)|^2 budget of :func:`ideal_span_dimension`."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
-    if (k + l) % 2:
+    n = k + l
+    base = spec.m + 1
+    if n % 2 or n < base:
         return 0
-    ring, m = spec.ring, spec.m
-    delta = spec.delta_value()
-    base = m + 1
-    widest = k + l + min(k, l)
-    if widest < base:
-        return 0
-    guard_cells(_diagram_count(k, widest) * _diagram_count(widest, l))
-    gen = sigma(spec.eps, base, ring=ring, delta=delta)
-    targets = enumerate_diagrams(k, l)
-    target_index = {d: i for i, d in enumerate(targets)}
-    total = EliminationBasis(ring)
-    for s in range(base, widest + 1):
-        if (s - k) % 2:
-            continue
-        lower = enumerate_diagrams(k, s)
-        lower_index = {d: i for i, d in enumerate(lower)}
-        mid = gen
-        if s > base:
-            mid = lin_tensor(gen, from_diagram(identity_diagram(s - base),
-                                               ring=ring, delta=delta))
-        stage1 = EliminationBasis(ring)
-        for d in _lower_orbit_representatives(k, s, base):
-            w = lin_compose(mid, from_diagram(d, ring=ring, delta=delta))
-            stage1.add_row({lower_index[d2]: c for d2, c in w.terms.items()})
-        witnesses = _rows_to_morphisms(stage1, lower, k, s, ring, delta)
-        for c in _upper_orbit_representatives(s, l, base):
-            top = from_diagram(c, ring=ring, delta=delta)
-            for w in witnesses:
-                full = lin_compose(top, w)
-                total.add_row({target_index[d2]: v
-                               for d2, v in full.terms.items()})
-    return total.rank
+    guard_cells(_diagram_count(0, n) ** 2)
+    ring, delta = spec.ring, spec.delta_value()
+    middle = sigma(spec.eps, base, ring=ring, delta=delta)
+    if n > base:
+        middle = lin_tensor(middle, from_diagram(identity_diagram(n - base),
+                                                 ring=ring, delta=delta))
+    seeds = [lin_compose(middle, from_diagram(d, ring=ring, delta=delta))
+             for d in enumerate_diagrams(0, n)]
+    return _closure_rank(seeds, _algebra_generators(n, ring, delta), [], 0, n,
+                         ring, delta)

@@ -171,5 +171,9 @@ def word_from_text(domain, text):
             if len(fields) != 3:
                 raise WordError("bad layer %r, expected a:Y:b" % (part.strip(),))
             a, g, b = fields
-            layers.append((int(a), g.strip(), int(b)))
+            try:
+                layers.append((int(a), g.strip(), int(b)))
+            except ValueError:
+                raise WordError("bad layer %r, expected integers a and b in "
+                                "a:Y:b" % (part.strip(),)) from None
     return make_word(domain, layers)

@@ -101,6 +101,14 @@ class TestWordCommands:
         rc, _ = invoke(capsys, "word-eval", "--domain", "2", "0:Q:0")
         assert rc == 2
 
+    def test_non_integer_layer_position_is_user_error(self, capsys):
+        rc = run(["word-eval", "--domain", "2", "0:X:x"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: bad layer '0:X:x', expected integers "
+                                "a and b in a:Y:b\n")
+
 
 class TestElementCommands:
     def test_sigma(self, capsys):
@@ -149,6 +157,15 @@ class TestElementCommands:
         assert payload["k"] == payload["l"] == 2
         assert payload["delta"] == "-2"
         assert all(t["coeff"] == "2" for t in payload["terms"])
+
+    @pytest.mark.parametrize("delta", ["1/0", "abc"], ids=["zero-den", "text"])
+    def test_malformed_delta_is_user_error(self, capsys, delta):
+        rc = run(["sigma", "--eps", "1", "--r", "2", "--delta", delta])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: --delta expects a rational number or "
+                                "'symbolic', got %r\n" % delta)
 
     def test_sigma_over_term_budget_is_user_error(self, capsys):
         # 12! = 479001600 permutation terms, above the default 10^7 budget
@@ -302,7 +319,10 @@ class TestIdealSpan:
          "--gen expects ep:M,P with two integers, got 'ep:3'"),
         (["--gen", "ep:3,2,1", "--r", "3"],
          "--gen expects ep:M,P with two integers, got 'ep:3,2,1'"),
-    ], ids=["slice-one", "slice-three", "slice-not-int", "ep-one", "ep-three"])
+        (["--gen", "phi:x", "--r", "3"],
+         "--gen expects phi:N with one integer, got 'phi:x'"),
+    ], ids=["slice-one", "slice-three", "slice-not-int", "ep-one", "ep-three",
+            "phi-not-int"])
     def test_malformed_pair_flags_are_user_errors(self, capsys, flags, message):
         rc = run(["ideal-span", "--family", "o", "--m", "3"] + flags)
         captured = capsys.readouterr()
@@ -326,9 +346,16 @@ class TestIdealSpan:
         assert rc == 0
         assert payload == {"dimension": 903}
 
+    def test_slice_three_three_fits_the_budget(self, capsys):
+        # bends to (0, 6): |B(0, 6)|^2 = 15^2 cells; kernel_dimension(3, 3) = 10
+        rc, payload = invoke_json(capsys, "ideal-span", "--family", "sp", "--m", "2",
+                                  "--slice", "3,3")
+        assert rc == 0
+        assert payload == {"dimension": 10}
+
     def test_slice_over_budget_is_user_error(self, capsys):
-        # |B(3, 9)| * |B(9, 3)| = 10395^2 composites at the widest middle
-        rc = run(["ideal-span", "--family", "sp", "--m", "2", "--slice", "3,3"])
+        # bends to (0, 12): |B(0, 12)|^2 = 10395^2 cells
+        rc = run(["ideal-span", "--family", "sp", "--m", "2", "--slice", "6,6"])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""

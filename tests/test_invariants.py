@@ -21,11 +21,10 @@ from brauer import (
     sigma,
     tensor_ideal_span_dimension,
 )
-from brauer.diagram import compose, e_i, identity, s_i
+from brauer.diagram import e_i, identity
 from brauer.functor import _morphism_to_spec_field, guard_cells
-from brauer.invariants import (_commutant_group, _lower_orbit_representatives,
-                               _reflection, _upper_orbit_representatives,
-                               _word_classes, derived_action)
+from brauer.invariants import (_commutant_group, _reflection, _word_classes,
+                               derived_action)
 from brauer.linalg import EliminationBasis
 from brauer.linear import (from_diagram, lin_compose, lin_tensor,
                            make_morphism, morphism_to_json)
@@ -464,47 +463,26 @@ class TestTensorSlices:
         assert tensor_ideal_span_dimension(k, l, spec) == expected
         assert kernel_dimension(k, l, spec) == expected
 
-    @pytest.mark.parametrize("k,l,upper,count", [
-        (6, 2, True, 8), (6, 6, True, 530), (2, 6, False, 25),
-        (4, 8, False, 2205),
-    ], ids=["B62-right", "B66-right", "B26-left", "B48-left"])
-    def test_one_representative_per_block_orbit(self, k, l, upper, count):
-        # Orbits by graph search over the block transpositions:
-        # Sym(3) x Sym(s - 3) on the bottom of B(s, l), or Sym(3) on the
-        # first three top nodes of B(k, s).
-        if upper:
-            s = k
-            reps = _upper_orbit_representatives(s, l, 3)
-            moves = [s_i(s, i) for i in range(1, s) if i != 3]
-            step = lambda d, t: compose(d, t)[1]
-        else:
-            s = l
-            reps = _lower_orbit_representatives(k, s, 3)
-            moves = [s_i(s, i) for i in (1, 2)]
-            step = lambda d, t: compose(t, d)[1]
-        assert len(reps) == len(set(reps)) == count
-        rep_set = set(reps)
-        seen = set()
-        for d in enumerate_diagrams(k, l):
-            if d in seen:
-                continue
-            orbit, queue = {d}, [d]
-            while queue:
-                x = queue.pop()
-                for t in moves:
-                    y = step(x, t)
-                    if y not in orbit:
-                        orbit.add(y)
-                        queue.append(y)
-            seen |= orbit
-            assert len(orbit & rep_set) == 1
-        assert rep_set <= seen
+    @pytest.mark.parametrize("spec,k,l,expected", [
+        (SP2, 4, 4, 91), (O3, 2, 6, 14), (SP4, 3, 5, 21),
+    ], ids=["sp2-4-4", "o3-2-6", "sp4-3-5"])
+    def test_eight_point_slices_match_kernels(self, spec, k, l, expected):
+        assert tensor_ideal_span_dimension(k, l, spec) == expected
+        assert kernel_dimension(k, l, spec) == expected
+
+    @pytest.mark.parametrize("spec", [SP2, O2], ids=lambda s: s.label())
+    def test_bending_keeps_the_dimension(self, spec):
+        # every (k, l) with k + l = 6, each also against its own kernel
+        dims = [tensor_ideal_span_dimension(k, 6 - k, spec) for k in range(7)]
+        assert dims == [kernel_dimension(k, 6 - k, spec) for k in range(7)]
+        assert len(set(dims)) == 1
 
     def test_slice_budget_counts_widest_middle(self, monkeypatch):
-        # (2, 2) over Sp(2) reaches middle width 6: |B(2, 6)| * |B(6, 2)| = 105^2
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "11025")
+        # (2, 2) over Sp(2) bends to (0, 4), whose one middle has width 4:
+        # |B(0, 4)|^2 = 3^2
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "9")
         assert tensor_ideal_span_dimension(2, 2, SP2) == 1
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "11024")
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "8")
         with pytest.raises(FunctorError):
             tensor_ideal_span_dimension(2, 2, SP2)
 

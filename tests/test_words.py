@@ -89,6 +89,12 @@ def test_text_round_trip():
         word_from_text(2, "0:A")
 
 
+@pytest.mark.parametrize("text", ["0:X:x", "a:X:0", "0.5:X:0"])
+def test_text_with_non_integer_position_names_the_layer(text):
+    with pytest.raises(WordError, match="bad layer %r" % text):
+        word_from_text(2, text)
+
+
 def test_relation_soundness_report():
     checks = verify_relation_soundness()
     assert len(checks) == len(RULES) * 4

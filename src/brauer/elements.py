@@ -138,7 +138,8 @@ def sigma(eps, r, ring=QQ_DELTA, delta=None):
 
 
 def antisymmetrizer_block(k, l, r, ring=QQ_DELTA, delta=None):
-    """Signed sum over permutations of the 1-based window [k, l] fixing the rest.
+    """Signed sum over permutations of the 1-based window [k, l] fixing the
+    rest: I_(k-1) (x) sigma(1, l-k+1) (x) I_(r-l).
 
     Equals the identity whenever k >= l.
     """
@@ -150,15 +151,11 @@ def antisymmetrizer_block(k, l, r, ring=QQ_DELTA, delta=None):
         raise ElementError(
             "window [%d, %d] out of range for %d strands" % (k, l, r)
         )
-    window = list(range(k - 1, l))
-    _guard_permutations(len(window))
-    terms = {}
-    for w in permutations(window):
-        full = list(range(r))
-        for pos, image in zip(window, w):
-            full[pos] = image
-        terms[dg.permutation_diagram(full)] = (-1) ** inversions(w)
-    return make_morphism(r, r, terms, ring=ring, delta=delta)
+    block = sigma(1, l - k + 1, ring=ring, delta=delta)
+    return lin_tensor(
+        lin_tensor(identity_morphism(k - 1, ring=ring, delta=delta), block),
+        identity_morphism(r - l, ring=ring, delta=delta),
+    )
 
 
 def e_product(indices, r, ring=QQ_DELTA, delta=None):
@@ -189,32 +186,34 @@ def e_i_j(i, j, r, ring=QQ_DELTA, delta=None):
 
 
 def phi(n):
-    """The quasi-idempotent of degree n+1 at delta = -2n.
+    """The quasi-idempotent of degree n+1 at delta = -2n: the sum of all
+    (n+1, n+1) diagrams, (n+1)! times the central idempotent of B_(n+1) for
+    its trivial representation.
 
-    Sum over k of Xi_k / ((2^k k!)^2 (n+1-2k)!) where Xi_k sandwiches the
-    k-fold product of far cap-cup generators between two symmetrizers.
-    Computed over the rationals; the result has integer coefficients.
+    Each s_i permutes the diagrams, so the sum is fixed by every s_i.  Each
+    diagram of e_i o sum has one preimage that closes a loop and two for
+    each of its other n arcs, so its coefficient is delta + 2n = 0.
     """
     if n < 1:
         raise ElementError("phi requires n >= 1")
     r = n + 1
-    delta = Fraction(-2 * n)
-    sig = sigma(-1, r, ring=QQ, delta=delta)
-    acc = zero_morphism(r, r, ring=QQ, delta=delta)
-    for k in range((n + 1) // 2 + 1):
-        ek = identity_morphism(r, ring=QQ, delta=delta)
-        for j in range(1, k + 1):
-            ek = lin_compose(
-                ek, from_diagram(dg.e_i(r, n + 2 - 2 * j), ring=QQ, delta=delta)
-            )
-        xi = lin_compose(lin_compose(sig, ek), sig)
-        a_k = Fraction(1, (2**k * factorial(k)) ** 2 * factorial(n + 1 - 2 * k))
-        acc = lin_add(acc, lin_scale(a_k, xi))
-    return acc
+    limit = max_cells()
+    if dg.diagram_count(r, r, limit) > limit:
+        raise ElementError(
+            "phi(%d) sums the %d!! diagrams of B_%d, above the limit %d; "
+            "raise BRAUER_MAX_CELLS to allow it" % (n, 2 * n + 1, r, limit))
+    return make_morphism(r, r, {d: 1 for d in dg.enumerate_diagrams(r, r)},
+                         ring=QQ, delta=Fraction(-2 * n))
+
+
+def _check_ep_degree(m):
+    if m < 1:
+        raise ElementError("E_p requires m >= 1, got m=%d" % m)
 
 
 def f_p(m, p, ring=None, delta=None):
     """Product of antisymmetrizer blocks on [1, p] and [p+1, m+1] in degree m+1."""
+    _check_ep_degree(m)
     if ring is None:
         ring, delta = QQ, Fraction(m)
     r = m + 1
@@ -230,6 +229,7 @@ def e_p_rotation(m, p, ring=None, delta=None):
     With the boundary-position index i = m+1-p this realizes the bent
     antisymmetrizer E_i; coefficients stay +-1.
     """
+    _check_ep_degree(m)
     if not 0 <= p <= m + 1:
         raise ElementError("rotation count %d out of range" % p)
     if ring is None:
@@ -248,6 +248,7 @@ def e_p_formula(m, i, ring=None, delta=None):
 
     Alternating sum over j of F_i e_i(j) F_i weighted by
     1/((i-j)! (m+1-i-j)! (j!)^2); agrees with e_p_rotation(m, m+1-i).
+    Raises ElementError for m < 1 through f_p.
     """
     if not 0 <= i <= m + 1:
         raise ElementError("index %d out of range" % i)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from math import factorial
 
-from .diagram import (_check_sizes, e_i, enumerate_diagrams,
+from .diagram import (_check_sizes, diagram_count, e_i, enumerate_diagrams,
                       identity as identity_diagram, s_i)
 from .elements import sigma
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
@@ -283,16 +284,6 @@ def _rows_to_morphisms(basis, diagrams, k, l, ring, delta):
     return out
 
 
-def _diagram_count(k, l):
-    """|B(k, l)| = (k + l - 1)!! for even k + l, without enumerating."""
-    if (k + l) % 2:
-        return 0
-    count = 1
-    for j in range(k + l - 1, 1, -2):
-        count *= j
-    return count
-
-
 def _closure_rank(seeds, left, right, k, l, ring, delta):
     """Rank of the smallest subspace of Hom(k, l) that holds the seeds and is
     closed under left composition with the morphisms in left and right
@@ -339,7 +330,7 @@ def ideal_span_dimension(r, gen, spec):
     unless r is a non-negative int, and when |B(r, r)|^2 exceeds the cell
     budget."""
     _check_sizes(FunctorError, "degree", r=r)
-    guard_cells(_diagram_count(r, r) ** 2)
+    guard_cells(diagram_count(r, r) ** 2)
     gen = _morphism_to_spec_field(gen, spec)
     if gen.k != gen.l:
         raise FunctorError("ideal generator must be square, got (%d, %d)"
@@ -382,14 +373,16 @@ def tensor_ideal_span_dimension(k, l, spec):
         the closure (:func:`_closure_rank`) of the seeds M_n o d under left
         composition with the s_i and e_i of B_n.
 
-    Raises FunctorError when |B(0, n)|^2 exceeds the cell budget, the
-    analogue of the |B(r, r)|^2 budget of :func:`ideal_span_dimension`."""
+    Raises FunctorError, before Sigma is built, when c * max(c, (m + 1)!)
+    exceeds the cell budget, with c = |B(0, n)|: the closure's |B|^2, or the
+    (m + 1)! term pairs of each of the c seeds, whichever is larger."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
     n = k + l
     base = spec.m + 1
     if n % 2 or n < base:
         return 0
-    guard_cells(_diagram_count(0, n) ** 2)
+    count = diagram_count(0, n)
+    guard_cells(count * max(count, factorial(base)))
     ring, delta = spec.ring, spec.delta_value()
     middle = sigma(spec.eps, base, ring=ring, delta=delta)
     if n > base:

@@ -54,8 +54,6 @@ def _coerce_coeff(ring, value):
             return Poly.const(value)
         if isinstance(value, Poly):
             return value
-    if isinstance(ring, PrimeField) and isinstance(value, int):
-        return value % ring.p
     raise MorphismError("coefficient %r does not belong to %s" % (value, ring))
 
 

@@ -11,6 +11,7 @@ import pytest
 import brauer
 from brauer import Check
 from brauer.cli import run
+from brauer.functor import max_cells
 
 IDENT1 = '{"k": 1, "l": 1, "pairs": [[0, 1]]}'
 CROSS = '{"k": 2, "l": 2, "pairs": [[0, 3], [1, 2]]}'
@@ -179,6 +180,28 @@ class TestElementCommands:
         assert invoke(capsys, "phi", "--n", "0")[0] == 2
         assert invoke(capsys, "ep", "--m", "2", "--p", "5")[0] == 2
         assert invoke(capsys, "dpq", "--n", "1", "--p", "0", "--q", "1")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ep", "--m", "-1", "--p", "0"],
+        ["ep", "--m", "0", "--p", "0"],
+        ["ideal-span", "--family", "o", "--m", "2", "--gen", "ep:-1,0",
+         "--r", "3"],
+    ], ids=["ep-m-1", "ep-m0", "gen-ep-m-1"])
+    def test_bent_antisymmetrizer_below_degree_one_is_user_error(self, capsys,
+                                                                 argv):
+        rc = run(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: E_p requires m >= 1")
+
+    def test_phi_over_term_budget_is_user_error(self, capsys):
+        # |B_10| = 19!! = 654729075 terms, refused before enumerating
+        rc = run(["phi", "--n", "9"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "above the limit %d" % max_cells() in captured.err
 
 
 class TestFunctorCommands:
@@ -360,6 +383,17 @@ class TestIdealSpan:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_slice_over_seed_term_budget_is_user_error(self, capsys):
+        # bends to (0, 10): |B(0, 10)| * 9! = 945 * 362880 term pairs, refused
+        # before the symmetrizer on 9 strands is built
+        rc = run(["ideal-span", "--family", "sp", "--m", "8", "--slice", "5,5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: computation needs %d matrix "
+                                       "cells, above the limit %d"
+                                       % (945 * 362880, max_cells()))
 
     def test_requires_generator_or_slice(self, capsys):
         rc, _ = invoke(capsys, "ideal-span", "--family", "sp", "--m", "2")

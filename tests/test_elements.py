@@ -26,6 +26,7 @@ from brauer import (
     identity_morphism,
     integrality_check,
     jones_trace_symbolic,
+    lin_add,
     lin_ast,
     lin_compose,
     lin_scale,
@@ -37,6 +38,7 @@ from brauer import (
     verify_relation_soundness,
     verify_sigma_cap,
     verify_sigma_identities,
+    zero_morphism,
 )
 from brauer.diagram import cap, e_i, s_i
 from brauer.elements import inversions
@@ -184,7 +186,45 @@ class TestNestedCups:
             e_i_j(2, -1, 4)
 
 
+def _phi_sandwich(n):
+    """Phi_n by the symmetrizer sandwich: the sum over k of Xi_k /
+    ((2^k k!)^2 (n+1-2k)!), where Xi_k sandwiches the k-fold product of far
+    cap-cup generators between two symmetrizers."""
+    r = n + 1
+    delta = Fraction(-2 * n)
+    sig = sigma(-1, r, ring=QQ, delta=delta)
+    acc = zero_morphism(r, r, ring=QQ, delta=delta)
+    for k in range((n + 1) // 2 + 1):
+        ek = identity_morphism(r, ring=QQ, delta=delta)
+        for j in range(1, k + 1):
+            ek = lin_compose(
+                ek, from_diagram(e_i(r, n + 2 - 2 * j), ring=QQ, delta=delta)
+            )
+        xi = lin_compose(lin_compose(sig, ek), sig)
+        a_k = Fraction(1, (2**k * factorial(k)) ** 2 * factorial(n + 1 - 2 * k))
+        acc = lin_add(acc, lin_scale(a_k, xi))
+    return acc
+
+
 class TestPhi:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_symmetrizer_sandwich(self, n):
+        assert phi(n) == _phi_sandwich(n)
+
+    def test_term_budget_counts_all_diagrams(self, monkeypatch):
+        # |B_3| = 5!! = 15 terms: allowed at a budget of 15, refused at 14
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "15")
+        assert len(phi(2).terms) == 15
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "14")
+        with pytest.raises(ElementError, match="limit 14"):
+            phi(2)
+
+    def test_huge_degree_refused_without_forming_the_count(self):
+        # 200001!! has about 487,000 digits; the guard stops at the first
+        # partial product over the limit and never prints the count
+        with pytest.raises(ElementError, match=r"sums the 200001!! diagrams"):
+            phi(100000)
+
     def test_degree_two_value(self):
         p = phi(1)
         expected = {
@@ -269,6 +309,12 @@ class TestBentAntisymmetrizers:
             e_p_rotation(2, 4)
         with pytest.raises(ElementError):
             e_p_formula(2, -1)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_degree_below_one_rejected(self, m):
+        for make in (e_p_rotation, e_p_formula, f_p):
+            with pytest.raises(ElementError, match="m >= 1"):
+                make(m, 0)
 
     @pytest.mark.parametrize("m,i,k", [
         (m, i, k)

@@ -479,10 +479,10 @@ class TestTensorSlices:
 
     def test_slice_budget_counts_widest_middle(self, monkeypatch):
         # (2, 2) over Sp(2) bends to (0, 4), whose one middle has width 4:
-        # |B(0, 4)|^2 = 3^2
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "9")
+        # |B(0, 4)| * max(|B(0, 4)|, 3!) = 3 * 6
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "18")
         assert tensor_ideal_span_dimension(2, 2, SP2) == 1
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "8")
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "17")
         with pytest.raises(FunctorError):
             tensor_ideal_span_dimension(2, 2, SP2)
 

@@ -24,6 +24,7 @@ from .functor import max_cells
 from .linear import (
     Morphism,
     MorphismError,
+    block_act,
     delta_factor,
     from_diagram,
     identity_morphism,
@@ -111,17 +112,24 @@ def from_permutation(pi, ring=QQ_DELTA, delta=None):
     return from_diagram(dg.permutation_diagram(tuple(pi)), ring=ring, delta=delta)
 
 
+def _factorial_exceeds(n, factor, limit):
+    """Whether factor * n! exceeds limit, without forming n! past it."""
+    count = factor
+    for j in range(2, n + 1):
+        if count > limit:
+            break
+        count *= j
+    return count > limit
+
+
 def _guard_permutations(n):
     """Refuse a sum over Sym_n before enumerating it when its n! terms
     exceed the BRAUER_MAX_CELLS budget."""
     limit = max_cells()
-    count = 1
-    for j in range(2, n + 1):
-        count *= j
-        if count > limit:
-            raise ElementError(
-                "a sum over Sym_%d needs %d! terms, above the limit %d; "
-                "raise BRAUER_MAX_CELLS to allow it" % (n, n, limit))
+    if _factorial_exceeds(n, 1, limit):
+        raise ElementError(
+            "a sum over Sym_%d needs %d! terms, above the limit %d; "
+            "raise BRAUER_MAX_CELLS to allow it" % (n, n, limit))
 
 
 def sigma(eps, r, ring=QQ_DELTA, delta=None):
@@ -248,21 +256,36 @@ def e_p_formula(m, i, ring=None, delta=None):
 
     Alternating sum over j of F_i e_i(j) F_i weighted by
     1/((i-j)! (m+1-i-j)! (j!)^2); agrees with e_p_rotation(m, m+1-i).
-    Raises ElementError for m < 1 through f_p.
+
+    F_i = Sigma_1(i) (x) Sigma_1(m+1-i) is never built: each sandwich is
+    the double orbit of the single diagram e_i(j) under the Young blocks
+    (i, m+1-i) on both sides (:func:`brauer.linear.block_act`), so it
+    costs the orbit size, not (i! (m+1-i)!)^2 term pairs.  The result is a
+    bent antisymmetrizer, with at most (m+1)! terms of 2(m+1) nodes, and
+    ElementError is raised before anything is built when (m+1)! * 2(m+1)
+    exceeds the cell budget, or when m < 1.
     """
+    _check_ep_degree(m)
     if not 0 <= i <= m + 1:
         raise ElementError("index %d out of range" % i)
+    r = m + 1
+    limit = max_cells()
+    if _factorial_exceeds(r, 2 * r, limit):
+        raise ElementError(
+            "E_%d in degree %d has up to %d! terms of %d nodes, above the "
+            "limit %d; raise BRAUER_MAX_CELLS to allow it"
+            % (i, r, r, 2 * r, limit))
     if ring is None:
         ring, delta = QQ, Fraction(m)
-    r = m + 1
-    fi = f_p(m, i, ring=ring, delta=delta)
+    blocks = (i, r - i)
     acc = zero_morphism(r, r, ring=ring, delta=delta)
-    for j in range(min(i, m + 1 - i) + 1):
+    for j in range(min(i, r - i) + 1):
         c = Fraction(
             (-1) ** j,
-            factorial(i - j) * factorial(m + 1 - i - j) * factorial(j) ** 2,
+            factorial(i - j) * factorial(r - i - j) * factorial(j) ** 2,
         )
-        xi = lin_compose(lin_compose(fi, e_i_j(i, j, r, ring=ring, delta=delta)), fi)
+        xi = block_act(e_i_j(i, j, r, ring=ring, delta=delta), 1,
+                       top=blocks, bottom=blocks)
         acc = lin_add(acc, lin_scale(c, xi))
     return acc
 
@@ -337,7 +360,10 @@ def _adjacent_cups(count):
 
 def verify_sigma_identities(r):
     """Exact checks of the recursion, right-closure, and lowering identities
-    for Sigma_eps(r), both signs, over symbolic delta."""
+    for Sigma_eps(r), both signs, over symbolic delta.
+
+    Each identity compares the enumerated :func:`sigma` with products in
+    which Sigma is applied by its orbit action (:func:`block_act`)."""
     if r < 1:
         raise ElementError("need r >= 1")
     checks = []
@@ -345,22 +371,20 @@ def verify_sigma_identities(r):
         tag = "eps=%+d, r=%d" % (eps, r)
         sig_r = sigma(eps, r)
         sig_r1 = sigma(eps, r - 1)
+        wide = (r - 1,)
         if r >= 2:
-            wide = lin_tensor(sig_r1, identity_morphism(1))
             mid = from_diagram(tensor(identity(r - 2), dg.crossing()))
             rhs = lin_sub(
-                wide,
+                block_act(identity_morphism(r), eps, top=wide),
                 lin_scale(
                     Fraction(eps, factorial(r - 2)),
-                    lin_compose(lin_compose(wide, mid), wide),
+                    block_act(mid, eps, top=wide, bottom=wide),
                 ),
             )
             checks.append(check_bool("sigma recursion, %s" % tag, sig_r == rhs))
         cap_last = from_diagram(tensor(identity(r - 1), dg.cap()))
         cup_last = from_diagram(tensor(identity(r - 1), dg.cup()))
-        closed = lin_compose(
-            lin_compose(cap_last, lin_tensor(sig_r, identity_morphism(1))), cup_last
-        )
+        closed = lin_compose(cap_last, block_act(cup_last, eps, top=(r,)))
         coeff = Poly((Fraction(-eps * (r - 1)), Fraction(1)))
         checks.append(
             check_bool(
@@ -384,7 +408,8 @@ def verify_sigma_identities(r):
             base = make_diagram(r + 1, r - 1, pairs)
             acc = lin_add(
                 acc,
-                lin_scale((-eps) ** i, lin_compose(sig_r1, from_diagram(base))),
+                lin_scale((-eps) ** i,
+                          block_act(from_diagram(base), eps, top=wide)),
             )
         checks.append(check_bool("sigma lowering, %s" % tag, lowered == acc))
     return checks
@@ -392,43 +417,41 @@ def verify_sigma_identities(r):
 
 def verify_sigma_cap(r, k):
     """Exact check of the cap identity for the degree-r symmetrizer with k
-    adjacent cups under its last 2k legs, over symbolic delta."""
+    adjacent cups under its last 2k legs, over symbolic delta.
+
+    Every symmetrizer acts by its orbit action (:func:`block_act`); the
+    two sides apply it to different diagrams on different strands."""
     if r < 2 or k < 0 or r - 2 * k < 0:
         raise ElementError("need r >= 2 and 0 <= 2k <= r")
-    sig_r = sigma(-1, r)
-    sig_r2 = sigma(-1, r - 2)
     cap_top = from_diagram(tensor(identity(r - 2), dg.cap()))
     cups_bottom = from_diagram(tensor(identity(r - 2 * k), _adjacent_cups(k)))
-    lhs = lin_compose(cap_top, lin_compose(sig_r, cups_bottom))
+    lhs = lin_compose(cap_top, block_act(cups_bottom, -1, top=(r,)))
     rhs = zero_morphism(r - 2 * k, r - 2)
     if k >= 1:
         cups1 = from_diagram(tensor(identity(r - 2 * k), _adjacent_cups(k - 1)))
         coeff = Poly((Fraction(4 * k * (r - k - 1)), Fraction(2 * k)))
-        rhs = lin_add(rhs, lin_scale(coeff, lin_compose(sig_r2, cups1)))
+        sym_cups1 = block_act(cups1, -1, top=(r - 2,))
+        rhs = lin_add(rhs, lin_scale(coeff, sym_cups1))
     if r - 2 - 2 * k >= 0:
-        sig_inner = sigma(-1, r - 2 * k)
         cap_inner = from_diagram(tensor(identity(r - 2 - 2 * k), dg.cap()))
         cups_inner = from_diagram(
             tensor(identity(r - 2 - 2 * k), _adjacent_cups(k))
         )
-        tail = lin_compose(
-            sig_r2, lin_compose(cups_inner, lin_compose(cap_inner, sig_inner))
-        )
+        tail = block_act(lin_compose(cups_inner, cap_inner), -1,
+                         top=(r - 2,), bottom=(r - 2 * k,))
         rhs = lin_add(rhs, lin_scale(Fraction(1, factorial(r - 2 - 2 * k)), tail))
     checks = [check_bool("sigma cap identity, r=%d k=%d" % (r, k), lhs == rhs)]
     if k == 1 and r >= 4:
         shorthand = lin_scale(
             Fraction(1, factorial(r - 4)),
-            lin_compose(
-                sig_r2,
-                lin_compose(from_diagram(dg.e_i(r - 2, r - 3)), sig_r2),
-            ),
+            block_act(from_diagram(dg.e_i(r - 2, r - 3)), -1,
+                      top=(r - 2,), bottom=(r - 2,)),
         )
         coeff = Poly((Fraction(4 * (r - 2)), Fraction(2)))
         checks.append(
             check_bool(
                 "sigma cap k=1 shorthand, r=%d" % r,
-                lhs == lin_add(lin_scale(coeff, lin_compose(sig_r2, cups1)), shorthand),
+                lhs == lin_add(lin_scale(coeff, sym_cups1), shorthand),
             )
         )
     return checks
@@ -436,37 +459,29 @@ def verify_sigma_cap(r, k):
 
 def verify_afu(m, i, k):
     """Exact check of the cap-through-bent-antisymmetrizer identity in
-    degree m+1 at delta = m (1 <= i <= m, 0 <= k <= min(i, m+1-i))."""
+    degree m+1 at delta = m (1 <= i <= m, 0 <= k <= min(i, m+1-i)).
+
+    Every product of Young antisymmetrizer blocks is applied by its orbit
+    action (:func:`block_act`)."""
     if not 1 <= i <= m:
         raise ElementError("need 1 <= i <= m")
     if not 0 <= k <= min(i, m + 1 - i):
         raise ElementError("need 0 <= k <= min(i, m+1-i)")
     ring, delta = QQ, Fraction(m)
-    fi = f_p(m, i, ring=ring, delta=delta)
     cap_left = _id_cap_id(i - 1, m - i, ring, delta)
     cups = _id_cups_id(i - k, k, m + 1 - i - k, ring, delta, nested=True)
-    lhs = lin_compose(cap_left, lin_compose(fi, cups))
-    blocks = lin_compose(
-        antisymmetrizer_block(1, i - 1, m - 1, ring=ring, delta=delta),
-        antisymmetrizer_block(i, m - 1, m - 1, ring=ring, delta=delta),
-    )
+    lhs = lin_compose(cap_left, block_act(cups, 1, top=(i, m + 1 - i)))
+    blocks = (i - 1, m - i)
     rhs = zero_morphism(m + 1 - 2 * k, m - 1, ring=ring, delta=delta)
     if k >= 1:
         cups1 = _id_cups_id(i - k, k - 1, m + 1 - i - k, ring, delta, nested=True)
-        rhs = lin_add(rhs, lin_scale(k * k, lin_compose(blocks, cups1)))
+        rhs = lin_add(rhs, lin_scale(k * k, block_act(cups1, 1, top=blocks)))
     if i - k - 1 >= 0 and m - i - k >= 0:
         zeta = Fraction(1, factorial(i - k - 1) * factorial(m - i - k))
-        inner = lin_compose(
-            antisymmetrizer_block(1, i - k, m + 1 - 2 * k, ring=ring, delta=delta),
-            antisymmetrizer_block(
-                i - k + 1, m + 1 - 2 * k, m + 1 - 2 * k, ring=ring, delta=delta
-            ),
-        )
         cap_inner = _id_cap_id(i - k - 1, m - i - k, ring, delta)
         cups_inner = _id_cups_id(i - k - 1, k, m - i - k, ring, delta, nested=True)
-        tail = lin_compose(
-            blocks, lin_compose(cups_inner, lin_compose(cap_inner, inner))
-        )
+        tail = block_act(lin_compose(cups_inner, cap_inner), 1, top=blocks,
+                         bottom=(i - k, m + 1 - i - k))
         rhs = lin_add(rhs, lin_scale(zeta, tail))
     return [check_bool("bent-cap identity, m=%d i=%d k=%d" % (m, i, k), lhs == rhs)]
 

@@ -51,11 +51,15 @@ def max_cells():
 
 
 def guard_cells(cells):
+    """Refuse a computation of more than max_cells() cells.  A count too
+    long to print in full is shown as a power of 2 below it."""
     limit = max_cells()
     if cells > limit:
+        bits = cells.bit_length()
+        shown = "%d" % cells if bits <= 64 else "at least 2^%d" % (bits - 1)
         raise FunctorError(
-            "computation needs %d matrix cells, above the limit %d; "
-            "raise BRAUER_MAX_CELLS to allow it" % (cells, limit))
+            "computation needs %s matrix cells, above the limit %d; "
+            "raise BRAUER_MAX_CELLS to allow it" % (shown, limit))
 
 
 @dataclass(frozen=True)

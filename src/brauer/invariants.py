@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from math import factorial
 
 from .diagram import (_check_sizes, diagram_count, e_i, enumerate_diagrams,
                       identity as identity_diagram, s_i)
-from .elements import sigma
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
                       functor_matrix, guard_cells)
 from .linalg import EliminationBasis, nullspace_of_rows, rank_of_rows
-from .linear import from_diagram, lin_compose, lin_tensor, make_morphism
+from .linear import (block_act, block_orbit, from_diagram, lin_compose,
+                     lin_tensor, make_morphism)
 from .rings import PrimeField
 
 __all__ = [
@@ -373,22 +372,31 @@ def tensor_ideal_span_dimension(k, l, spec):
         the closure (:func:`_closure_rank`) of the seeds M_n o d under left
         composition with the s_i and e_i of B_n.
 
-    Raises FunctorError, before Sigma is built, when c * max(c, (m + 1)!)
-    exceeds the cell budget, with c = |B(0, n)|: the closure's |B|^2, or the
-    (m + 1)! term pairs of each of the c seeds, whichever is larger."""
+    Sigma is never built.  M_n o d is the signed orbit sum of d under
+    Sym_(m+1) on its first m + 1 nodes (:func:`block_act`), and for
+    d' = h.d in the same orbit M_n o d' = +-M_n o d, so one seed per orbit
+    spans the same seeds; a d already in an earlier orbit, including an
+    orbit whose sum is 0 because the sign is nontrivial on its stabilizer
+    (an antisymmetrizer across a cup), is skipped.  Walking the orbits
+    touches each of the c = |B(0, n)| diagrams once or twice, so the
+    closure's c^2 is the cost, and FunctorError is raised before anything
+    is built when c^2 exceeds the cell budget."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
     n = k + l
     base = spec.m + 1
     if n % 2 or n < base:
         return 0
-    count = diagram_count(0, n)
-    guard_cells(count * max(count, factorial(base)))
+    guard_cells(diagram_count(0, n) ** 2)
     ring, delta = spec.ring, spec.delta_value()
-    middle = sigma(spec.eps, base, ring=ring, delta=delta)
-    if n > base:
-        middle = lin_tensor(middle, from_diagram(identity_diagram(n - base),
-                                                 ring=ring, delta=delta))
-    seeds = [lin_compose(middle, from_diagram(d, ring=ring, delta=delta))
-             for d in enumerate_diagrams(0, n)]
+    seen = set()
+    seeds = []
+    for d in enumerate_diagrams(0, n):
+        if d in seen:
+            continue
+        orbit, vanishes = block_orbit(d, spec.eps, top=(base,))
+        seen.update(orbit)
+        if not vanishes:
+            seeds.append(block_act(from_diagram(d, ring=ring, delta=delta),
+                                   spec.eps, top=(base,)))
     return _closure_rank(seeds, _algebra_generators(n, ring, delta), [], 0, n,
                          ring, delta)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .diagram import (
     Diagram,
@@ -234,6 +235,121 @@ def lin_tensor(x, y):
             c = ring.mul(c1, c2)
             terms[diag] = ring.add(terms.get(diag, zero), c)
     return Morphism(x.k + y.k, x.l + y.l, ring, x.delta, terms)
+
+
+def _block_swaps(k, l, top, bottom):
+    """The node pairs (a, a + 1) of the adjacent transpositions that
+    generate the Young subgroup of the consecutive top and bottom blocks
+    of a (k, l) diagram."""
+    swaps = []
+    for side, blocks, start, size in (("top", top, k, l),
+                                      ("bottom", bottom, 0, k)):
+        for b in blocks:
+            _check_sizes(MorphismError, side + " block", size=b)
+        if sum(blocks) > size:
+            raise MorphismError("%s blocks %r exceed the %d %s nodes"
+                                % (side, tuple(blocks), size, side))
+        for b in blocks:
+            swaps.extend((a, a + 1) for a in range(start, start + b - 1))
+            start += b
+    return swaps
+
+
+def _walk_orbit(d, swaps, step):
+    """Orbit of d under the swaps, each diagram with the sign step**len of
+    the word that first reached it, and whether one was reached with both
+    signs."""
+    start = d.partner
+    signs = {start: 1}
+    stack = [start]
+    vanishes = False
+    while stack:
+        p = stack.pop()
+        s = signs[p] * step
+        for a, b in swaps:
+            pa = p[a]
+            if pa == b:
+                q = p
+            else:
+                pb = p[b]
+                q = list(p)
+                q[a], q[b], q[pa], q[pb] = pb, pa, b, a
+                q = tuple(q)
+            t = signs.get(q)
+            if t is None:
+                signs[q] = s
+                stack.append(q)
+            elif t != s:
+                vanishes = True
+    k, l = d.k, d.l
+    return ({Diagram._from_partner(k, l, p): s for p, s in signs.items()},
+            vanishes)
+
+
+def _check_eps(eps):
+    if eps not in (1, -1):
+        raise MorphismError("eps must be +1 or -1, got %r" % (eps,))
+
+
+def block_orbit(d, eps, top=(), bottom=()):
+    """The orbit of diagram d under the Young subgroup G of :func:`block_act`.
+
+    Returns (orbit, vanishes).  orbit maps each diagram g.d to
+    (-eps)^len(g) for the g by which an adjacent-transposition walk first
+    reached it; vanishes is True when the walk reached some diagram with
+    both signs, that is when (-eps)^len is nontrivial on the stabilizer of
+    d (by Schreier's lemma the edges of the walk generate the
+    stabilizer), and then the signed sum over G applied to d is 0."""
+    _check_eps(eps)
+    return _walk_orbit(d, _block_swaps(d.k, d.l, top, bottom), -eps)
+
+
+def block_act(x, eps, top=(), bottom=()):
+    """Sum over g in G of (-eps)^len(g) g.x, without composing.
+
+    top and bottom are compositions: consecutive blocks of x's top
+    (bottom) nodes from the left, and G is the product of the symmetric
+    groups on the blocks, acting on node labels; nodes past the blocks are
+    fixed.  With Sigma_top = Sigma_eps(b_1) (x) Sigma_eps(b_2) (x) ... (x) I
+    over the top blocks and Sigma_bottom likewise, the result is
+    Sigma_top o x o Sigma_bottom, as :func:`lin_compose` against
+    :func:`brauer.elements.sigma` would give it.
+
+    Each term is expanded over its orbit only.  If y = h.d, the terms g.d
+    with g.d = y are g in h Stab(d), whose signs sum to
+    (-eps)^len(h) |Stab(d)| when the sign character is trivial on
+    Stab(d) and to 0 otherwise (:func:`block_orbit`).  Terms of x in one
+    orbit are grouped first, since O(h.d) = (-eps)^len(h) O(d), so every
+    orbit is walked once: the work is the sum of the orbit sizes, at most
+    |B(k, l)|, against |G| term pairs per term for composition, and no
+    loop is ever closed."""
+    _check_eps(eps)
+    swaps = _block_swaps(x.k, x.l, top, bottom)
+    order = 1
+    for b in tuple(top) + tuple(bottom):
+        order *= factorial(b)
+    ring = x.ring
+    terms = {}
+    seen = set()
+    for d in x.terms:
+        if d in seen:
+            continue
+        orbit, vanishes = _walk_orbit(d, swaps, -eps)
+        seen.update(orbit)
+        if vanishes:
+            continue
+        total = ring.zero()
+        for y, s in orbit.items():
+            c = x.terms.get(y)
+            if c is not None:
+                total = ring.add(total, c if s == 1 else ring.neg(c))
+        scale = ring.mul(total, ring.from_int(order // len(orbit)))
+        if ring.is_zero(scale):
+            continue
+        neg = ring.neg(scale)
+        for y, s in orbit.items():
+            terms[y] = scale if s == 1 else neg
+    return Morphism(x.k, x.l, ring, x.delta, terms)
 
 
 def lin_star(x):

@@ -18,16 +18,16 @@ from math import comb, factorial
 from .diagram import (_check_sizes, diagram_count, enumerate_diagrams,
                       identity as identity_diagram)
 from .elements import (brauer_presentation_report, e_p_formula, e_p_rotation,
-                       f_p, phi, sigma, verify_afu, verify_sigma_cap,
+                       phi, sigma, verify_afu, verify_sigma_cap,
                        verify_sigma_identities)
 from .functor import (functor_matrix, functor_matrix_layered, group_spec,
                       trace_check, verify_pau)
 from .invariants import (commutant_dimension, hom_rank, ideal_span_dimension,
                          kernel_basis, kernel_dimension,
                          tensor_ideal_span_dimension)
-from .linear import (from_diagram, identity_morphism, integrality_check,
-                     lin_ast, lin_compose, lin_scale, lin_sub, lin_tensor,
-                     make_morphism, reduce_mod_p)
+from .linear import (block_act, from_diagram, integrality_check, lin_ast,
+                     lin_compose, lin_scale, lin_tensor, make_morphism,
+                     reduce_mod_p)
 from .report import Check, check, check_bool
 from .rewrite import verify_relation_soundness
 from .rings import QQ
@@ -272,11 +272,11 @@ def suite_ep(include_optional=False, family=None, m=None, **_):
         ok = True
         for p in range(0, dim + 2):
             ep = rot[dim + 1 - p]
-            fp = f_p(dim, p, ring=ring, delta=delta)
-            scale = Fraction(factorial(p) * factorial(dim + 1 - p))
-            if lin_compose(fp, ep) != lin_scale(scale, ep):
+            blocks = (p, dim + 1 - p)
+            scaled = lin_scale(factorial(p) * factorial(dim + 1 - p), ep)
+            if block_act(ep, 1, top=blocks) != scaled:
                 ok = False
-            if lin_compose(ep, fp) != lin_scale(scale, ep):
+            if block_act(ep, 1, bottom=blocks) != scaled:
                 ok = False
         checks.append(check_bool(
             "m=%d: block antisymmetrizers absorb with factor p!(m+1-p)!" % dim, ok))

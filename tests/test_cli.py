@@ -195,6 +195,17 @@ class TestElementCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: E_p requires m >= 1")
 
+    def test_ep_over_term_budget_is_user_error(self, capsys):
+        # 10! terms of 20 nodes = 72576000 cells, refused before any block
+        # acts; m = 8 (9! * 18 cells) is the largest that fits
+        rc = run(["ep", "--m", "9", "--p", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: E_5 in degree 10 has up to 10! terms of 20 nodes, above "
+            "the limit %d; raise BRAUER_MAX_CELLS to allow it\n" % max_cells())
+
     def test_phi_over_term_budget_is_user_error(self, capsys):
         # |B_10| = 19!! = 654729075 terms, refused before enumerating
         rc = run(["phi", "--n", "9"])
@@ -384,16 +395,28 @@ class TestIdealSpan:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
-    def test_slice_over_seed_term_budget_is_user_error(self, capsys):
-        # bends to (0, 10): |B(0, 10)| * 9! = 945 * 362880 term pairs, refused
-        # before the symmetrizer on 9 strands is built
-        rc = run(["ideal-span", "--family", "sp", "--m", "8", "--slice", "5,5"])
+    def test_slice_of_sp8_at_degree_five_is_one_dimensional(self, capsys):
+        # bends to (0, 10): |B(0, 10)|^2 = 945^2 cells, inside the budget;
+        # one dimension, the line of bent Phi_4 (answered, no longer refused)
+        rc, payload = invoke_json(capsys, "ideal-span", "--family", "sp", "--m", "8",
+                                  "--slice", "5,5")
+        assert rc == 0
+        assert payload == {"dimension": 1}
+
+    @pytest.mark.parametrize("flags,bits", [
+        (["--gen", "phi:1", "--r", "3000"], 66649),
+        (["--slice", "1500,1500"], 30325),
+    ], ids=["gen-r3000", "slice-1500"])
+    def test_huge_count_gets_the_budget_message(self, capsys, flags, bits):
+        # (5999!!)^2 and (2999!!)^2 are too long for "%d"; the message shows
+        # the power of 2 below them
+        rc = run(["ideal-span", "--family", "sp", "--m", "2"] + flags)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: computation needs %d matrix "
-                                       "cells, above the limit %d"
-                                       % (945 * 362880, max_cells()))
+        assert captured.err == (
+            "error: computation needs at least 2^%d matrix cells, above the "
+            "limit %d; raise BRAUER_MAX_CELLS to allow it\n" % (bits, max_cells()))
 
     def test_requires_generator_or_slice(self, capsys):
         rc, _ = invoke(capsys, "ideal-span", "--family", "sp", "--m", "2")

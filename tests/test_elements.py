@@ -272,11 +272,44 @@ class TestPhi:
             phi(0)
 
 
+def _e_p_sandwich(m, i):
+    """E_i by its formula with F_i built from the enumerated blocks and
+    composed: the sum over j of F_i e_i(j) F_i / ((i-j)! (m+1-i-j)! (j!)^2)."""
+    r = m + 1
+    ring, delta = QQ, Fraction(m)
+    fi = f_p(m, i)
+    acc = zero_morphism(r, r, ring=ring, delta=delta)
+    for j in range(min(i, r - i) + 1):
+        c = Fraction((-1) ** j, factorial(i - j) * factorial(r - i - j)
+                     * factorial(j) ** 2)
+        xi = lin_compose(lin_compose(fi, e_i_j(i, j, r, ring=ring, delta=delta)),
+                         fi)
+        acc = lin_add(acc, lin_scale(c, xi))
+    return acc
+
+
 class TestBentAntisymmetrizers:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_formula_matches_rotation(self, m):
         for i in range(m + 2):
             assert e_p_formula(m, i) == e_p_rotation(m, m + 1 - i)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_formula_matches_block_sandwich(self, m):
+        for i in range(m + 2):
+            assert e_p_formula(m, i) == _e_p_sandwich(m, i)
+
+    def test_formula_budget_counts_result_terms(self, monkeypatch):
+        # at most 3! terms of 6 nodes: allowed at 36 cells, refused at 35
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "36")
+        assert len(e_p_formula(2, 1).terms) == 6
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "35")
+        with pytest.raises(ElementError, match="up to 3! terms of 6 nodes"):
+            e_p_formula(2, 1)
+
+    def test_huge_degree_refused_without_forming_the_count(self):
+        with pytest.raises(ElementError, match=r"up to 1000001! terms"):
+            e_p_formula(10 ** 6, 3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rotation_coefficients_are_units(self, m):

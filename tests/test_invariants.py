@@ -470,6 +470,17 @@ class TestTensorSlices:
         assert tensor_ideal_span_dimension(k, l, spec) == expected
         assert kernel_dimension(k, l, spec) == expected
 
+    @pytest.mark.parametrize("spec,k,l,expected", [
+        (group_spec("sp", 6), 4, 4, 1), (group_spec("sp", 8), 5, 5, 1),
+        (group_spec("o", 9), 5, 5, 0),
+    ], ids=["sp6-4-4", "sp8-5-5", "o9-5-5"])
+    def test_large_groups_at_the_default_budget(self, spec, k, l, expected):
+        # Sp(2n) in degree n + 1: one dimension, the line of bent Phi_n
+        # (|B_(n+1)| minus the rank, 105 - 104 and 945 - 944).  O(9) in
+        # degree 5 is injective: every seed's orbit has a cup inside the
+        # antisymmetrized block, so every seed is 0
+        assert tensor_ideal_span_dimension(k, l, spec) == expected
+
     @pytest.mark.parametrize("spec", [SP2, O2], ids=lambda s: s.label())
     def test_bending_keeps_the_dimension(self, spec):
         # every (k, l) with k + l = 6, each also against its own kernel
@@ -478,11 +489,11 @@ class TestTensorSlices:
         assert len(set(dims)) == 1
 
     def test_slice_budget_counts_widest_middle(self, monkeypatch):
-        # (2, 2) over Sp(2) bends to (0, 4), whose one middle has width 4:
-        # |B(0, 4)| * max(|B(0, 4)|, 3!) = 3 * 6
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "18")
+        # (2, 2) over Sp(2) bends to (0, 4), whose one middle has width 4.
+        # Sigma is never built, so the budget is the closure's |B(0, 4)|^2
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "9")
         assert tensor_ideal_span_dimension(2, 2, SP2) == 1
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "17")
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "8")
         with pytest.raises(FunctorError):
             tensor_ideal_span_dimension(2, 2, SP2)
 

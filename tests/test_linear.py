@@ -3,14 +3,19 @@ loop bookkeeping, flips, specialization, modular reduction, and JSON."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from brauer.diagram import e_i, identity, s_i, tensor
+from brauer.diagram import (cup, e_i, enumerate_diagrams, identity, s_i,
+                            tensor, u_nest)
+from brauer.elements import sigma
 from brauer.linear import (
     Morphism,
     MorphismError,
+    block_act,
+    block_orbit,
     from_diagram,
     identity_morphism,
     integrality_check,
@@ -174,3 +179,94 @@ class TestJson:
         with pytest.raises(MorphismError):
             morphism_from_json({"k": 2, "l": 2, "ring": "Rationals",
                                 "delta": "1", "terms": [{"coeff": "1"}]})
+
+
+def _young_blocks(blocks, r, eps, ring=QQ, delta=1):
+    """Sigma_eps(b_1) (x) Sigma_eps(b_2) (x) ... (x) I on r strands, built
+    from the enumerated symmetrizers."""
+    acc = identity_morphism(0, ring=ring, delta=delta)
+    for b in blocks:
+        acc = lin_tensor(acc, sigma(eps, b, ring=ring, delta=delta))
+    return lin_tensor(acc, identity_morphism(r - sum(blocks), ring=ring,
+                                             delta=delta))
+
+
+def _two_blocks(r):
+    """Two blocks over all but the last of r nodes, so that some node is
+    fixed."""
+    r = max(r - 1, 0)
+    return ((r + 1) // 2, r // 2)
+
+
+class TestBlockAct:
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_matches_composition_on_every_diagram(self, n, eps):
+        for k in range(n + 1):
+            l = n - k
+            top, bottom = _two_blocks(l), _two_blocks(k)
+            left = _young_blocks(top, l, eps)
+            right = _young_blocks(bottom, k, eps)
+            for d in enumerate_diagrams(k, l):
+                x = from_diagram(d, ring=QQ, delta=1)
+                assert block_act(x, eps, top=top) == lin_compose(left, x)
+                assert block_act(x, eps, bottom=bottom) == lin_compose(x, right)
+                assert block_act(x, eps, top=top, bottom=bottom) == \
+                    lin_compose(left, lin_compose(x, right))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_composition_on_random_sums(self, seed):
+        # several terms per orbit, so grouping and cancellation are exercised
+        rng = random.Random(seed)
+        k, l = rng.choice([(2, 4), (3, 3), (4, 2), (1, 5), (0, 6)])
+        pool = enumerate_diagrams(k, l)
+        terms = {d: Poly((Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2))))
+                 for d in rng.sample(pool, 8)}
+        x = make_morphism(k, l, terms)
+        top = (rng.randint(0, l),)
+        top += (rng.randint(0, l - top[0]),)
+        bottom = (rng.randint(0, k),)
+        for eps in (1, -1):
+            expected = lin_compose(lin_compose(_young_blocks(top, l, eps,
+                                                             QQ_DELTA, None), x),
+                                   _young_blocks(bottom, k, eps, QQ_DELTA, None))
+            assert block_act(x, eps, top=top, bottom=bottom) == expected
+
+    def test_antisymmetrizer_over_a_cup_is_zero(self):
+        adjacent = from_diagram(tensor(cup(), identity(1)))
+        nested = from_diagram(tensor(u_nest(2), identity(1)))
+        assert block_act(adjacent, 1, top=(2,)).is_zero()
+        assert block_act(nested, 1, top=(4,)).is_zero()
+        orbit, vanishes = block_orbit(next(iter(nested.terms)), 1, top=(4,))
+        assert vanishes and len(orbit) == 3
+        # the symmetrizer keeps it, with the stabilizer order 2^2 * 2!
+        sym = block_act(nested, -1, top=(4,))
+        assert len(sym.terms) == 3
+        assert set(sym.terms.values()) == {Poly.const(8)}
+
+    def test_absorbs_its_own_block(self):
+        x = block_act(identity_morphism(4), 1, top=(3,))
+        assert x == lin_tensor(sigma(1, 3), identity_morphism(1))
+        assert block_act(x, 1, top=(3,)) == lin_scale(6, x)
+        assert block_act(x, 1, bottom=(3,)) == lin_scale(6, x)
+        # acting on both sides at once is acting on one side, then the other
+        y = from_diagram(e_i(4, 2))
+        assert block_act(block_act(y, -1, top=(1, 3)), -1, bottom=(2, 2)) == \
+            block_act(y, -1, top=(1, 3), bottom=(2, 2))
+
+    def test_keeps_ring_and_delta(self):
+        x = from_diagram(s_i(3, 1), ring=PrimeField(5), delta=2)
+        y = block_act(x, -1, top=(3,))
+        assert (y.ring, y.delta) == (PrimeField(5), 2)
+        assert len(y.terms) == 6
+
+    @pytest.mark.parametrize("kw", [
+        {"eps": 0}, {"eps": 1, "top": (3,)}, {"eps": 1, "bottom": (1, 2)},
+        {"eps": 1, "top": (-1,)}, {"eps": -1, "bottom": (1.5,)},
+    ], ids=["eps", "top-wide", "bottom-wide", "negative", "not-int"])
+    def test_rejects_bad_blocks(self, kw):
+        x = from_diagram(e_i(2, 1))
+        with pytest.raises(MorphismError):
+            block_act(x, **kw)
+        with pytest.raises(MorphismError):
+            block_orbit(e_i(2, 1), **kw)

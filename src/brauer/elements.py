@@ -219,6 +219,18 @@ def _check_ep_degree(m):
         raise ElementError("E_p requires m >= 1, got m=%d" % m)
 
 
+def _guard_ep_terms(m, i):
+    """Refuse E_i in degree m + 1 before building it when its at most
+    (m + 1)! terms of 2(m + 1) nodes exceed the cell budget."""
+    r = m + 1
+    limit = max_cells()
+    if _factorial_exceeds(r, 2 * r, limit):
+        raise ElementError(
+            "E_%d in degree %d has up to %d! terms of %d nodes, above the "
+            "limit %d; raise BRAUER_MAX_CELLS to allow it"
+            % (i, r, r, 2 * r, limit))
+
+
 def f_p(m, p, ring=None, delta=None):
     """Product of antisymmetrizer blocks on [1, p] and [p+1, m+1] in degree m+1."""
     _check_ep_degree(m)
@@ -235,11 +247,13 @@ def e_p_rotation(m, p, ring=None, delta=None):
     """Rotate the last p strands of the degree-(m+1) antisymmetrizer, term-wise.
 
     With the boundary-position index i = m+1-p this realizes the bent
-    antisymmetrizer E_i; coefficients stay +-1.
+    antisymmetrizer E_i; coefficients stay +-1.  Budgeted like
+    :func:`e_p_formula`, before Sigma is built.
     """
     _check_ep_degree(m)
     if not 0 <= p <= m + 1:
         raise ElementError("rotation count %d out of range" % p)
+    _guard_ep_terms(m, m + 1 - p)
     if ring is None:
         ring, delta = QQ, Fraction(m)
     src = sigma(1, m + 1, ring=ring, delta=delta)
@@ -268,15 +282,10 @@ def e_p_formula(m, i, ring=None, delta=None):
     _check_ep_degree(m)
     if not 0 <= i <= m + 1:
         raise ElementError("index %d out of range" % i)
-    r = m + 1
-    limit = max_cells()
-    if _factorial_exceeds(r, 2 * r, limit):
-        raise ElementError(
-            "E_%d in degree %d has up to %d! terms of %d nodes, above the "
-            "limit %d; raise BRAUER_MAX_CELLS to allow it"
-            % (i, r, r, 2 * r, limit))
+    _guard_ep_terms(m, i)
     if ring is None:
         ring, delta = QQ, Fraction(m)
+    r = m + 1
     blocks = (i, r - i)
     acc = zero_morphism(r, r, ring=ring, delta=delta)
     for j in range(min(i, r - i) + 1):

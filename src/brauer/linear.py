@@ -319,10 +319,10 @@ def block_act(x, eps, top=(), bottom=()):
     with g.d = y are g in h Stab(d), whose signs sum to
     (-eps)^len(h) |Stab(d)| when the sign character is trivial on
     Stab(d) and to 0 otherwise (:func:`block_orbit`).  Terms of x in one
-    orbit are grouped first, since O(h.d) = (-eps)^len(h) O(d), so every
-    orbit is walked once: the work is the sum of the orbit sizes, at most
-    |B(k, l)|, against |G| term pairs per term for composition, and no
-    loop is ever closed."""
+    orbit are grouped first, since the result O(d) for one term satisfies
+    O(h.d) = (-eps)^len(h) O(d), so every orbit is walked once: the work is
+    the sum of the orbit sizes, at most |B(k, l)|, against |G| term pairs
+    per term for composition, and no loop is ever closed."""
     _check_eps(eps)
     swaps = _block_swaps(x.k, x.l, top, bottom)
     order = 1

@@ -397,7 +397,7 @@ class TestIdealSpan:
 
     def test_slice_of_sp8_at_degree_five_is_one_dimensional(self, capsys):
         # bends to (0, 10): |B(0, 10)|^2 = 945^2 cells, inside the budget;
-        # one dimension, the line of bent Phi_4 (answered, no longer refused)
+        # one dimension, the line of bent Phi_4
         rc, payload = invoke_json(capsys, "ideal-span", "--family", "sp", "--m", "8",
                                   "--slice", "5,5")
         assert rc == 0

@@ -299,17 +299,22 @@ class TestBentAntisymmetrizers:
         for i in range(m + 2):
             assert e_p_formula(m, i) == _e_p_sandwich(m, i)
 
-    def test_formula_budget_counts_result_terms(self, monkeypatch):
+    def test_budget_counts_result_terms(self, monkeypatch):
         # at most 3! terms of 6 nodes: allowed at 36 cells, refused at 35
         monkeypatch.setenv("BRAUER_MAX_CELLS", "36")
         assert len(e_p_formula(2, 1).terms) == 6
+        assert len(e_p_rotation(2, 2).terms) == 6
         monkeypatch.setenv("BRAUER_MAX_CELLS", "35")
-        with pytest.raises(ElementError, match="up to 3! terms of 6 nodes"):
-            e_p_formula(2, 1)
+        # E_1 by formula, and by rotating 2 strands
+        for make, arg in ((e_p_formula, 1), (e_p_rotation, 2)):
+            with pytest.raises(ElementError, match="E_1 in degree 3 has up "
+                                                   "to 3! terms of 6 nodes"):
+                make(2, arg)
 
     def test_huge_degree_refused_without_forming_the_count(self):
-        with pytest.raises(ElementError, match=r"up to 1000001! terms"):
-            e_p_formula(10 ** 6, 3)
+        for make in (e_p_formula, e_p_rotation):
+            with pytest.raises(ElementError, match=r"up to 1000001! terms"):
+                make(10 ** 6, 3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rotation_coefficients_are_units(self, m):

@@ -298,16 +298,13 @@ def rotate_right(d, p):
     return _relabel(d, r, r, node_map)
 
 
-def diagram_count(k, l, limit=None):
-    """|B(k, l)| = (k + l - 1)!! for even k + l, without enumerating; with a
-    limit, stops at the first partial product above it."""
+def diagram_count(k, l):
+    """|B(k, l)| = (k + l - 1)!! for even k + l, without enumerating."""
     if (k + l) % 2:
         return 0
     count = 1
     for j in range(3, k + l, 2):
         count *= j
-        if limit is not None and count > limit:
-            break
     return count
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 from . import diagram as dg
 from .diagram import Diagram, closure_loops, identity, lower_diagram, make_diagram, tensor
-from .functor import max_cells
+from .functor import guard_cells
 from .linear import (
     Morphism,
     MorphismError,
@@ -112,33 +112,14 @@ def from_permutation(pi, ring=QQ_DELTA, delta=None):
     return from_diagram(dg.permutation_diagram(tuple(pi)), ring=ring, delta=delta)
 
 
-def _factorial_exceeds(n, factor, limit):
-    """Whether factor * n! exceeds limit, without forming n! past it."""
-    count = factor
-    for j in range(2, n + 1):
-        if count > limit:
-            break
-        count *= j
-    return count > limit
-
-
-def _guard_permutations(n):
-    """Refuse a sum over Sym_n before enumerating it when its n! terms
-    exceed the BRAUER_MAX_CELLS budget."""
-    limit = max_cells()
-    if _factorial_exceeds(n, 1, limit):
-        raise ElementError(
-            "a sum over Sym_%d needs %d! terms, above the limit %d; "
-            "raise BRAUER_MAX_CELLS to allow it" % (n, n, limit))
-
-
 def sigma(eps, r, ring=QQ_DELTA, delta=None):
     """Sum over Sym_r of (-eps)^length; symmetrizer for eps=-1, antisymmetrizer for +1."""
     if eps not in (1, -1):
         raise ElementError("eps must be +1 or -1")
     if r < 0:
         raise ElementError("degree must be nonnegative")
-    _guard_permutations(r)
+    guard_cells(range(2, r + 1), "a sum over Sym_%d needs %d! terms" % (r, r),
+                ElementError)
     terms = {}
     for pi in permutations(range(r)):
         terms[dg.permutation_diagram(pi)] = (-eps) ** inversions(pi)
@@ -205,11 +186,8 @@ def phi(n):
     if n < 1:
         raise ElementError("phi requires n >= 1")
     r = n + 1
-    limit = max_cells()
-    if dg.diagram_count(r, r, limit) > limit:
-        raise ElementError(
-            "phi(%d) sums the %d!! diagrams of B_%d, above the limit %d; "
-            "raise BRAUER_MAX_CELLS to allow it" % (n, 2 * n + 1, r, limit))
+    guard_cells(range(3, 2 * r, 2), "phi(%d) sums the %d!! diagrams of B_%d"
+                % (n, 2 * n + 1, r), ElementError)
     return make_morphism(r, r, {d: 1 for d in dg.enumerate_diagrams(r, r)},
                          ring=QQ, delta=Fraction(-2 * n))
 
@@ -223,12 +201,9 @@ def _guard_ep_terms(m, i):
     """Refuse E_i in degree m + 1 before building it when its at most
     (m + 1)! terms of 2(m + 1) nodes exceed the cell budget."""
     r = m + 1
-    limit = max_cells()
-    if _factorial_exceeds(r, 2 * r, limit):
-        raise ElementError(
-            "E_%d in degree %d has up to %d! terms of %d nodes, above the "
-            "limit %d; raise BRAUER_MAX_CELLS to allow it"
-            % (i, r, r, 2 * r, limit))
+    guard_cells(chain((2 * r,), range(2, r + 1)),
+                "E_%d in degree %d has up to %d! terms of %d nodes"
+                % (i, r, r, 2 * r), ElementError)
 
 
 def f_p(m, p, ring=None, delta=None):

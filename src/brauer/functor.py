@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .diagram import Diagram, _check_sizes, closure_loops, crossing_count
 from .linear import Morphism, specialize_delta
@@ -50,16 +51,19 @@ def max_cells():
     return value
 
 
-def guard_cells(cells):
-    """Refuse a computation of more than max_cells() cells.  A count too
-    long to print in full is shown as a power of 2 below it."""
+def guard_cells(factors, what, error=FunctorError):
+    """Refuse work whose size, the product of the factors, exceeds
+    max_cells(): the one budget of every constructor that grows faster
+    than polynomially.  The product is formed only until it passes the
+    limit, so a count of any size costs a few multiplications; what names
+    the count by formula for the message, raised as error."""
     limit = max_cells()
-    if cells > limit:
-        bits = cells.bit_length()
-        shown = "%d" % cells if bits <= 64 else "at least 2^%d" % (bits - 1)
-        raise FunctorError(
-            "computation needs %s matrix cells, above the limit %d; "
-            "raise BRAUER_MAX_CELLS to allow it" % (shown, limit))
+    count = 1
+    for factor in factors:
+        count *= factor
+        if count > limit:
+            raise error("%s, above the limit %d; raise BRAUER_MAX_CELLS to "
+                        "allow it" % (what, limit))
 
 
 @dataclass(frozen=True)
@@ -374,7 +378,8 @@ def _diagram_matrix(d, spec):
     mapped to one of the two field elements +-1 at the end."""
     m, ring = spec.m, spec.ring
     k, l = d.k, d.l
-    guard_cells(m ** (k + l))
+    guard_cells(repeat(m, k + l), "computation needs %d^%d matrix cells"
+                % (m, k + l))
     pow_k = [m ** (k - 1 - a) for a in range(k)]
     pow_l = [m ** (l - 1 - b) for b in range(l)]
     gram_cells = _form_signs(spec.gram, ring)
@@ -421,6 +426,20 @@ def _morphism_to_spec_field(x, spec):
     return x
 
 
+def _sum_of_terms(x, spec, diagram_matrix):
+    """Sum over the terms c * d of a morphism of c times
+    diagram_matrix(d, spec), accumulated in one dict."""
+    x = _morphism_to_spec_field(x, spec)
+    ring = spec.ring
+    zero = ring.zero()
+    entries = {}
+    for d in x.support():
+        c = x.coeff(d)
+        for key, v in diagram_matrix(d, spec).entries.items():
+            entries[key] = ring.add(entries.get(key, zero), ring.mul(c, v))
+    return ExactMatrix(spec.m ** x.l, spec.m ** x.k, ring, entries)
+
+
 def functor_matrix(x, spec):
     """Exact matrix of a diagram or morphism under the group's tensor
     representation (direct contraction)."""
@@ -428,27 +447,18 @@ def functor_matrix(x, spec):
         return _diagram_matrix(x, spec)
     if not isinstance(x, Morphism):
         raise FunctorError("expected a Diagram or Morphism, got %r" % (x,))
-    x = _morphism_to_spec_field(x, spec)
-    ring = spec.ring
-    out = ExactMatrix.zero(spec.m ** x.l, spec.m ** x.k, ring)
-    for d in x.support():
-        out = out.add(_diagram_matrix(d, spec).scale(x.coeff(d)))
-    return out
+    return _sum_of_terms(x, spec, _diagram_matrix)
 
 
 def functor_matrix_layered(x, spec):
     """Same matrix as :func:`functor_matrix`, computed independently by
     composing the layer matrices of a synthesized generator word."""
     if isinstance(x, Morphism):
-        x = _morphism_to_spec_field(x, spec)
-        ring = spec.ring
-        out = ExactMatrix.zero(spec.m ** x.l, spec.m ** x.k, ring)
-        for d in x.support():
-            out = out.add(functor_matrix_layered(d, spec).scale(x.coeff(d)))
-        return out
+        return _sum_of_terms(x, spec, functor_matrix_layered)
     if not isinstance(x, Diagram):
         raise FunctorError("expected a Diagram or Morphism, got %r" % (x,))
-    guard_cells(spec.m ** (x.k + x.l))
+    guard_cells(repeat(spec.m, x.k + x.l),
+                "computation needs %d^%d matrix cells" % (spec.m, x.k + x.l))
     word = synthesize_word(x)
     mat = ExactMatrix.identity(spec.m ** word.domain, spec.ring)
     for lay in word.layers:

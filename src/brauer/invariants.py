@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from itertools import repeat
+from math import factorial
 
-from .diagram import (_check_sizes, diagram_count, e_i, enumerate_diagrams,
+from .diagram import (_check_sizes, e_i, enumerate_diagrams,
                       identity as identity_diagram, s_i)
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
                       functor_matrix, guard_cells)
 from .linalg import EliminationBasis, nullspace_of_rows, rank_of_rows
-from .linear import (block_act, block_orbit, from_diagram, lin_compose,
-                     lin_tensor, make_morphism)
+from .linear import (block_orbit, from_diagram, lin_compose, lin_tensor,
+                     make_morphism)
 from .rings import PrimeField
 
 __all__ = [
@@ -32,7 +34,8 @@ def _vectorized_rows(k, l, spec):
 
     Returns (diagrams, rows) in the deterministic diagram order."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
-    guard_cells(spec.m ** (k + l))
+    guard_cells(repeat(spec.m, k + l), "computation needs %d^%d matrix cells"
+                % (spec.m, k + l))
     diagrams = enumerate_diagrams(k, l)
     cols = spec.m ** k
     rows = []
@@ -251,8 +254,9 @@ def commutant_dimension(r, spec):
     the spec's identity form there, whose diagonal still bounds the
     classes."""
     _check_sizes(FunctorError, "degree", r=r)
+    guard_cells(repeat(spec.m, 2 * r), "computation needs %d^%d matrix cells"
+                % (spec.m, 2 * r))
     n = spec.m ** r
-    guard_cells(n * n)
     group, refl = _commutant_group(spec)
     kept = {}
     for words in _word_classes(group, refl, r):
@@ -329,7 +333,8 @@ def ideal_span_dimension(r, gen, spec):
     unless r is a non-negative int, and when |B(r, r)|^2 exceeds the cell
     budget."""
     _check_sizes(FunctorError, "degree", r=r)
-    guard_cells(diagram_count(r, r) ** 2)
+    guard_cells((j * j for j in range(3, 2 * r, 2)),
+                "computation needs (%d!!)^2 matrix cells" % (2 * r - 1))
     gen = _morphism_to_spec_field(gen, spec)
     if gen.k != gen.l:
         raise FunctorError("ideal generator must be square, got (%d, %d)"
@@ -372,22 +377,25 @@ def tensor_ideal_span_dimension(k, l, spec):
         the closure (:func:`_closure_rank`) of the seeds M_n o d under left
         composition with the s_i and e_i of B_n.
 
-    Sigma is never built.  M_n o d is the signed orbit sum of d under
-    Sym_(m+1) on its first m + 1 nodes (:func:`block_act`), and for
+    Sigma is never built.  M_n o d is the signed sum of d over Sym_(m+1)
+    on its first m + 1 nodes (:func:`brauer.linear.block_act`): the
+    orbit's diagrams with the signs :func:`block_orbit` gives, times
+    |Stab(d)| = (m + 1)!/|orbit| in the ring, or 0 when the sign is
+    nontrivial on the stabilizer (an antisymmetrizer across a cup).  For
     d' = h.d in the same orbit M_n o d' = +-M_n o d, so one seed per orbit
-    spans the same seeds; a d already in an earlier orbit, including an
-    orbit whose sum is 0 because the sign is nontrivial on its stabilizer
-    (an antisymmetrizer across a cup), is skipped.  Walking the orbits
-    touches each of the c = |B(0, n)| diagrams once or twice, so the
-    closure's c^2 is the cost, and FunctorError is raised before anything
-    is built when c^2 exceeds the cell budget."""
+    spans the same seeds, and the walk that finds the orbit builds it.
+    Walking the orbits touches each of the c = |B(0, n)| diagrams once,
+    so the closure's c^2 is the cost, and FunctorError is raised before
+    anything is built when c^2 exceeds the cell budget."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
     n = k + l
     base = spec.m + 1
     if n % 2 or n < base:
         return 0
-    guard_cells(diagram_count(0, n) ** 2)
+    guard_cells((j * j for j in range(3, n, 2)),
+                "computation needs (%d!!)^2 matrix cells" % (n - 1))
     ring, delta = spec.ring, spec.delta_value()
+    order = factorial(base)
     seen = set()
     seeds = []
     for d in enumerate_diagrams(0, n):
@@ -395,8 +403,10 @@ def tensor_ideal_span_dimension(k, l, spec):
             continue
         orbit, vanishes = block_orbit(d, spec.eps, top=(base,))
         seen.update(orbit)
-        if not vanishes:
-            seeds.append(block_act(from_diagram(d, ring=ring, delta=delta),
-                                   spec.eps, top=(base,)))
+        stab = order // len(orbit)
+        if not vanishes and not ring.is_zero(ring.from_int(stab)):
+            seeds.append(make_morphism(0, n, {y: s * stab
+                                              for y, s in orbit.items()},
+                                       ring=ring, delta=delta))
     return _closure_rank(seeds, _algebra_generators(n, ring, delta), [], 0, n,
                          ring, delta)

@@ -177,11 +177,6 @@ def _compose_diagrams(d1, d2):
     return compose(d1, d2)
 
 
-@lru_cache(maxsize=1 << 18)
-def _tensor_diagrams(d1, d2):
-    return tensor(d1, d2)
-
-
 def lin_add(x, y):
     if (x.k, x.l) != (y.k, y.l):
         raise MorphismError("valency mismatch in addition")
@@ -231,7 +226,7 @@ def lin_tensor(x, y):
     zero = ring.zero()
     for d1, c1 in x.terms.items():
         for d2, c2 in y.terms.items():
-            diag = _tensor_diagrams(d1, d2)
+            diag = tensor(d1, d2)
             c = ring.mul(c1, c2)
             terms[diag] = ring.add(terms.get(diag, zero), c)
     return Morphism(x.k + y.k, x.l + y.l, ring, x.delta, terms)

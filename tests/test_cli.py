@@ -403,20 +403,21 @@ class TestIdealSpan:
         assert rc == 0
         assert payload == {"dimension": 1}
 
-    @pytest.mark.parametrize("flags,bits", [
-        (["--gen", "phi:1", "--r", "3000"], 66649),
-        (["--slice", "1500,1500"], 30325),
-    ], ids=["gen-r3000", "slice-1500"])
-    def test_huge_count_gets_the_budget_message(self, capsys, flags, bits):
-        # (5999!!)^2 and (2999!!)^2 are too long for "%d"; the message shows
-        # the power of 2 below them
+    @pytest.mark.parametrize("flags,count", [
+        (["--gen", "phi:1", "--r", "3000"], "(5999!!)^2"),
+        (["--slice", "1500,1500"], "(2999!!)^2"),
+        (["--gen", "phi:1", "--r", "300000"], "(599999!!)^2"),
+        (["--slice", "300000,300000"], "(599999!!)^2"),
+    ], ids=["gen-r3000", "slice-1500", "gen-r300000", "slice-300000"])
+    def test_huge_count_gets_the_budget_message(self, capsys, flags, count):
+        # counts far too long for "%d" are named by formula and never formed
         rc = run(["ideal-span", "--family", "sp", "--m", "2"] + flags)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
         assert captured.err == (
-            "error: computation needs at least 2^%d matrix cells, above the "
-            "limit %d; raise BRAUER_MAX_CELLS to allow it\n" % (bits, max_cells()))
+            "error: computation needs %s matrix cells, above the limit %d; "
+            "raise BRAUER_MAX_CELLS to allow it\n" % (count, max_cells()))
 
     def test_requires_generator_or_slice(self, capsys):
         rc, _ = invoke(capsys, "ideal-span", "--family", "sp", "--m", "2")
@@ -461,13 +462,15 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 class TestGoldenOutput:
-    """JSON output of integer-coefficient commands, pinned byte for byte."""
+    """JSON output of integer-coefficient commands and of the full
+    verification report, pinned byte for byte."""
 
     @pytest.mark.parametrize("name,argv", [
         ("phi_n3.json", ["phi", "--n", "3"]),
         ("ep_m3_p2.json", ["ep", "--m", "3", "--p", "2"]),
         ("kernel_o3_k4_l4.json",
          ["kernel", "--family", "o", "--m", "3", "--k", "4", "--l", "4"]),
+        ("verify_all.json", ["verify", "--suite", "all"]),
     ])
     def test_output_matches_golden_file(self, capsys, name, argv):
         rc, out = invoke(capsys, *argv)

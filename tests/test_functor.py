@@ -1,5 +1,6 @@
 """Tests for the exact tensor-representation functor and its matrix backend."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -331,10 +332,17 @@ class TestResourceGuard:
         monkeypatch.setenv("BRAUER_MAX_CELLS", "10")
         assert max_cells() == 10
         with pytest.raises(FunctorError):
-            guard_cells(11)
-        guard_cells(10)
+            guard_cells([11], "11 cells")
+        guard_cells([10], "10 cells")
         with pytest.raises(FunctorError):
             functor_matrix(identity(2), group_spec("o", 5))
+
+    def test_product_stops_at_the_limit(self):
+        # an endless product of 2s is refused at its first partial product
+        # past the limit
+        with pytest.raises(FunctorError, match=r"^2\^oo cells, above the "
+                                               r"limit \d+; raise BRAUER"):
+            guard_cells(itertools.repeat(2), "2^oo cells")
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv("BRAUER_MAX_CELLS", "not a number")

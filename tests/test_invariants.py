@@ -158,7 +158,7 @@ def _oracle_commutant_dimension(r, spec):
     commuting with the group action (infinitesimal action plus, for the
     orthogonal family, the reflection)."""
     n = spec.m ** r
-    guard_cells(n * n)
+    guard_cells([n, n], "the oracle needs (m^r)^2 unknowns")
     basis = EliminationBasis(spec.ring)
     for gen in lie_generators(spec):
         for row in _commuting_rows(derived_action(gen, r), n):

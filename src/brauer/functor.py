@@ -11,9 +11,12 @@ matrix product, juxtaposition to Kronecker product) and kills every loop
 factor ``delta`` at the numeric value ``eps * m``.
 
 Two independent evaluators are provided: :func:`functor_matrix` contracts a
-diagram directly cell by cell, while :func:`functor_matrix_layered` composes
-the layer matrices of a synthesized generator word.  They must agree on
-every input; the verification suites compare them.
+diagram directly cell by cell, while :func:`functor_matrix_layered` applies
+layers by index action: each layer I^a (x) g (x) I^b of a synthesized
+generator word moves the entries of the running matrix through the middle
+digits of their row indices, as monoidality allows, without building a
+Kronecker product.  They must agree on every input; the verification suites
+compare them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from .diagram import Diagram, _check_sizes, closure_loops, crossing_count
-from .linear import Morphism, specialize_delta
+from .linear import Morphism, _drop_zeros, specialize_delta
 from .report import check_bool
 from .rings import PolynomialsInDelta, PrimeField, Rationals, QQ
 from .words import synthesize_word
@@ -163,6 +166,18 @@ class ExactMatrix:
                 clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _trusted(cls, rows, cols, ring, entries):
+        """Wrap a result computed here from valid matrices: entries maps
+        in-range int pairs to nonzero elements of ring and is kept as is,
+        without the checks of the public constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
@@ -172,8 +187,9 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n, ring):
+        _check_sizes(FunctorError, "matrix", rows=n)
         one = ring.one()
-        return cls(n, n, ring, {(i, i): one for i in range(n)})
+        return cls._trusted(n, n, ring, {(i, i): one for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring, data):
@@ -218,20 +234,25 @@ class ExactMatrix:
         entries = dict(self.entries)
         for key, v in other.entries.items():
             entries[key] = ring.add(entries.get(key, ring.zero()), v)
-        return ExactMatrix(self.rows, self.cols, ring, entries)
+        return ExactMatrix._trusted(self.rows, self.cols, ring,
+                                    _drop_zeros(ring, entries))
 
     def sub(self, other):
         return self.add(other.neg())
 
     def neg(self):
         ring = self.ring
-        return ExactMatrix(self.rows, self.cols, ring,
-                           {k: ring.neg(v) for k, v in self.entries.items()})
+        entries = {k: ring.neg(v) for k, v in self.entries.items()}
+        return ExactMatrix._trusted(self.rows, self.cols, ring, entries)
 
     def scale(self, c):
+        # Every coefficient ring is an integral domain: c times a nonzero
+        # entry is zero only when c is.
         ring = self.ring
-        return ExactMatrix(self.rows, self.cols, ring,
-                           {k: ring.mul(c, v) for k, v in self.entries.items()})
+        if ring.is_zero(c):
+            return ExactMatrix.zero(self.rows, self.cols, ring)
+        entries = {k: ring.mul(c, v) for k, v in self.entries.items()}
+        return ExactMatrix._trusted(self.rows, self.cols, ring, entries)
 
     def _match(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -257,7 +278,8 @@ class ExactMatrix:
                 cur = entries.get(key)
                 term = ring.mul(a, b)
                 entries[key] = term if cur is None else ring.add(cur, term)
-        return ExactMatrix(self.rows, other.cols, ring, entries)
+        return ExactMatrix._trusted(self.rows, other.cols, ring,
+                                    _drop_zeros(ring, entries))
 
     def tensor(self, other):
         """Kronecker product, left factor most significant."""
@@ -269,11 +291,12 @@ class ExactMatrix:
         for (i1, j1), a in self.entries.items():
             for (i2, j2), b in other.entries.items():
                 entries[(i1 * r2 + i2, j1 * c2 + j2)] = ring.mul(a, b)
-        return ExactMatrix(self.rows * other.rows, self.cols * other.cols, ring, entries)
+        return ExactMatrix._trusted(self.rows * other.rows, self.cols * other.cols,
+                                    ring, entries)
 
     def transpose(self):
-        return ExactMatrix(self.cols, self.rows, self.ring,
-                           {(j, i): v for (i, j), v in self.entries.items()})
+        entries = {(j, i): v for (i, j), v in self.entries.items()}
+        return ExactMatrix._trusted(self.cols, self.rows, self.ring, entries)
 
     def trace(self):
         if self.rows != self.cols:
@@ -335,19 +358,6 @@ def generator_matrices(spec):
     return {"I": ident, "X": x_mat, "A": a_mat, "U": u_mat}
 
 
-def layer_matrix(lay, spec):
-    """Matrix of one word layer: identity strands left and right of one
-    generating picture."""
-    gens = generator_matrices(spec)
-    mid = gens[lay.gen]
-    mat = mid
-    if lay.left:
-        mat = ExactMatrix.identity(spec.m ** lay.left, spec.ring).tensor(mat)
-    if lay.right:
-        mat = mat.tensor(ExactMatrix.identity(spec.m ** lay.right, spec.ring))
-    return mat
-
-
 def _form_signs(form, ring):
     """Nonzero cells (i, j, s) of a form matrix with the value as an integer
     sign s = +-1; the functor's forms have no other nonzero values."""
@@ -400,7 +410,7 @@ def _diagram_matrix(d, spec):
     one = ring.one()
     minus = ring.neg(one)
     entries = {(row, col): one if s > 0 else minus for row, col, s in cells}
-    return ExactMatrix(m ** l, m ** k, ring, entries)
+    return ExactMatrix._trusted(m ** l, m ** k, ring, entries)
 
 
 def _morphism_to_spec_field(x, spec):
@@ -437,7 +447,8 @@ def _sum_of_terms(x, spec, diagram_matrix):
         c = x.coeff(d)
         for key, v in diagram_matrix(d, spec).entries.items():
             entries[key] = ring.add(entries.get(key, zero), ring.mul(c, v))
-    return ExactMatrix(spec.m ** x.l, spec.m ** x.k, ring, entries)
+    return ExactMatrix._trusted(spec.m ** x.l, spec.m ** x.k, ring,
+                                _drop_zeros(ring, entries))
 
 
 def functor_matrix(x, spec):
@@ -451,19 +462,49 @@ def functor_matrix(x, spec):
 
 
 def functor_matrix_layered(x, spec):
-    """Same matrix as :func:`functor_matrix`, computed independently by
-    composing the layer matrices of a synthesized generator word."""
+    """Same matrix as :func:`functor_matrix`, computed independently: the
+    layers of a synthesized generator word are applied by index action.
+
+    A layer I^a (x) g (x) I^b acts on a row index of width a + in(g) + b
+    through its middle in(g) digits only, so each entry of the running
+    matrix moves to the rows that the generator's column for those digits
+    names, scaled by that column's values; no layer matrix is built."""
     if isinstance(x, Morphism):
         return _sum_of_terms(x, spec, functor_matrix_layered)
     if not isinstance(x, Diagram):
         raise FunctorError("expected a Diagram or Morphism, got %r" % (x,))
-    guard_cells(repeat(spec.m, x.k + x.l),
-                "computation needs %d^%d matrix cells" % (spec.m, x.k + x.l))
+    m, ring = spec.m, spec.ring
+    guard_cells(repeat(m, x.k + x.l),
+                "computation needs %d^%d matrix cells" % (m, x.k + x.l))
     word = synthesize_word(x)
-    mat = ExactMatrix.identity(spec.m ** word.domain, spec.ring)
+    # Per generator: its row count m^out(g), column count m^in(g), and its
+    # nonzero cells grouped by column.
+    gens = {}
+    for gen, mat in generator_matrices(spec).items():
+        by_col = {}
+        for (r, c), v in mat.entries.items():
+            by_col.setdefault(c, []).append((r, v))
+        gens[gen] = (mat.rows, mat.cols, by_col)
+    add, mul = ring.add, ring.mul
+    one = ring.one()
+    entries = {(i, i): one for i in range(m ** word.domain)}
     for lay in word.layers:
-        mat = layer_matrix(lay, spec).mul(mat)
-    return mat
+        g_rows, g_cols, by_col = gens[lay.gen]
+        low = m ** lay.right
+        high_in, high_out = low * g_cols, low * g_rows
+        out = {}
+        for (i, j), v in entries.items():
+            hi, rest = divmod(i, high_in)
+            mid, lo = divmod(rest, low)
+            base = hi * high_out + lo
+            for r, w in by_col.get(mid, ()):
+                key = (base + r * low, j)
+                term = mul(w, v)
+                cur = out.get(key)
+                out[key] = term if cur is None else add(cur, term)
+        entries = out
+    return ExactMatrix._trusted(m ** x.l, m ** x.k, ring,
+                                _drop_zeros(ring, entries))
 
 
 def trace_check(d, spec):

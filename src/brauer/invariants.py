@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from itertools import repeat
+from itertools import chain, repeat
 from math import factorial
 
 from .diagram import (_check_sizes, e_i, enumerate_diagrams,
@@ -36,6 +36,13 @@ def _vectorized_rows(k, l, spec):
     _check_sizes(FunctorError, "valency", k=k, l=l)
     guard_cells(repeat(spec.m, k + l), "computation needs %d^%d matrix cells"
                 % (spec.m, k + l))
+    n = k + l
+    if n % 2 == 0:
+        # Each of the |B(k, l)| diagrams has one nonzero per choice of an
+        # index on each of its n / 2 arcs.
+        guard_cells(chain(range(3, n, 2), repeat(spec.m, n // 2)),
+                    "computation needs %d!! * %d^%d row nonzeros"
+                    % (n - 1, spec.m, n // 2))
     diagrams = enumerate_diagrams(k, l)
     cols = spec.m ** k
     rows = []

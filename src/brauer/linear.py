@@ -68,6 +68,13 @@ def _coerce_delta(ring, delta):
     return _coerce_coeff(ring, delta)
 
 
+def _drop_zeros(ring, mapping):
+    """The entries of mapping whose values are nonzero in ring: what a sum
+    of nonzero terms leaves once some of them cancel."""
+    is_zero = ring.is_zero
+    return {key: v for key, v in mapping.items() if not is_zero(v)}
+
+
 class Morphism:
     """Immutable linear combination of (k, l) diagrams."""
 
@@ -94,6 +101,20 @@ class Morphism:
             if not ring.is_zero(c):
                 cleaned[diag] = c
         self.terms = cleaned
+
+    @classmethod
+    def _trusted(cls, k, l, ring, delta, terms):
+        """Wrap a result computed here from valid morphisms: terms maps
+        (k, l) diagrams to nonzero elements of ring and delta is already
+        coerced; both are kept as is, without the checks of the public
+        constructor."""
+        self = object.__new__(cls)
+        self.k = k
+        self.l = l
+        self.ring = ring
+        self.delta = delta
+        self.terms = terms
+        return self
 
     def context(self):
         return (self.ring, self.delta)
@@ -185,14 +206,19 @@ def lin_add(x, y):
     terms = dict(x.terms)
     for diag, c in y.terms.items():
         terms[diag] = ring.add(terms.get(diag, ring.zero()), c)
-    return Morphism(x.k, x.l, ring, x.delta, terms)
+    return Morphism._trusted(x.k, x.l, ring, x.delta, _drop_zeros(ring, terms))
 
 
 def lin_scale(c, x):
     ring = x.ring
     c = _coerce_coeff(ring, c)
-    terms = {diag: ring.mul(c, v) for diag, v in x.terms.items()}
-    return Morphism(x.k, x.l, ring, x.delta, terms)
+    # Every coefficient ring is an integral domain: c times a nonzero
+    # coefficient is zero only when c is.
+    if ring.is_zero(c):
+        terms = {}
+    else:
+        terms = {diag: ring.mul(c, v) for diag, v in x.terms.items()}
+    return Morphism._trusted(x.k, x.l, ring, x.delta, terms)
 
 
 def lin_sub(x, y):
@@ -216,20 +242,18 @@ def lin_compose(x, y):
             if loops:
                 c = ring.mul(c, delta_factor(ring, x.delta, loops))
             terms[diag] = ring.add(terms.get(diag, zero), c)
-    return Morphism(y.k, x.l, ring, x.delta, terms)
+    return Morphism._trusted(y.k, x.l, ring, x.delta, _drop_zeros(ring, terms))
 
 
 def lin_tensor(x, y):
+    # Juxtaposing distinct pairs of same-valency diagrams gives distinct
+    # diagrams, and a product of nonzero coefficients is nonzero, so no
+    # two terms meet and none is zero.
     _require_compatible(x, y)
     ring = x.ring
-    terms = {}
-    zero = ring.zero()
-    for d1, c1 in x.terms.items():
-        for d2, c2 in y.terms.items():
-            diag = tensor(d1, d2)
-            c = ring.mul(c1, c2)
-            terms[diag] = ring.add(terms.get(diag, zero), c)
-    return Morphism(x.k + y.k, x.l + y.l, ring, x.delta, terms)
+    terms = {tensor(d1, d2): ring.mul(c1, c2)
+             for d1, c1 in x.terms.items() for d2, c2 in y.terms.items()}
+    return Morphism._trusted(x.k + y.k, x.l + y.l, ring, x.delta, terms)
 
 
 def _block_swaps(k, l, top, bottom):
@@ -344,7 +368,7 @@ def block_act(x, eps, top=(), bottom=()):
         neg = ring.neg(scale)
         for y, s in orbit.items():
             terms[y] = scale if s == 1 else neg
-    return Morphism(x.k, x.l, ring, x.delta, terms)
+    return Morphism._trusted(x.k, x.l, ring, x.delta, terms)
 
 
 def lin_star(x):

@@ -297,6 +297,26 @@ class TestFunctorCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_wrong_valency_morphism_term_is_user_error(self, capsys):
+        rc = run(["functor-matrix", "--family", "sp", "--m", "2",
+                  '{"k": 2, "l": 2, "ring": "Rationals", "delta": "-2", '
+                  '"terms": [{"diagram": %s, "coeff": "1"}]}' % IDENT1])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "diagram of valency (1, 1) in a (2, 2) morphism" in captured.err
+
+    def test_rank_over_row_budget_is_user_error(self, capsys):
+        # 2^22 cells per diagram fit the budget, but the 21!! diagrams of
+        # B(11, 11) hold 2^11 nonzeros each; refused before enumerating
+        rc = run(["rank", "--family", "o", "--m", "2", "--k", "11", "--l", "11"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: computation needs 21!! * 2^11 row nonzeros, above the "
+            "limit %d; raise BRAUER_MAX_CELLS to allow it\n" % max_cells())
+
     @pytest.mark.parametrize("argv", [
         ["rank", "--family", "sp", "--m", "2", "--k", "-1", "--l", "3"],
         ["kernel", "--family", "sp", "--m", "2", "--k", "-2", "--l", "2"],

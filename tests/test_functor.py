@@ -32,7 +32,10 @@ from brauer import (
     verify_pau,
 )
 from brauer.diagram import cap, cup, e_i, s_i
-from brauer.functor import guard_cells, layer_matrix, max_cells
+from brauer.functor import guard_cells, max_cells
+from brauer.invariants import kernel_basis
+from brauer.linear import lin_compose
+from brauer.words import Layer, layer_diagram
 
 
 DESK_SPECS = [
@@ -127,6 +130,15 @@ class TestExactMatrix:
             ExactMatrix(2, 2, QQ, {(2, 0): Fraction(1)})
         with pytest.raises(FunctorError):
             ExactMatrix.from_rows(QQ, [[1, 2], [3]])
+
+    @pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_out_of_range_entries_rejected(self, index):
+        with pytest.raises(FunctorError):
+            ExactMatrix(2, 3, QQ, {index: Fraction(1)})
+        obj = {"rows": 2, "cols": 3, "ring": "Rationals",
+               "entries": [[index[0], index[1], "1"]]}
+        with pytest.raises(FunctorError):
+            matrix_from_json(obj)
 
     @pytest.mark.parametrize("index", [(2.9, 0), (0, 1.0), (True, 0),
                                        (0, False), ("1", 0), (None, 0)])
@@ -230,14 +242,20 @@ class TestGenerators:
         checks = verify_pau(group_spec("sp", 2, modulus=5))
         assert all(c.passed for c in checks)
 
-    def test_layer_matrix_matches_tensor_assembly(self):
-        spec = group_spec("o", 2)
-        from brauer.words import Layer
-
-        lay = Layer(1, "X", 0)
+    @pytest.mark.parametrize("spec", [group_spec("o", 3), group_spec("sp", 2),
+                                      group_spec("sp", 2, modulus=5)],
+                             ids=lambda s: s.label())
+    def test_one_layer_word_matches_tensor_assembly(self, spec):
+        # the index action of I^a (x) g (x) I^b against the Kronecker product
         gens = generator_matrices(spec)
-        expected = gens["I"].tensor(gens["X"])
-        assert layer_matrix(lay, spec) == expected
+        for gen in ("X", "A", "U"):
+            for a in range(3):
+                for b in range(3 - a):
+                    left = ExactMatrix.identity(spec.m ** a, spec.ring)
+                    right = ExactMatrix.identity(spec.m ** b, spec.ring)
+                    expected = left.tensor(gens[gen]).tensor(right)
+                    d = layer_diagram(Layer(a, gen, b))
+                    assert functor_matrix_layered(d, spec) == expected, (a, gen, b)
 
 
 class TestFunctorMatrix:
@@ -272,6 +290,25 @@ class TestFunctorMatrix:
         for k, l in ((2, 2), (3, 1), (0, 2), (3, 3), (4, 2)):
             for d in enumerate_diagrams(k, l):
                 assert functor_matrix_layered(d, spec) == functor_matrix(d, spec)
+
+    @pytest.mark.parametrize("spec", [group_spec("o", 1), group_spec("sp", 4),
+                                      group_spec("o", 3, modulus=7)],
+                             ids=lambda s: s.label())
+    def test_layered_agrees_with_direct_up_to_six_points(self, spec):
+        # groups outside the verify suite's, every (k, l) with k + l <= 6
+        for k in range(7):
+            for l in range(7 - k):
+                for d in enumerate_diagrams(k, l):
+                    assert functor_matrix_layered(d, spec) == functor_matrix(d, spec)
+
+    @pytest.mark.parametrize("spec", [group_spec("sp", 2), group_spec("o", 1)],
+                             ids=lambda s: s.label())
+    def test_layered_on_a_cancelling_morphism(self, spec):
+        # a kernel vector: its terms' matrices cancel to zero cell by cell
+        x = kernel_basis(2, 2, spec)[0]
+        assert x.term_count() > 1
+        assert functor_matrix_layered(x, spec).nnz() == 0
+        assert functor_matrix(x, spec).nnz() == 0
 
     def test_morphism_linearity(self):
         spec = group_spec("sp", 2)
@@ -375,3 +412,48 @@ def test_hypothesis_tensor_of_matrices(d1, d2):
     spec = group_spec("o", 3)
     assert functor_matrix(tensor(d1, d2), spec) == \
         functor_matrix(d1, spec).tensor(functor_matrix(d2, spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_trusted_results_match_public_constructor(data):
+    # Small entries over QQ and F_5 make sums cancel often; each result of
+    # the trusted constructor must equal its dense reference built through
+    # the public one and hold no zero entry.
+    ring = data.draw(st.sampled_from([QQ, PrimeField(5)]))
+    small = st.integers(-2, 2).map(ring.from_int)
+    zero = ring.zero()
+
+    def dense(rows, cols):
+        return [[data.draw(small) for _ in range(cols)] for _ in range(rows)]
+
+    r, s, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a, a2, b = dense(r, s), dense(r, s), dense(s, c)
+    ma, ma2, mb = (ExactMatrix.from_rows(ring, x) for x in (a, a2, b))
+    product = [[zero] * c for _ in range(r)]
+    for i in range(r):
+        for k in range(c):
+            for j in range(s):
+                product[i][k] = ring.add(product[i][k], ring.mul(a[i][j], b[j][k]))
+    kron = [[ring.mul(a[i1][j1], b[i2][j2]) for j1 in range(s) for j2 in range(c)]
+            for i1 in range(r) for i2 in range(s)]
+    total = [[ring.add(a[i][j], a2[i][j]) for j in range(s)] for i in range(r)]
+    cancelled = [[zero] * s for _ in range(r)]
+    for result, reference in ((ma.mul(mb), product), (ma.tensor(mb), kron),
+                              (ma.add(ma2), total), (ma.add(ma.neg()), cancelled)):
+        assert result == ExactMatrix.from_rows(ring, reference)
+        assert not any(ring.is_zero(v) for v in result.entries.values())
+
+    delta = data.draw(small)
+    diagrams = enumerate_diagrams(2, 2)
+    x, y = (make_morphism(2, 2, {d: data.draw(small) for d in diagrams},
+                          ring=ring, delta=delta) for _ in range(2))
+    terms = {}
+    for d1, c1 in x.terms.items():
+        for d2, c2 in y.terms.items():
+            loops, d = compose(d1, d2)
+            term = ring.mul(ring.mul(c1, c2), ring.power(delta, loops))
+            terms[d] = ring.add(terms.get(d, zero), term)
+    result = lin_compose(x, y)
+    assert result == make_morphism(2, 2, terms, ring=ring, delta=delta)
+    assert not any(ring.is_zero(v) for v in result.terms.values())

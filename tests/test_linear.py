@@ -50,6 +50,8 @@ class TestConstruction:
     def test_valency_mismatch_rejected(self):
         with pytest.raises(MorphismError):
             make_morphism(2, 2, {e_i(3, 1): 1})
+        with pytest.raises(MorphismError):
+            Morphism(2, 0, QQ, Fraction(1), {e_i(2, 1): 1})
 
     def test_symbolic_requires_polynomial_ring(self):
         with pytest.raises(MorphismError):
@@ -58,6 +60,15 @@ class TestConstruction:
     def test_bool_coefficient_rejected(self):
         with pytest.raises(MorphismError):
             make_morphism(2, 2, {e_i(2, 1): True})
+        with pytest.raises(MorphismError):
+            Morphism(2, 2, QQ, Fraction(1), {e_i(2, 1): False})
+
+    @pytest.mark.parametrize("key", [((0, 1), (2, 3)), "e_1", None])
+    def test_non_diagram_key_rejected(self, key):
+        with pytest.raises(MorphismError):
+            make_morphism(2, 2, {key: 1})
+        with pytest.raises(MorphismError):
+            Morphism(2, 2, QQ, Fraction(1), {key: 1})
 
     @pytest.mark.parametrize("k,l", [(-2, 2), (2, -1), (2.9, 2), (2, 2.0),
                                      (True, 1), ("2", 2)])

@@ -30,9 +30,21 @@ __all__ = [
 
 
 def _vectorized_rows(k, l, spec):
-    """One sparse row per (k, l) diagram: its matrix flattened row-major.
+    """One sparse row per (k, l) diagram: its matrix flattened row-major,
+    kept on one column per class of proportional columns.
 
-    Returns (diagrams, rows) in the deterministic diagram order."""
+    Every cell is +-1 (see :func:`brauer.functor._form_signs`), so a column
+    is its list of signed row numbers +-(idx + 1), and two columns are
+    proportional exactly when their lists agree up to one overall sign.
+    The list, sign-normalised on its first entry, keys the class.
+    Dropping a column that is a multiple of a kept one changes neither the
+    rank nor the left kernel {x : x M = 0}.  Classes are numbered in the
+    order of their smallest member column, the column a full-width
+    elimination would lead with, so elimination takes the same pivots in
+    the same order.  The m^(k+l)-wide rows are never formed.
+
+    Returns (diagrams, rows, width): the diagrams in deterministic order,
+    their rows with +-1 int entries, and the number of classes."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
     guard_cells(repeat(spec.m, k + l), "computation needs %d^%d matrix cells"
                 % (spec.m, k + l))
@@ -45,40 +57,53 @@ def _vectorized_rows(k, l, spec):
                     % (n - 1, spec.m, n // 2))
     diagrams = enumerate_diagrams(k, l)
     cols = spec.m ** k
-    rows = []
-    for d in diagrams:
-        mat = functor_matrix(d, spec)
-        rows.append({i * cols + j: v for (i, j), v in mat.entries.items()})
-    return diagrams, rows
+    one = spec.ring.one()
+    columns = {}
+    for idx, d in enumerate(diagrams, 1):
+        for (i, j), v in functor_matrix(d, spec).entries.items():
+            columns.setdefault(i * cols + j, []).append(idx if v == one
+                                                       else -idx)
+    classes = {}
+    for cell in sorted(columns):
+        col = columns[cell]
+        classes.setdefault(tuple(col) if col[0] > 0 else
+                           tuple(-s for s in col), len(classes))
+    # The column map holds every nonzero; free it before the rows are built.
+    del columns
+    rows = [{} for _ in diagrams]
+    for key, c in classes.items():
+        for s in key:
+            rows[abs(s) - 1][c] = 1 if s > 0 else -1
+    return diagrams, rows, len(classes)
 
 
 def hom_rank(k, l, spec):
     """Rank of the span of all (k, l) diagram matrices."""
-    _, rows = _vectorized_rows(k, l, spec)
+    _, rows, _ = _vectorized_rows(k, l, spec)
     return rank_of_rows(rows, spec.ring)
 
 
 def kernel_dimension(k, l, spec):
     """Dimension of the space of diagram combinations mapped to zero."""
-    diagrams, rows = _vectorized_rows(k, l, spec)
+    diagrams, rows, _ = _vectorized_rows(k, l, spec)
     return len(diagrams) - rank_of_rows(rows, spec.ring)
 
 
 def kernel_basis(k, l, spec):
     """Deterministic basis of the kernel, one morphism per basis vector.
 
-    Eliminates the vectorized diagram rows, each extended by a tag column
-    after the m^(k+l) cell columns, in reverse diagram order: diagram i gets
-    column m^(k+l) + n - 1 - i.  A diagram f that depends on earlier ones
-    reduces to a row with no cells left, whose lead is its own tag and whose
-    other tags are earlier independent diagrams; that row is the reduced
-    echelon nullspace vector of free column f.  Vectors come out in diagram
-    order, as primitive integers with a positive f entry over the
-    rationals, scaled to f entry 1 over F_p, and are converted to morphisms
-    over the group's field at the loop value eps * m."""
-    diagrams, rows = _vectorized_rows(k, l, spec)
+    Eliminates the vectorized diagram rows (:func:`_vectorized_rows`), each
+    extended by a tag column after the w class columns, in reverse diagram
+    order: diagram i gets column w + n - 1 - i.  A diagram f that depends
+    on earlier ones reduces to a row with no cells left, whose lead is its
+    own tag and whose other tags are earlier independent diagrams; that row
+    is the reduced echelon nullspace vector of free column f.  Vectors come
+    out in diagram order, as primitive integers with a positive f entry
+    over the rationals, scaled to f entry 1 over F_p, and are converted to
+    morphisms over the group's field at the loop value eps * m."""
+    diagrams, rows, width = _vectorized_rows(k, l, spec)
     n = len(diagrams)
-    top = spec.m ** (k + l) + n - 1
+    top = width + n - 1
     basis = EliminationBasis(spec.ring)
     for idx, row in enumerate(rows):
         row[top - idx] = 1

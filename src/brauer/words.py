@@ -155,7 +155,9 @@ def synthesize_word(d):
         sigma_perm[s + 2 * i + 1] = e
     layers.extend(_permutation_layers(sigma_perm, l))
 
-    return make_word(k, layers)
+    # Every layer above is a Layer whose width chains from k by
+    # construction, so make_word's checks are skipped: a trusted Word.
+    return Word(k, tuple(layers))
 
 
 def word_to_text(w):

@@ -1,6 +1,8 @@
 """Oracle tests for ranks, kernels, commutants, and ideal spans of the
 tensor-representation functor at desk scale."""
 
+from math import factorial
+
 import pytest
 
 from brauer import (
@@ -23,11 +25,12 @@ from brauer import (
 )
 from brauer.diagram import e_i, identity
 from brauer.functor import _morphism_to_spec_field, guard_cells
-from brauer.invariants import (_commutant_group, _reflection, _word_classes,
-                               derived_action)
+from brauer.invariants import (_commutant_group, _reflection,
+                               _vectorized_rows, _word_classes, derived_action)
 from brauer.linalg import EliminationBasis
 from brauer.linear import (from_diagram, lin_compose, lin_tensor,
                            make_morphism, morphism_to_json)
+from brauer.rings import PrimeField
 
 O2 = group_spec("o", 2)
 O3 = group_spec("o", 3)
@@ -125,6 +128,127 @@ def _oracle_kernel_basis(k, l, spec):
     return [make_morphism(k, l, {diagrams[i]: c for i, c in vec.items()},
                           ring=spec.ring, delta=spec.delta_value())
             for vec in basis.nullspace(range(len(diagrams)))]
+
+
+# Oracle: the full-width vectorized rows, kept only to cross-check the rows
+# built on one column per class of proportional columns.  Each diagram's
+# m^l x m^k matrix is flattened row-major over all m^(k+l) columns and the
+# rows, tagged in reverse diagram order, go through one elimination: its
+# rank and its tag-led rows give hom_rank, kernel_dimension and
+# kernel_basis.
+
+def _oracle_vectorized_rows(k, l, spec):
+    diagrams = enumerate_diagrams(k, l)
+    cols = spec.m ** k
+    rows = []
+    for d in diagrams:
+        mat = functor_matrix(d, spec)
+        rows.append({i * cols + j: v for (i, j), v in mat.entries.items()})
+    return diagrams, rows
+
+
+def _oracle_rank_and_kernel(k, l, spec):
+    diagrams, rows = _oracle_vectorized_rows(k, l, spec)
+    n = len(diagrams)
+    top = spec.m ** (k + l) + n - 1
+    basis = EliminationBasis(spec.ring)
+    for idx, row in enumerate(rows):
+        row[top - idx] = 1
+        basis.add_row(row)
+    ring = spec.ring
+    kernel = []
+    for lead in sorted((c for c in basis.pivots if c > top - n), reverse=True):
+        vec = basis.pivots[lead]
+        if isinstance(ring, PrimeField):
+            inv = pow(vec[lead], -1, ring.p)
+            vec = {c: v * inv % ring.p for c, v in vec.items()}
+        kernel.append(make_morphism(k, l, {diagrams[top - c]: v
+                                           for c, v in vec.items()},
+                                    ring=ring, delta=spec.delta_value()))
+    return n - len(kernel), kernel
+
+
+def _oracle_class_columns(k, l, spec):
+    """The full-width column of each class of proportional columns that a
+    short row column stands for, and the short column expected there: the
+    smallest member's column of +-1 signs by diagram, in column order."""
+    _, rows = _oracle_vectorized_rows(k, l, spec)
+    one = spec.ring.one()
+    by_cell = {}
+    for idx, row in enumerate(rows):
+        for cell, v in row.items():
+            by_cell.setdefault(cell, []).append((idx, 1 if v == one else -1))
+    seen = set()
+    kept = []
+    for cell in sorted(by_cell):
+        col = tuple(by_cell[cell])
+        if col not in seen:
+            seen.add(col)
+            seen.add(tuple((idx, -s) for idx, s in col))
+            kept.append((cell, col))
+    return rows, kept
+
+
+def _invariant_grid():
+    """O(1)-O(4), Sp(2), Sp(4), Sp(6) over QQ, F_7 and F_101, at every point
+    count k + l <= 8."""
+    groups = [("o", m) for m in range(1, 5)] + [("sp", m) for m in (2, 4, 6)]
+    for family, m in groups:
+        for modulus in (None, 7, 101):
+            spec = group_spec(family, m, modulus=modulus,
+                              allow_small_modulus=True)
+            for n in range(9):
+                yield spec, n
+
+
+def _grid_id(value):
+    return value.label() if hasattr(value, "label") else str(value)
+
+
+# Oracle: dim End_G(V^(x)r) by Howe duality.  As an S_2r-module B(0, 2r) is
+# the sum of S^(2mu) over the partitions mu of r, each once, and the
+# invariants keep the f^lambda with lambda = 2mu, l(mu) <= m, for O(m), and
+# lambda = (2mu)', mu_1 <= n, for Sp(2n).
+
+def _partitions(r, largest):
+    """Partitions of r with parts at most largest, as non-increasing
+    tuples."""
+    if r == 0:
+        yield ()
+        return
+    for first in range(min(r, largest), 0, -1):
+        for rest in _partitions(r - first, first):
+            yield (first,) + rest
+
+
+def _conjugate(shape):
+    return tuple(sum(1 for row in shape if row > j)
+                 for j in range(shape[0] if shape else 0))
+
+
+def _hook_length_count(shape):
+    """f^shape, the number of standard Young tableaux, by the hook length
+    formula."""
+    cols = _conjugate(shape)
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j) + (cols[j] - i) - 1
+    return factorial(sum(shape)) // hooks
+
+
+def _howe_rank(spec, points):
+    if points % 2:
+        return 0
+    total = 0
+    for mu in _partitions(points // 2, points // 2):
+        double = tuple(2 * part for part in mu)
+        if spec.family == "orthogonal":
+            if len(mu) <= spec.m:
+                total += _hook_length_count(double)
+        elif not mu or mu[0] <= spec.m // 2:
+            total += _hook_length_count(_conjugate(double))
+    return total
 
 
 # Oracle: the full-unknown commutant, kept only to cross-check the
@@ -509,3 +633,56 @@ class TestPrimeCharacteristic:
         spec = group_spec("o", 3, modulus=7)
         assert hom_rank(3, 3, spec) == 15
         assert kernel_dimension(4, 4, spec) == 14
+
+
+class TestColumnClasses:
+    @pytest.mark.parametrize("spec,n", list(_invariant_grid()), ids=_grid_id)
+    def test_rank_and_kernel_match_oracles(self, spec, n):
+        # Two independent oracles: the full-width elimination, and for the
+        # rank the Howe duality sum (F_7 and F_101 give the same ranks).
+        for k in range(n + 1):
+            rank, kernel = _oracle_rank_and_kernel(k, n - k, spec)
+            assert hom_rank(k, n - k, spec) == rank == _howe_rank(spec, n)
+            assert kernel_dimension(k, n - k, spec) == len(kernel)
+            assert kernel_basis(k, n - k, spec) == kernel
+
+    @pytest.mark.parametrize("spec,k,l,classes", [
+        (O4, 4, 4, 379), (O3, 4, 4, 274), (SP4, 4, 4, 630), (SP2, 5, 5, 126),
+    ], ids=_grid_id)
+    def test_class_counts(self, spec, k, l, classes):
+        _, rows, width = _vectorized_rows(k, l, spec)
+        assert width == classes
+        assert max(max(row) for row in rows) == classes - 1
+
+    @pytest.mark.parametrize("spec,k,l", [
+        (O3, 4, 4), (O3_F7, 3, 3), (SP2, 3, 5), (SP4, 4, 2), (SP2_F5, 2, 2),
+        (O1, 3, 3), (O2, 0, 6), (SP4, 4, 4),
+    ], ids=_grid_id)
+    def test_rows_keep_the_smallest_member_of_each_class(self, spec, k, l):
+        # Column c of the short rows is +-1 times the full-width column of
+        # the c-th class's smallest member, classes taken in column order;
+        # elimination then leads with the same columns in the same order.
+        full_rows, kept = _oracle_class_columns(k, l, spec)
+        _, rows, width = _vectorized_rows(k, l, spec)
+        assert width == len(kept)
+        for c, (_, col) in enumerate(kept):
+            short = tuple((idx, row[c]) for idx, row in enumerate(rows)
+                          if c in row)
+            assert short in (col, tuple((idx, -s) for idx, s in col))
+        full, short = EliminationBasis(spec.ring), EliminationBasis(spec.ring)
+        for full_row, row in zip(full_rows, rows):
+            assert full.add_row(full_row) == short.add_row(row)
+            assert [kept[c][0] for c in short.pivot_columns()] == \
+                full.pivot_columns()
+
+    @pytest.mark.parametrize("spec,n,expected", [
+        (O3, 8, 91), (O2, 8, 35), (SP2, 10, 42), (SP4, 8, 84),
+        (O4, 8, 105), (group_spec("sp", 6), 10, 909),
+        (group_spec("sp", 8), 10, 944), (O1, 12, 1), (SP2, 0, 1),
+    ], ids=_grid_id)
+    def test_howe_sum_matches_known_ranks(self, spec, n, expected):
+        assert _howe_rank(spec, n) == expected
+
+    def test_riordan_rank_at_five_five(self):
+        # R_10 = 603: the O(3) rank on ten points, past the oracle grid.
+        assert hom_rank(5, 5, O3) == _howe_rank(O3, 10) == 603

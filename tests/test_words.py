@@ -17,6 +17,7 @@ from brauer.rewrite import (
     verify_relation_soundness,
 )
 from brauer.words import (
+    Layer,
     WordError,
     evaluate_word,
     make_word,
@@ -79,6 +80,18 @@ def test_round_trip_exhaustive():
         for l in range(0, 9 - k):
             for d in enumerate_diagrams(k, l):
                 assert evaluate_word(synthesize_word(d)) == (0, d)
+
+
+def test_synthesized_words_equal_validated_words():
+    # synthesize_word skips make_word's checks; every word it builds must
+    # still be one make_word accepts and rebuilds equal, of Layer values.
+    for k in range(0, 9):
+        for l in range(0, 9 - k):
+            for d in enumerate_diagrams(k, l):
+                w = synthesize_word(d)
+                assert w == make_word(k, w.layers)
+                assert all(type(lay) is Layer for lay in w.layers)
+                assert type(w.layers) is tuple
 
 
 def test_text_round_trip():

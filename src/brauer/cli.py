@@ -15,10 +15,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .diagram import (DiagramError, compose, diagram_from_json,
+from .diagram import (DiagramError, compose, diagram_count, diagram_from_json,
                       diagram_to_json, star, tensor)
 from .elements import ElementError, d_pq, e_p_formula, phi, sigma
-from .functor import (FunctorError, functor_matrix, group_spec,
+from .functor import (FunctorError, closure_trace, functor_matrix, group_spec,
                       matrix_to_json, trace_check)
 from .invariants import (hom_rank, ideal_span_dimension, kernel_basis,
                          kernel_dimension, tensor_ideal_span_dimension)
@@ -27,7 +27,7 @@ from .linear import (MorphismError, morphism_from_json, morphism_to_json,
                      reduce_mod_p, specialize_delta)
 from .report import all_passed, report_json
 from .rewrite import RewriteError
-from .rings import QQ, QQ_DELTA, RingError
+from .rings import QQ, QQ_DELTA, PrimeField, RingError
 from .verify import SUITE_NAMES, run_suite
 from .words import WordError, evaluate_word, synthesize_word, word_from_text, word_to_text
 
@@ -90,7 +90,6 @@ def _ring_and_delta(args):
     if modulus is not None:
         if delta is None:
             raise ValueError("a prime-field run needs a numeric --delta")
-        from .rings import PrimeField
         ring = PrimeField(modulus)
         if delta.denominator != 1:
             num = ring.from_int(delta.numerator)
@@ -102,12 +101,22 @@ def _ring_and_delta(args):
     return QQ, delta
 
 
+def _dimension_from_args(args):
+    """--m, or 2n for the symplectic shorthand --n; None if neither is given."""
+    n = args.n
+    if n is None:
+        return args.m
+    if args.family != "sp":
+        raise ValueError("--n is symplectic shorthand for m = 2n; it needs "
+                         "--family sp")
+    if args.m is not None and args.m != 2 * n:
+        raise ValueError("--m %d disagrees with --n %d: --n means m = 2n"
+                         % (args.m, n))
+    return 2 * n
+
+
 def _group_from_args(args):
-    m = args.m
-    if m is None and getattr(args, "n", None) is not None:
-        if args.family is None:
-            raise ValueError("--n requires --family sp")
-        m = 2 * args.n
+    m = _dimension_from_args(args)
     if args.family is None or m is None:
         raise ValueError("this command needs --family {o|sp} and --m (or --n)")
     return group_spec(args.family, m, modulus=getattr(args, "modulus", None),
@@ -238,7 +247,6 @@ def _generator_from_flag(text, spec):
     else:
         gen = morphism_from_json(_load_json_arg(text))
     if gen.ring != spec.ring and gen.delta is not None:
-        from .rings import PrimeField
         if isinstance(spec.ring, PrimeField):
             gen = reduce_mod_p(gen, spec.ring.p)
     return gen
@@ -322,13 +330,10 @@ def _dispatch(args, fmt):
     if cmd == "trace":
         spec = _group_from_args(args)
         d = diagram_from_json(_load_json_arg(args.diagram))
-        mat = functor_matrix(d, spec)
-        ring = spec.ring
-        from .diagram import closure_loops
-        expected = ring.mul(ring.power(ring.from_int(spec.eps), d.k),
-                            ring.power(spec.delta_value(), closure_loops(d)))
+        expected = closure_trace(d, spec)
         agree = trace_check(d, spec)
-        _emit({"matrix_trace": ring.fmt(mat.trace()),
+        ring = spec.ring
+        _emit({"matrix_trace": ring.fmt(functor_matrix(d, spec).trace()),
                "closure_trace": ring.fmt(expected),
                "agree": agree}, fmt)
         return 0 if agree else 1
@@ -336,9 +341,8 @@ def _dispatch(args, fmt):
     if cmd == "rank":
         spec = _group_from_args(args)
         rank = hom_rank(args.k, args.l, spec)
-        from .diagram import enumerate_diagrams
-        dim = len(enumerate_diagrams(args.k, args.l))
-        _emit({"rank": rank, "kernel_dim": dim - rank}, fmt)
+        _emit({"rank": rank, "kernel_dim": diagram_count(args.k, args.l) - rank},
+              fmt)
         return 0
 
     if cmd == "kernel":
@@ -353,13 +357,17 @@ def _dispatch(args, fmt):
         return 0
 
     if cmd == "ideal-span":
+        if args.slice_kl is not None and (args.gen is not None
+                                          or args.r is not None):
+            raise ValueError("ideal-span takes --slice K,L alone, or --gen "
+                             "with --r; not both")
         spec = _group_from_args(args)
-        if args.slice_kl:
+        if args.slice_kl is not None:
             k, l = _int_pair("--slice", "K,L", args.slice_kl)
             dim = tensor_ideal_span_dimension(k, l, spec)
             _emit({"dimension": dim}, fmt)
             return 0
-        if not args.gen or args.r is None:
+        if args.gen is None or args.r is None:
             raise ValueError("ideal-span needs --slice K,L, or --gen with --r")
         gen = _generator_from_flag(args.gen, spec)
         _emit({"dimension": ideal_span_dimension(args.r, gen, spec)}, fmt)
@@ -369,9 +377,7 @@ def _dispatch(args, fmt):
         options = {"include_optional": args.include_optional}
         if args.family is not None:
             options["family"] = args.family
-        m = args.m
-        if m is None and args.n is not None:
-            m = 2 * args.n
+        m = _dimension_from_args(args)
         if m is not None:
             options["m"] = m
         checks = run_suite(args.suite, **options)

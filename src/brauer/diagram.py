@@ -5,6 +5,11 @@ the bottom boundary and l on the top.  Composition stacks one diagram on top
 of another, gluing the middle boundary, deleting closed loops (their count is
 returned alongside the residual diagram), and tensor is juxtaposition.
 
+A diagram is stored in one canonical form, its partner tuple (partner[i] is
+the node joined to i); composition, relabelings, equality, hashing and order
+all read it.  The arc list ``pairs`` is derived at the boundary: for JSON,
+repr and the validating constructor ``Diagram(k, l, pairs)``.
+
 Node convention (the single 0-based/1-based bridge for the whole package):
 internally nodes are 0-based, bottom 0..k-1 left to right, then top k..k+l-1
 left to right.  The algebra literature numbers strands 1-based; the generator
@@ -35,13 +40,17 @@ def _check_sizes(error, what, **sizes):
 
 
 class Diagram:
-    """Immutable canonical (k, l) perfect matching.
+    """Immutable (k, l) perfect matching.
 
-    pairs is the canonical form: each arc stored (min, max), arcs sorted
-    lexicographically.  partner is the involution as a flat tuple.
+    partner is the canonical form: the involution on the k + l nodes as a
+    flat tuple, partner[i] being the node joined to i.  Equality, hash and
+    order read it.  pairs, the arcs (i, partner[i]) with i < partner[i] in
+    increasing order, is derived from it for JSON, repr and outside readers.
+    Ordering by partner equals ordering by pairs: at the first node where two
+    partner tuples differ, that node is the smaller end of an arc in both.
     """
 
-    __slots__ = ("k", "l", "pairs", "partner", "_hash")
+    __slots__ = ("k", "l", "partner", "_hash")
 
     def __init__(self, k, l, pairs):
         _check_sizes(DiagramError, "valency", k=k, l=l)
@@ -64,43 +73,43 @@ class Diagram:
             raise DiagramError(
                 "pairs do not cover all %d nodes of a (%d, %d) diagram" % (n, k, l)
             )
-        self.k = k
-        self.l = l
-        self.partner = tuple(partner)
-        self.pairs = tuple((i, partner[i]) for i in range(n) if i < partner[i])
-        self._hash = hash((k, l, self.pairs))
+        _finish(self, k, l, partner)
 
     @staticmethod
     def _from_partner(k, l, partner):
-        d = object.__new__(Diagram)
-        d.k = k
-        d.l = l
-        d.partner = tuple(partner)
-        d.pairs = tuple((i, partner[i]) for i in range(k + l) if i < partner[i])
-        d._hash = hash((k, l, d.pairs))
-        return d
+        """Trusted constructor: partner must already be an involution."""
+        return _finish(object.__new__(Diagram), k, l, partner)
+
+    @property
+    def pairs(self):
+        return tuple((i, j) for i, j in enumerate(self.partner) if i < j)
 
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self.k == other.k and self.l == other.l and self.pairs == other.pairs
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return self.k == other.k and self.partner == other.partner
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
-        return (self.k, self.l, self.pairs) < (other.k, other.l, other.pairs)
+        return (self.k, self.l, self.partner) < (other.k, other.l, other.partner)
 
     def __repr__(self):
         return "Diagram(%d, %d, %r)" % (self.k, self.l, list(self.pairs))
 
     def through_count(self):
         """Number of arcs joining the bottom boundary to the top."""
-        return sum(1 for a, b in self.pairs if a < self.k <= b)
+        k = self.k
+        return sum(1 for j in self.partner[:k] if j >= k)
+
+
+def _finish(d, k, l, partner):
+    d.k = k
+    d.l = l
+    d.partner = partner = tuple(partner)
+    d._hash = hash((k, partner))
+    return d
 
 
 def make_diagram(k, l, pairs):
@@ -123,45 +132,34 @@ def compose(d1, d2):
 
 def tensor(d1, d2):
     """Juxtaposition, left factor on the left."""
-    k = d1.k + d2.k
-    l = d1.l + d2.l
-    partner = [-1] * (k + l)
-
-    def map1(i):
-        return i if i < d1.k else k + (i - d1.k)
-
-    def map2(i):
-        return d1.k + i if i < d2.k else k + d1.l + (i - d2.k)
-
-    for a, b in d1.pairs:
-        a, b = map1(a), map1(b)
-        partner[a] = b
-        partner[b] = a
-    for a, b in d2.pairs:
-        a, b = map2(a), map2(b)
-        partner[a] = b
-        partner[b] = a
-    return Diagram._from_partner(k, l, partner)
+    k1, l1, k2, l2 = d1.k, d1.l, d2.k, d2.l
+    k = k1 + k2
+    l = l1 + l2
+    n1 = k1 + l1
+    # Relabel the disjoint union: d1's nodes first, then d2's shifted by n1.
+    new = [*range(k1), *range(k, k + l1), *range(k1, k), *range(k + l1, k + l)]
+    return _relabel(d1.partner + tuple(n1 + j for j in d2.partner), k, l, new)
 
 
-def _relabel(d, k, l, node_map):
-    partner = [-1] * (k + l)
-    for a, b in d.pairs:
-        a, b = node_map(a), node_map(b)
-        partner[a] = b
-        partner[b] = a
-    return Diagram._from_partner(k, l, partner)
+def _relabel(partner, k, l, new):
+    """The (k, l) diagram joining new[i] to new[partner[i]] for every node i."""
+    out = [0] * (k + l)
+    for i, j in enumerate(partner):
+        out[new[i]] = new[j]
+    return Diagram._from_partner(k, l, out)
 
 
 def star(d):
     """Reflection in a horizontal line: (k,l) -> (l,k)."""
-    return _relabel(d, d.l, d.k, lambda i: d.l + i if i < d.k else i - d.k)
+    k, l = d.k, d.l
+    return _relabel(d.partner, l, k, [*range(l, l + k), *range(l)])
 
 
 def sharp(d):
     """Reflection in a vertical line: left-right mirror."""
     k, l = d.k, d.l
-    return _relabel(d, k, l, lambda i: k - 1 - i if i < k else k + (l - 1 - (i - k)))
+    return _relabel(d.partner, k, l, [*range(k - 1, -1, -1),
+                                      *range(k + l - 1, k - 1, -1)])
 
 
 def ast(d):
@@ -243,15 +241,8 @@ def raise_diagram(d):
     k, l = d.k, d.l
     if k < 1:
         raise DiagramError("raise needs at least one bottom node")
-
-    def node_map(i):
-        if i < k - 1:
-            return i
-        if i == k - 1:
-            return (k - 1) + l
-        return (k - 1) + (i - k)
-
-    return _relabel(d, k - 1, l + 1, node_map)
+    new = [*range(k - 1), k - 1 + l, *range(k - 1, k - 1 + l)]
+    return _relabel(d.partner, k - 1, l + 1, new)
 
 
 def lower_diagram(d):
@@ -259,15 +250,7 @@ def lower_diagram(d):
     k, l = d.k, d.l
     if l < 1:
         raise DiagramError("lower needs at least one top node")
-
-    def node_map(i):
-        if i < k:
-            return i
-        if i == k + l - 1:
-            return k
-        return (k + 1) + (i - k)
-
-    return _relabel(d, k + 1, l - 1, node_map)
+    return _relabel(d.partner, k + 1, l - 1, [*range(k), *range(k + 1, k + l), k])
 
 
 def rotate_right(d, p):
@@ -283,19 +266,11 @@ def rotate_right(d, p):
     if not 0 <= p <= r:
         raise DiagramError("rotation amount %d out of range 0..%d" % (p, r))
 
-    def node_map(i):
-        if i < r:  # bottom position i
-            if i < r - p:
-                return i
-            t = i - (r - p)
-            return r + (r - 1 - t)  # new top position r-1-t
-        j = i - r  # top position j
-        if j < r - p:
-            return r + j
-        t = j - (r - p)
-        return r - 1 - t  # new bottom position r-1-t
-
-    return _relabel(d, r, r, node_map)
+    # Bottom position r-p+t becomes top position r-1-t, and top position
+    # r-p+t becomes bottom position r-1-t; the first r-p strands stay put.
+    new = [*range(r - p), *range(2 * r - 1, 2 * r - 1 - p, -1),
+           *range(r, 2 * r - p), *range(r - 1, r - 1 - p, -1)]
+    return _relabel(d.partner, r, r, new)
 
 
 def diagram_count(k, l):

@@ -19,7 +19,8 @@ from itertools import chain, permutations
 from math import factorial
 
 from . import diagram as dg
-from .diagram import Diagram, closure_loops, identity, lower_diagram, make_diagram, tensor
+from .diagram import (Diagram, _check_sizes, _is_int, closure_loops, identity,
+                      lower_diagram, make_diagram, tensor)
 from .functor import guard_cells
 from .linear import (
     Morphism,
@@ -114,10 +115,9 @@ def from_permutation(pi, ring=QQ_DELTA, delta=None):
 
 def sigma(eps, r, ring=QQ_DELTA, delta=None):
     """Sum over Sym_r of (-eps)^length; symmetrizer for eps=-1, antisymmetrizer for +1."""
-    if eps not in (1, -1):
+    if not _is_int(eps) or eps not in (1, -1):
         raise ElementError("eps must be +1 or -1")
-    if r < 0:
-        raise ElementError("degree must be nonnegative")
+    _check_sizes(ElementError, "sigma", r=r)
     guard_cells(range(2, r + 1), "a sum over Sym_%d needs %d! terms" % (r, r),
                 ElementError)
     terms = {}
@@ -132,8 +132,7 @@ def antisymmetrizer_block(k, l, r, ring=QQ_DELTA, delta=None):
 
     Equals the identity whenever k >= l.
     """
-    if r < 0:
-        raise ElementError("degree must be nonnegative")
+    _check_sizes(ElementError, "antisymmetrizer window", k=k, l=l, r=r)
     if k >= l:
         return identity_morphism(r, ring=ring, delta=delta)
     if not (1 <= k and l <= r):
@@ -161,8 +160,7 @@ def e_i_j(i, j, r, ring=QQ_DELTA, delta=None):
     The factors act on pairwise disjoint strand pairs; e_i_j(i, 0, r) is the
     identity.
     """
-    if j < 0:
-        raise ElementError("j must be nonnegative")
+    _check_sizes(ElementError, "nested window", i=i, j=j, r=r)
     if j > 0 and not (1 <= i - j + 1 and i + j <= r):
         raise ElementError(
             "nested window (i=%d, j=%d) out of range for %d strands" % (i, j, r)
@@ -183,6 +181,7 @@ def phi(n):
     diagram of e_i o sum has one preimage that closes a loop and two for
     each of its other n arcs, so its coefficient is delta + 2n = 0.
     """
+    _check_sizes(ElementError, "phi", n=n)
     if n < 1:
         raise ElementError("phi requires n >= 1")
     r = n + 1
@@ -192,9 +191,11 @@ def phi(n):
                          ring=QQ, delta=Fraction(-2 * n))
 
 
-def _check_ep_degree(m):
-    if m < 1:
+def _check_ep_degree(m, **indices):
+    """m must be an int >= 1 and every index a non-negative int."""
+    if _is_int(m) and m < 1:
         raise ElementError("E_p requires m >= 1, got m=%d" % m)
+    _check_sizes(ElementError, "E_p", m=m, **indices)
 
 
 def _guard_ep_terms(m, i):
@@ -208,7 +209,7 @@ def _guard_ep_terms(m, i):
 
 def f_p(m, p, ring=None, delta=None):
     """Product of antisymmetrizer blocks on [1, p] and [p+1, m+1] in degree m+1."""
-    _check_ep_degree(m)
+    _check_ep_degree(m, p=p)
     if ring is None:
         ring, delta = QQ, Fraction(m)
     r = m + 1
@@ -225,8 +226,8 @@ def e_p_rotation(m, p, ring=None, delta=None):
     antisymmetrizer E_i; coefficients stay +-1.  Budgeted like
     :func:`e_p_formula`, before Sigma is built.
     """
-    _check_ep_degree(m)
-    if not 0 <= p <= m + 1:
+    _check_ep_degree(m, p=p)
+    if not p <= m + 1:
         raise ElementError("rotation count %d out of range" % p)
     _guard_ep_terms(m, m + 1 - p)
     if ring is None:
@@ -254,8 +255,8 @@ def e_p_formula(m, i, ring=None, delta=None):
     ElementError is raised before anything is built when (m+1)! * 2(m+1)
     exceeds the cell budget, or when m < 1.
     """
-    _check_ep_degree(m)
-    if not 0 <= i <= m + 1:
+    _check_ep_degree(m, i=i)
+    if not i <= m + 1:
         raise ElementError("index %d out of range" % i)
     _guard_ep_terms(m, i)
     if ring is None:
@@ -283,7 +284,8 @@ def d_pq(n, p, q, ring=None, delta=None):
     nested arcs, and the last q wrap around the right to the bottom
     boundary in reversed order.  The result is square of degree 2n+1-p+q.
     """
-    if n < 0 or not 0 <= q <= p <= n:
+    _check_sizes(ElementError, "D(p, q)", n=n, p=p, q=q)
+    if not q <= p <= n:
         raise ElementError("need 0 <= q <= p <= n")
     if ring is None:
         ring, delta = QQ, Fraction(-2 * n)

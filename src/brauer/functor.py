@@ -507,16 +507,21 @@ def functor_matrix_layered(x, spec):
                                 _drop_zeros(ring, entries))
 
 
-def trace_check(d, spec):
-    """Whether the matrix trace of a ``(r, r)`` diagram equals
-    ``eps^r * (eps*m)^loops`` with loops counted in the diagram closure."""
+def closure_trace(d, spec):
+    """``eps^r * (eps*m)^loops`` for a ``(r, r)`` diagram, with loops counted
+    in its closure: the trace its matrix must have."""
     if d.k != d.l:
         raise FunctorError("trace needs a square diagram, got (%d, %d)" % (d.k, d.l))
     ring = spec.ring
-    expected = ring.mul(
-        ring.power(ring.from_int(spec.eps), d.k),
-        ring.power(spec.delta_value(), closure_loops(d)))
-    return ring.eq(functor_matrix(d, spec).trace(), expected)
+    return ring.mul(ring.power(ring.from_int(spec.eps), d.k),
+                    ring.power(spec.delta_value(), closure_loops(d)))
+
+
+def trace_check(d, spec):
+    """Whether the matrix trace of a ``(r, r)`` diagram equals its
+    :func:`closure_trace`."""
+    expected = closure_trace(d, spec)
+    return spec.ring.eq(functor_matrix(d, spec).trace(), expected)
 
 
 def verify_pau(spec):

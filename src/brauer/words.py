@@ -126,9 +126,11 @@ def synthesize_word(d):
     cups.
     """
     k, l = d.k, d.l
-    through = sorted((a, b - k) for a, b in d.pairs if a < k <= b)
-    bottoms = sorted((a, b) for a, b in d.pairs if b < k)
-    tops = sorted((a - k, b - k) for a, b in d.pairs if a >= k)
+    # pairs are ordered by their smaller end, so each list below is sorted.
+    pairs = d.pairs
+    through = [(a, b - k) for a, b in pairs if a < k <= b]
+    bottoms = [(a, b) for a, b in pairs if b < k]
+    tops = [(a - k, b - k) for a, b in pairs if a >= k]
     s = len(through)
 
     tau = [0] * k

@@ -444,6 +444,41 @@ class TestIdealSpan:
         assert rc == 2
 
 
+class TestIgnoredFlagsAreRefused:
+    """Flag combinations that would otherwise be silently ignored exit 2."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rank", "--family", "o", "--n", "2", "--k", "2", "--l", "2"],
+         "--n is symplectic shorthand for m = 2n; it needs --family sp"),
+        (["rank", "--family", "sp", "--m", "4", "--n", "3", "--k", "2",
+          "--l", "2"],
+         "--m 4 disagrees with --n 3: --n means m = 2n"),
+        (["verify", "--suite", "pau", "--family", "sp", "--m", "4", "--n", "3"],
+         "--m 4 disagrees with --n 3: --n means m = 2n"),
+        (["verify", "--suite", "pau", "--n", "1"],
+         "--n is symplectic shorthand for m = 2n; it needs --family sp"),
+        (["ideal-span", "--family", "sp", "--m", "2", "--slice", "4,0",
+          "--gen", "phi:1", "--r", "3"],
+         "ideal-span takes --slice K,L alone, or --gen with --r; not both"),
+        (["ideal-span", "--family", "sp", "--m", "2", "--slice", "4,0",
+          "--r", "3"],
+         "ideal-span takes --slice K,L alone, or --gen with --r; not both"),
+    ], ids=["n-with-o", "m-n-disagree", "verify-m-n-disagree", "verify-n-alone",
+            "slice-with-gen", "slice-with-r"])
+    def test_refused_with_message(self, capsys, argv, message):
+        rc = run(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+    def test_agreeing_m_and_n_are_accepted(self, capsys):
+        rc, payload = invoke_json(capsys, "rank", "--family", "sp", "--m", "4",
+                                  "--n", "2", "--k", "2", "--l", "2")
+        assert rc == 0
+        assert payload == {"rank": 3, "kernel_dim": 0}
+
+
 class TestVerify:
     def test_relations_suite_passes(self, capsys):
         rc, payload = invoke_json(capsys, "verify", "--suite", "relations")
@@ -490,6 +525,9 @@ class TestGoldenOutput:
         ("ep_m3_p2.json", ["ep", "--m", "3", "--p", "2"]),
         ("kernel_o3_k4_l4.json",
          ["kernel", "--family", "o", "--m", "3", "--k", "4", "--l", "4"]),
+        ("kernel_sp4_k4_l4_p101.json",
+         ["kernel", "--family", "sp", "--m", "4", "--k", "4", "--l", "4",
+          "--modulus", "101"]),
         ("verify_all.json", ["verify", "--suite", "all"]),
     ])
     def test_output_matches_golden_file(self, capsys, name, argv):

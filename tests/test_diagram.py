@@ -3,6 +3,9 @@ tensor, involutions, constructors, raising/lowering, rotation, enumeration."""
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +238,56 @@ def test_json_round_trip():
         "l": 4,
         "pairs": [[0, 4], [1, 3], [2, 6], [5, 7]],
     }
+
+
+# Every (k, l) with k + l <= 8 and k + l even: 2,620 diagrams in all.
+SMALL_VALENCIES = [(k, n - k) for n in range(0, 9, 2) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("k,l", SMALL_VALENCIES)
+def test_partner_order_equals_pairs_order(k, l):
+    ds = enumerate_diagrams(k, l)
+    random.Random(k * 10 + l).shuffle(ds)
+    by_pairs = sorted(ds, key=lambda d: d.pairs)
+    assert sorted(ds, key=lambda d: d.partner) == by_pairs
+    assert sorted(ds) == by_pairs
+
+
+@pytest.mark.parametrize("k,l", SMALL_VALENCIES)
+def test_pairs_rebuild_the_same_diagram(k, l):
+    for d in enumerate_diagrams(k, l):
+        rebuilt = Diagram(k, l, d.pairs)
+        assert rebuilt == d
+        assert hash(rebuilt) == hash(d)
+        assert rebuilt.partner == d.partner
+        obj = json.loads(json.dumps(diagram_to_json(d)))
+        assert diagram_from_json(obj) == d
+        assert [tuple(arc) for arc in obj["pairs"]] == list(d.pairs)
+
+
+def _map_arcs(k, l, arcs, node_map):
+    """Reference relabeling: map every arc, then validate from scratch."""
+    return Diagram(k, l, [(node_map(a), node_map(b)) for a, b in arcs])
+
+
+@pytest.mark.parametrize("k,l", [(k, l) for k, l in SMALL_VALENCIES if k + l <= 6])
+def test_relabelings_match_arc_maps(k, l):
+    for d in enumerate_diagrams(k, l):
+        assert star(d) == _map_arcs(l, k, d.pairs,
+                                    lambda i: l + i if i < k else i - k)
+        assert sharp(d) == _map_arcs(
+            k, l, d.pairs, lambda i: k - 1 - i if i < k else 2 * k + l - 1 - i)
+        # cap on the left shifts every node of d by 2; cup on the right
+        # adds the two top nodes after d's; a crossing on the left shifts
+        # d's bottom nodes by 2 and its top nodes by 4.
+        assert tensor(cap(), d) == Diagram(
+            k + 2, l, [(0, 1)] + [(a + 2, b + 2) for a, b in d.pairs])
+        shift = [i + 2 if i < k else i + 4 for i in range(k + l)]
+        assert tensor(crossing(), d) == Diagram(
+            k + 2, l + 2,
+            [(0, k + 3), (1, k + 2)] + [(shift[a], shift[b]) for a, b in d.pairs])
+        assert tensor(d, cup()) == Diagram(
+            k, l + 2, list(d.pairs) + [(k + l, k + l + 1)])
 
 
 # --- properties -------------------------------------------------------------

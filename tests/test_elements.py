@@ -469,3 +469,22 @@ def test_integer_elements_have_int_coefficients(make):
     for c in values:
         coeffs = c.coeffs if isinstance(c, Poly) else (c,)
         assert all(v.__class__ is int for v in coeffs)
+
+
+@pytest.mark.parametrize("make,args", [
+    (phi, (True,)),
+    (phi, (1.5,)),
+    (sigma, (1, 2.0)),
+    (sigma, (True, 2)),
+    (e_p_rotation, (2.0, 1)),
+    (e_p_formula, (2, 1.0)),
+    (f_p, (2, "1")),
+    (d_pq, (1.0, 1, 0)),
+    (antisymmetrizer_block, (1, 2.5, 3)),
+    (e_i_j, (2, 1, 4.0)),
+], ids=["phi_bool", "phi_float", "sigma_float_r", "sigma_bool_eps",
+        "e_p_rotation_float_m", "e_p_formula_float_i", "f_p_str_p",
+        "d_pq_float_n", "antisymmetrizer_float_l", "e_i_j_float_r"])
+def test_constructors_reject_non_integer_parameters(make, args):
+    with pytest.raises(ElementError):
+        make(*args)

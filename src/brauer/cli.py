@@ -24,7 +24,7 @@ from .invariants import (hom_rank, ideal_span_dimension, kernel_basis,
                          kernel_dimension, tensor_ideal_span_dimension)
 from .linalg import LinAlgError
 from .linear import (MorphismError, morphism_from_json, morphism_to_json,
-                     reduce_mod_p, specialize_delta)
+                     reduce_mod_p)
 from .report import all_passed, report_json
 from .rewrite import RewriteError
 from .rings import QQ, QQ_DELTA, PrimeField, RingError
@@ -374,13 +374,9 @@ def _dispatch(args, fmt):
         return 0
 
     if cmd == "verify":
-        options = {"include_optional": args.include_optional}
-        if args.family is not None:
-            options["family"] = args.family
-        m = _dimension_from_args(args)
-        if m is not None:
-            options["m"] = m
-        checks = run_suite(args.suite, **options)
+        checks = run_suite(args.suite, family=args.family,
+                           m=_dimension_from_args(args),
+                           include_optional=args.include_optional)
         payload = {"suite": args.suite,
                    "total": len(checks),
                    "passed": sum(1 for c in checks if c.passed),

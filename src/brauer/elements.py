@@ -19,7 +19,7 @@ from itertools import chain, permutations
 from math import factorial
 
 from . import diagram as dg
-from .diagram import (Diagram, _check_sizes, _is_int, closure_loops, identity,
+from .diagram import (_check_sizes, _is_int, closure_loops, identity,
                       lower_diagram, make_diagram, tensor)
 from .functor import guard_cells
 from .linear import (
@@ -41,7 +41,7 @@ from .linear import (
     specialize_delta,
     zero_morphism,
 )
-from .report import check, check_bool
+from .report import check_bool
 from .rings import QQ, QQ_DELTA, Poly
 
 __all__ = [
@@ -75,12 +75,11 @@ class ElementError(ValueError):
 
 @dataclass(frozen=True)
 class AlgebraContext:
-    """Degree, coefficient ring, delta handling, and sign for one algebra."""
+    """Degree, coefficient ring and delta handling for one algebra."""
 
     r: int
     ring: object = QQ_DELTA
     delta: object = None
-    eps: int = 0
 
     def diagram(self, d):
         return from_diagram(d, ring=self.ring, delta=self.delta)

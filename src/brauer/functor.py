@@ -28,9 +28,9 @@ from functools import lru_cache
 from itertools import repeat
 
 from .diagram import Diagram, _check_sizes, closure_loops, crossing_count
-from .linear import Morphism, _drop_zeros, specialize_delta
+from .linear import Morphism, _coerce_coeff, _drop_zeros, specialize_delta
 from .report import check_bool
-from .rings import PolynomialsInDelta, PrimeField, Rationals, QQ
+from .rings import PolynomialsInDelta, PrimeField, Rationals, QQ, ring_from_name
 from .words import synthesize_word
 
 DEFAULT_MAX_CELLS = 10 ** 7
@@ -162,6 +162,7 @@ class ExactMatrix:
                                    % (i, j))
             if not (0 <= i < rows and 0 <= j < cols):
                 raise FunctorError("entry (%d, %d) outside %dx%d" % (i, j, rows, cols))
+            v = _coerce_coeff(ring, v, FunctorError)
             if not ring.is_zero(v):
                 clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
@@ -315,8 +316,6 @@ def matrix_to_json(mat):
 
 
 def matrix_from_json(obj):
-    from .rings import ring_from_name
-
     try:
         rows, cols = obj["rows"], obj["cols"]
         ring = ring_from_name(obj["ring"])
@@ -346,15 +345,16 @@ def generator_matrices(spec):
     for a in range(m):
         for b in range(m):
             swap[(b * m + a, a * m + b)] = eps_elt
-    x_mat = ExactMatrix(m * m, m * m, ring, swap)
-    a_mat = ExactMatrix(1, m * m, ring,
-                        {(0, a * m + b): v
-                         for a, row in enumerate(spec.gram)
-                         for b, v in enumerate(row) if not ring.is_zero(v)})
-    u_mat = ExactMatrix(m * m, 1, ring,
-                        {(a * m + b, 0): v
-                         for a, row in enumerate(spec.dual_change)
-                         for b, v in enumerate(row) if not ring.is_zero(v)})
+    # Built here from the spec's own ring elements, so trusted.
+    x_mat = ExactMatrix._trusted(m * m, m * m, ring, swap)
+    a_mat = ExactMatrix._trusted(1, m * m, ring,
+                                 {(0, a * m + b): v
+                                  for a, row in enumerate(spec.gram)
+                                  for b, v in enumerate(row) if not ring.is_zero(v)})
+    u_mat = ExactMatrix._trusted(m * m, 1, ring,
+                                 {(a * m + b, 0): v
+                                  for a, row in enumerate(spec.dual_change)
+                                  for b, v in enumerate(row) if not ring.is_zero(v)})
     return {"I": ident, "X": x_mat, "A": a_mat, "U": u_mat}
 
 

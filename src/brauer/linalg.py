@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .rings import PrimeField, Rationals, RingError
+from .rings import PrimeField, Rationals
 
 
 class LinAlgError(ValueError):
@@ -52,11 +52,15 @@ class EliminationBasis:
 
     def _prepare(self, row):
         """The row with zero entries dropped: a primitive integer vector
-        over the rationals, residues in [0, p) over F_p."""
+        over the rationals, residues in [0, p) over F_p.  Entries must be
+        ints (not bools), or Fractions over the rationals."""
         p = self._p
         if p is not None:
             out = {}
             for c, v in row.items():
+                if v.__class__ is not int:
+                    raise LinAlgError("row entry %r in column %r is not an int"
+                                      % (v, c))
                 v %= p
                 if v:
                     out[c] = v
@@ -66,7 +70,8 @@ class EliminationBasis:
         for c, v in row.items():
             if v.__class__ is not int:
                 if not isinstance(v, Fraction):
-                    v = Fraction(v)
+                    raise LinAlgError("row entry %r in column %r is not an int "
+                                      "or a Fraction" % (v, c))
                 d = v.denominator
                 if d == 1:
                     v = v.numerator

@@ -33,7 +33,6 @@ from .rings import (
     PolynomialsInDelta,
     PrimeField,
     Rationals,
-    RingError,
     rational,
     ring_from_name,
 )
@@ -43,9 +42,10 @@ class MorphismError(ValueError):
     """Raised for invalid morphism constructions or incompatible operands."""
 
 
-def _coerce_coeff(ring, value):
+def _coerce_coeff(ring, value, error=MorphismError):
+    """value as an element of ring, in canonical form; error otherwise."""
     if isinstance(value, bool):
-        raise MorphismError("boolean is not a coefficient")
+        raise error("boolean is not a coefficient")
     if isinstance(value, int):
         return ring.from_int(value)
     if isinstance(ring, Rationals) and isinstance(value, Fraction):
@@ -55,7 +55,7 @@ def _coerce_coeff(ring, value):
             return Poly.const(value)
         if isinstance(value, Poly):
             return value
-    raise MorphismError("coefficient %r does not belong to %s" % (value, ring))
+    raise error("coefficient %r does not belong to %s" % (value, ring))
 
 
 def _coerce_delta(ring, delta):
@@ -115,9 +115,6 @@ class Morphism:
         self.delta = delta
         self.terms = terms
         return self
-
-    def context(self):
-        return (self.ring, self.delta)
 
     def coeff(self, diagram):
         return self.terms.get(diagram, self.ring.zero())

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from brauer.report import Check, check
-from brauer.words import Layer, Word, WordError, evaluate_word, make_word
+from brauer.report import check
+from brauer.words import Layer, Word, evaluate_word, make_word
 
 
 class Rule(NamedTuple):

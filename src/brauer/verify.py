@@ -13,22 +13,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
-from .diagram import (_check_sizes, diagram_count, enumerate_diagrams,
-                      identity as identity_diagram)
-from .elements import (brauer_presentation_report, e_p_formula, e_p_rotation,
-                       phi, sigma, verify_afu, verify_sigma_cap,
-                       verify_sigma_identities)
-from .functor import (functor_matrix, functor_matrix_layered, group_spec,
-                      trace_check, verify_pau)
+from .diagram import _check_sizes, diagram_count, enumerate_diagrams, x_block
+from .elements import (AlgebraContext, brauer_presentation_report, e_p_formula,
+                       e_p_rotation, from_permutation, phi, sigma, verify_afu,
+                       verify_sigma_cap, verify_sigma_identities)
+from .functor import (_FAMILY_ALIASES, functor_matrix, functor_matrix_layered,
+                      group_spec, trace_check, verify_pau)
 from .invariants import (commutant_dimension, hom_rank, ideal_span_dimension,
                          kernel_basis, kernel_dimension,
                          tensor_ideal_span_dimension)
 from .linear import (block_act, from_diagram, integrality_check, lin_ast,
                      lin_compose, lin_scale, lin_tensor, make_morphism,
                      reduce_mod_p)
-from .report import Check, check, check_bool
+from .report import check, check_bool
 from .rewrite import verify_relation_soundness
 from .rings import QQ
 from .words import evaluate_word, synthesize_word
@@ -38,73 +38,64 @@ SUITE_NAMES = ("relations", "presentation", "sigma", "pau", "phi", "ep",
 
 _DESK_GROUPS = (("o", 2), ("o", 3), ("sp", 2), ("sp", 4))
 _SMALL_GROUPS = (("o", 2), ("o", 3), ("sp", 2))
+_EP_OPTIONAL_GROUPS = (("o", 4), ("o", 5))
+
+# The fixed sizes of the suites.
+WORD_MAX_NODES = 8
+PRESENTATION_MAX_R = 5
+SIGMA_MAX_R = 6
+SIGMA_CAP_MAX_K = 2
+AFU_MAX_M = 4
+PAU_PAIRS = 200
+PAU_SEED = 20260818
 
 
-def _check_m(m):
-    if m is not None:
-        _check_sizes(ValueError, "suite option", m=m)
+def _check_all(case, items, holds):
+    """A check that holds(x) for every item, naming the first that fails."""
+    bad = next((x for x in items if not holds(x)), None)
+    return check_bool(case, bad is None, "" if bad is None else repr(bad))
 
 
-def _restrict(groups, family=None, m=None):
-    _check_m(m)
-    out = []
-    for fam, dim in groups:
-        if family is not None and fam != {"orthogonal": "o", "symplectic": "sp"}.get(
-                str(family).lower(), str(family).lower()):
-            continue
-        if m is not None and dim != m:
-            continue
-        out.append((fam, dim))
-    return out
-
-
-def suite_relations(**_):
+def suite_relations():
     """Generator-relation soundness: both sides of every rewrite rule
     evaluate to the same scaled diagram at several paddings."""
     return verify_relation_soundness()
 
 
-def suite_word_roundtrip(max_nodes=8, **_):
-    """Synthesize a layered word for every diagram with k + l <= max_nodes
-    and evaluate it back; the result must be loop-free and equal."""
+def suite_word_roundtrip():
+    """Synthesize a layered word for every diagram with k + l <=
+    WORD_MAX_NODES and evaluate it back; the result must be loop-free and
+    equal."""
     checks = []
-    for total in range(0, max_nodes + 1, 2):
+    for total in range(0, WORD_MAX_NODES + 1, 2):
         for k in range(total + 1):
-            l = total - k
-            ok = True
-            bad = ""
-            for d in enumerate_diagrams(k, l):
-                loops, back = evaluate_word(synthesize_word(d))
-                if loops != 0 or back != d:
-                    ok = False
-                    bad = repr(d)
-                    break
-            checks.append(check_bool(
-                "word round-trip (%d, %d): %d diagrams"
-                % (k, l, len(enumerate_diagrams(k, l))), ok, bad))
+            ds = enumerate_diagrams(k, total - k)
+            checks.append(_check_all(
+                "word round-trip (%d, %d): %d diagrams" % (k, total - k, len(ds)),
+                ds, lambda d: evaluate_word(synthesize_word(d)) == (0, d)))
     return checks
 
 
-def suite_presentation(max_r=5, **_):
+def suite_presentation():
     """Defining relations of the diagram algebra over symbolic delta."""
     checks = []
-    for r in range(2, max_r + 1):
+    for r in range(2, PRESENTATION_MAX_R + 1):
         checks.extend(brauer_presentation_report(r))
     return checks
 
 
-def suite_sigma(max_r=6, cap_max_k=2, afu_max_m=4, **_):
+def suite_sigma():
     """Antisymmetrizer identities: recursion/closure/lowering for both
     signs, the cap identity with symbolic delta, and the bent-cap identity
     at the symplectic loop value."""
     checks = []
-    for r in range(1, max_r + 1):
+    for r in range(1, SIGMA_MAX_R + 1):
         checks.extend(verify_sigma_identities(r))
-    for r in range(2, max_r + 1):
-        for k in range(0, cap_max_k + 1):
+    for r in range(2, SIGMA_MAX_R + 1):
+        for k in range(0, SIGMA_CAP_MAX_K + 1):
             if 2 * k <= r:
                 checks.extend(verify_sigma_cap(r, k))
-    for m in range(1, afu_max_m + 1):
+    for m in range(1, AFU_MAX_M + 1):
         for i in range(1, m + 1):
             for k in range(0, min(i, m + 1 - i) + 1):
                 checks.extend(verify_afu(m, i, k))
@@ -121,38 +112,28 @@ def _random_morphism(rng, k, l, ring, delta):
     return make_morphism(k, l, terms, ring=ring, delta=delta)
 
 
-def suite_pau(family=None, m=None, pairs=200, seed=20260818, **_):
-    """Matrix relations of the generating pictures, agreement of the two
-    functor evaluators, multiplicativity on random morphism pairs, and the
+def suite_pau(groups):
+    """Matrix relations of the generating pictures on every group, and on
+    the groups of _SMALL_GROUPS among them agreement of the two functor
+    evaluators, multiplicativity on random morphism pairs, and the
     closure-trace rule."""
     checks = []
-    for fam, dim in _restrict(_DESK_GROUPS, family, m):
+    for fam, dim in groups:
         checks.extend(verify_pau(group_spec(fam, dim)))
 
-    for fam, dim in _restrict(_SMALL_GROUPS, family, m):
-        spec = group_spec(fam, dim)
-        ok = True
-        bad = ""
-        count = 0
-        for total in range(0, 7):
-            for k in range(total + 1):
-                l = total - k
-                if (k + l) % 2:
-                    continue
-                for d in enumerate_diagrams(k, l):
-                    count += 1
-                    if functor_matrix(d, spec) != functor_matrix_layered(d, spec):
-                        ok = False
-                        bad = repr(d)
-        checks.append(check_bool(
+    specs = [group_spec(*g) for g in groups if g in _SMALL_GROUPS]
+    upto6 = [d for total in range(0, 7, 2) for k in range(total + 1)
+             for d in enumerate_diagrams(k, total - k)]
+    for spec in specs:
+        checks.append(_check_all(
             "%s: direct and layered evaluation agree on %d diagrams"
-            % (spec.label(), count), ok, bad))
+            % (spec.label(), len(upto6)), upto6,
+            lambda d: functor_matrix(d, spec) == functor_matrix_layered(d, spec)))
 
-    specs = [group_spec(fam, dim) for fam, dim in _restrict(_SMALL_GROUPS, family, m)]
     if specs:
-        rng = random.Random(seed)
+        rng = random.Random(PAU_SEED)
         ok_compose = ok_tensor = True
-        for t in range(pairs):
+        for t in range(PAU_PAIRS):
             spec = specs[t % len(specs)]
             ring, delta = spec.ring, spec.delta_value()
             k, s, l = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
@@ -175,28 +156,22 @@ def suite_pau(family=None, m=None, pairs=200, seed=20260818, **_):
                 if lhs != rhs:
                     ok_tensor = False
         checks.append(check_bool(
-            "functor respects composition on %d random pairs" % pairs, ok_compose))
+            "functor respects composition on %d random pairs" % PAU_PAIRS,
+            ok_compose))
         checks.append(check_bool(
-            "functor respects juxtaposition on %d random pairs" % pairs, ok_tensor))
+            "functor respects juxtaposition on %d random pairs" % PAU_PAIRS,
+            ok_tensor))
 
-    for fam, dim in _restrict(_SMALL_GROUPS, family, m):
-        spec = group_spec(fam, dim)
-        ok = True
-        bad = ""
-        count = 0
-        for r in range(1, 5):
-            for d in enumerate_diagrams(r, r):
-                count += 1
-                if not trace_check(d, spec):
-                    ok = False
-                    bad = repr(d)
-        checks.append(check_bool(
-            "%s: closure-trace rule on %d square diagrams" % (spec.label(), count),
-            ok, bad))
+    squares = [d for r in range(1, 5) for d in enumerate_diagrams(r, r)]
+    for spec in specs:
+        checks.append(_check_all(
+            "%s: closure-trace rule on %d square diagrams"
+            % (spec.label(), len(squares)), squares,
+            lambda d: trace_check(d, spec)))
     return checks
 
 
-def suite_phi(**_):
+def suite_phi():
     """Symplectic quasi-idempotent: integrality, scaled idempotency,
     annihilation by every cap generator, flip and permutation invariance,
     functor vanishing, and the alternating binomial consequence."""
@@ -211,24 +186,15 @@ def suite_phi(**_):
         checks.append(check_bool("%s squares to (n+1)! times itself" % tag,
                                  lhs == rhs))
         ring, delta = ph.ring, ph.delta
-        ok = True
-        for i in range(1, n + 1):
-            from .elements import AlgebraContext
-            ctx = AlgebraContext(r=n + 1, ring=ring, delta=delta)
-            ei = ctx.e(i)
-            if not (lin_compose(ei, ph).is_zero() and lin_compose(ph, ei).is_zero()):
-                ok = False
+        ctx = AlgebraContext(r=n + 1, ring=ring, delta=delta)
+        ok = all(lin_compose(e, ph).is_zero() and lin_compose(ph, e).is_zero()
+                 for e in map(ctx.e, range(1, n + 1)))
         checks.append(check_bool("%s is annihilated by every cap generator" % tag, ok))
         checks.append(check_bool("%s is fixed by the rotation flip" % tag,
                                  lin_ast(ph) == ph))
-        from itertools import permutations
-        from .elements import from_permutation
-        ok = True
-        for pi in permutations(range(n + 1)):
-            pm = from_permutation(pi, ring=ring, delta=delta)
-            if lin_compose(pm, ph) != ph or lin_compose(ph, pm) != ph:
-                ok = False
-                break
+        perms = (from_permutation(pi, ring=ring, delta=delta)
+                 for pi in permutations(range(n + 1)))
+        ok = all(lin_compose(pm, ph) == ph == lin_compose(ph, pm) for pm in perms)
         checks.append(check_bool(
             "%s absorbs all %d permutations" % (tag, factorial(n + 1)), ok))
     for n in (1, 2):
@@ -236,29 +202,21 @@ def suite_phi(**_):
         checks.append(check_bool(
             "functor kills phi(%d) under %s" % (n, spec.label()),
             functor_matrix(phi(n), spec).is_zero()))
-    ok = True
-    for n in range(1, 9):
-        total = sum((-1) ** k * comb(n, k) * comb(2 * n - 2 * k, n - 1)
-                    for k in range(0, n + 1))
-        if total != 0:
-            ok = False
+    ok = all(sum((-1) ** k * comb(n, k) * comb(2 * n - 2 * k, n - 1)
+                 for k in range(0, n + 1)) == 0 for n in range(1, 9))
     checks.append(check_bool(
         "alternating binomial sum vanishes for n = 1..8", ok))
     return checks
 
 
-def suite_ep(include_optional=False, family=None, m=None, **_):
-    """Orthogonal kernel generators: the rotation construction matches the
-    closed formula, scaled absorption by the block antisymmetrizers,
-    annihilation by cap generators, flip and crossing-conjugation symmetry,
-    the p = 0 degenerate case, and functor vanishing."""
+def suite_ep(groups):
+    """Orthogonal kernel generators on the groups O(m): the rotation
+    construction matches the closed formula, scaled absorption by the block
+    antisymmetrizers, annihilation by cap generators, flip and
+    crossing-conjugation symmetry, the p = 0 degenerate case, and functor
+    vanishing (for m <= 3)."""
     checks = []
-    _check_m(m)
-    sizes = [2, 3] + ([4, 5] if include_optional else [])
-    if m is not None:
-        sizes = [d for d in sizes if d == m]
-    if family is not None and _restrict([("o", 2)], family, None) == []:
-        return checks
+    sizes = [dim for _, dim in groups]
     for dim in sizes:
         ring = QQ
         delta = Fraction(dim)
@@ -274,23 +232,15 @@ def suite_ep(include_optional=False, family=None, m=None, **_):
             ep = rot[dim + 1 - p]
             blocks = (p, dim + 1 - p)
             scaled = lin_scale(factorial(p) * factorial(dim + 1 - p), ep)
-            if block_act(ep, 1, top=blocks) != scaled:
-                ok = False
-            if block_act(ep, 1, bottom=blocks) != scaled:
-                ok = False
+            ok &= (block_act(ep, 1, top=blocks) == scaled
+                   == block_act(ep, 1, bottom=blocks))
         checks.append(check_bool(
             "m=%d: block antisymmetrizers absorb with factor p!(m+1-p)!" % dim, ok))
 
-        from .elements import AlgebraContext
         ctx = AlgebraContext(r=dim + 1, ring=ring, delta=delta)
-        ok = True
-        for p in range(0, dim + 2):
-            ep = rot[dim + 1 - p]
-            for i in range(1, dim + 1):
-                ei = ctx.e(i)
-                if not (lin_compose(ei, ep).is_zero()
-                        and lin_compose(ep, ei).is_zero()):
-                    ok = False
+        caps = [ctx.e(i) for i in range(1, dim + 1)]
+        ok = all(lin_compose(e, ep).is_zero() and lin_compose(ep, e).is_zero()
+                 for ep in rot.values() for e in caps)
         checks.append(check_bool(
             "m=%d: cap generators annihilate every bent antisymmetrizer" % dim, ok))
 
@@ -298,15 +248,12 @@ def suite_ep(include_optional=False, family=None, m=None, **_):
         checks.append(check_bool(
             "m=%d: rotation flip swaps the index to m+1-p" % dim, ok))
 
-        from .diagram import x_block
         ok = True
         for i in range(0, dim + 2):
             j = dim + 1 - i
             left = from_diagram(x_block(i, j), ring=ring, delta=delta)
             right = from_diagram(x_block(j, i), ring=ring, delta=delta)
-            conj = lin_compose(lin_compose(left, rot[dim + 1 - i]), right)
-            if conj != rot[dim + 1 - j]:
-                ok = False
+            ok &= lin_compose(lin_compose(left, rot[j]), right) == rot[i]
         checks.append(check_bool(
             "m=%d: crossing conjugation swaps the index" % dim, ok))
 
@@ -324,15 +271,13 @@ def suite_ep(include_optional=False, family=None, m=None, **_):
     return checks
 
 
-def suite_kernel(family=None, m=None, **_):
+def suite_kernel(groups):
     """Kernel theorems and fullness: kernel dimensions agree with the
     two-sided ideal spans of the quasi-idempotents, ranks hit the full
     diagram count in the injective range, tensor-ideal slices match
     kernels, and ranks equal commutant dimensions."""
     checks = []
-    fams = _restrict(_DESK_GROUPS, family, m)
-
-    if ("sp", 2) in fams:
+    if ("sp", 2) in groups:
         sp2 = group_spec("sp", 2)
         ph1 = phi(1)
         for r in (2, 3, 4):
@@ -352,7 +297,7 @@ def suite_kernel(family=None, m=None, **_):
             "Sp(2): kernel basis at (3, 3) has 15 - rank vectors, all killed",
             (15 - hom_rank(3, 3, sp2), 0), (len(basis), alive)))
 
-    if ("sp", 4) in fams:
+    if ("sp", 4) in groups:
         sp4 = group_spec("sp", 4)
         for r in (1, 2):
             checks.append(check(
@@ -365,7 +310,7 @@ def suite_kernel(family=None, m=None, **_):
         checks.append(check("Sp(4) r=3: kernel vs quasi-idempotent ideal",
                             kd, ideal_span_dimension(3, phi(2), sp4)))
 
-    if ("o", 2) in fams:
+    if ("o", 2) in groups:
         o2 = group_spec("o", 2)
         e1 = e_p_rotation(2, 1, ring=o2.ring, delta=o2.delta_value())
         for r in (3, 4):
@@ -376,7 +321,7 @@ def suite_kernel(family=None, m=None, **_):
         checks.append(check("O(2): kernel dimension at (2, 2) (injective range)",
                             0, kernel_dimension(2, 2, o2)))
 
-    if ("o", 3) in fams:
+    if ("o", 3) in groups:
         o3 = group_spec("o", 3)
         checks.append(check("O(3): kernel dimension at (3, 3) (injective range)",
                             0, kernel_dimension(3, 3, o3)))
@@ -385,7 +330,7 @@ def suite_kernel(family=None, m=None, **_):
         checks.append(check("O(3) r=4: kernel vs bent-antisymmetrizer ideal",
                             kd, ideal_span_dimension(4, e2, o3)))
 
-    for fam, dim in [g for g in (("sp", 2), ("o", 2)) if g in fams]:
+    for fam, dim in [g for g in (("sp", 2), ("o", 2)) if g in groups]:
         spec = group_spec(fam, dim)
         for (kk, ll) in ((4, 0), (3, 1), (2, 2)):
             tid = tensor_ideal_span_dimension(kk, ll, spec)
@@ -398,7 +343,7 @@ def suite_kernel(family=None, m=None, **_):
                     "%s slice (%d, %d): empty in the injective range"
                     % (spec.label(), kk, ll), 0, tid))
 
-    for fam, dim in _restrict(_SMALL_GROUPS, family, m):
+    for fam, dim in [g for g in groups if g in _SMALL_GROUPS]:
         spec = group_spec(fam, dim)
         for r in (1, 2, 3):
             checks.append(check(
@@ -408,7 +353,7 @@ def suite_kernel(family=None, m=None, **_):
     return checks
 
 
-def suite_charp(**_):
+def suite_charp():
     """Positive characteristic reruns: the quasi-idempotents still vanish
     under the functor and every kernel, ideal, and slice dimension matches
     its characteristic-zero value."""
@@ -459,27 +404,66 @@ _SUITE_FUNCS = {
     "relations": (suite_relations,),
     "presentation": (suite_word_roundtrip, suite_presentation),
     "sigma": (suite_sigma,),
-    "pau": (suite_pau,),
     "phi": (suite_phi,),
-    "ep": (suite_ep,),
-    "kernel": (suite_kernel,),
     "charp": (suite_charp,),
 }
 
+# The group suites, each with the groups it runs unfiltered.
+_GROUP_SUITES = {
+    "pau": (suite_pau, _DESK_GROUPS),
+    "ep": (suite_ep, (("o", 2), ("o", 3))),
+    "kernel": (suite_kernel, _DESK_GROUPS),
+}
 
-def run_suite(name, **options):
-    """Run one named suite (or 'all') and return its checks."""
-    if name == "all":
-        checks = []
-        for key in ("relations", "presentation", "sigma", "pau", "phi", "ep",
-                    "kernel", "charp"):
-            checks.extend(run_suite(key, **options))
-        return checks
-    funcs = _SUITE_FUNCS.get(name)
-    if funcs is None:
+
+def _select(name, groups, family, m):
+    """The groups matching the family and dimension filter, in suite
+    order; ValueError if there are none."""
+    if m is not None:
+        _check_sizes(ValueError, "suite option", m=m)
+    if family is not None:
+        key = _FAMILY_ALIASES.get(str(family).lower())
+        if key is None:
+            raise ValueError("unknown family %r (use 'o' or 'sp')" % (family,))
+    chosen = tuple(g for g in groups
+                   if (family is None or _FAMILY_ALIASES[g[0]] == key)
+                   and (m is None or g[1] == m))
+    if not chosen:
+        wanted = " ".join("--%s %s" % kv for kv in (("family", family), ("m", m))
+                          if kv[1] is not None)
+        raise ValueError("%s selects none of the groups of suite %s: %s" % (
+            wanted, name, ", ".join(group_spec(*g).label() for g in groups)))
+    return chosen
+
+
+def run_suite(name, family=None, m=None, include_optional=False):
+    """Run one named suite (or 'all') and return its checks.
+
+    family ('o' or 'sp') and m filter the groups of the group suites pau,
+    ep and kernel; include_optional adds O(4) and O(5) to ep, alone or in
+    'all'.  A flag the suite does not take, or a filter that selects none of
+    its groups, raises ValueError.
+    """
+    if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r; choose from %s"
                          % (name, ", ".join(SUITE_NAMES)))
-    checks = []
-    for func in funcs:
-        checks.extend(func(**options))
-    return checks
+    if include_optional and name not in ("ep", "all"):
+        raise ValueError("suite %s takes no --include-optional; only ep and "
+                         "all do" % name)
+    if name in _GROUP_SUITES:
+        func, groups = _GROUP_SUITES[name]
+        if include_optional:
+            groups += _EP_OPTIONAL_GROUPS
+        return func(_select(name, groups, family, m))
+    if family is not None or m is not None:
+        raise ValueError("suite %s takes no --family, --m or --n; only pau, "
+                         "ep and kernel do" % name)
+    if name == "all":
+        checks = []
+        for key in SUITE_NAMES[:-1]:
+            # Looked up through the module global, so a traced run_suite
+            # sees one call per suite.
+            checks.extend(run_suite(key, include_optional=include_optional
+                                    and key == "ep"))
+        return checks
+    return [c for func in _SUITE_FUNCS[name] for c in func()]

@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from brauer.diagram import (
-    Diagram,
-    DiagramError,
-    _check_sizes,
-    compose,
-    identity,
-    make_diagram,
-)
+from brauer.diagram import _check_sizes, cap, compose, crossing, cup, identity, tensor
 
 
 class Layer(NamedTuple):
@@ -70,14 +63,7 @@ def layer_diagram(lay):
     d = _LAYER_DIAGRAMS.get(lay)
     if d is None:
         a, g, b = lay
-        if g == "X":
-            mid = make_diagram(2, 2, [(0, 3), (1, 2)])
-        elif g == "A":
-            mid = make_diagram(2, 0, [(0, 1)])
-        else:
-            mid = make_diagram(0, 2, [(0, 1)])
-        from brauer.diagram import tensor
-
+        mid = {"X": crossing, "A": cap, "U": cup}[g]()
         d = tensor(tensor(identity(a), mid), identity(b))
         _LAYER_DIAGRAMS[lay] = d
     return d

@@ -57,11 +57,11 @@ def test_01_relation_soundness():
 
 
 def test_02_word_round_trip():
-    _run(2, "word-round-trip", suite_word_roundtrip(max_nodes=8))
+    _run(2, "word-round-trip", suite_word_roundtrip())
 
 
 def test_03_presentation():
-    _run(3, "presentation", suite_presentation(max_r=5))
+    _run(3, "presentation", suite_presentation())
 
 
 def test_04_symmetrizer_identities():

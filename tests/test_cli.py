@@ -10,6 +10,7 @@ import pytest
 
 import brauer
 from brauer import Check
+from brauer import verify
 from brauer.cli import run
 from brauer.functor import max_cells
 
@@ -507,10 +508,120 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["pau", "ep", "kernel"])
     @pytest.mark.parametrize("m", [2.9, 3.0, "3", True])
     def test_suite_dimension_is_not_truncated(self, suite, m):
-        from brauer.verify import run_suite
-
         with pytest.raises(ValueError, match="not a non-negative integer"):
-            run_suite(suite, m=m)
+            verify.run_suite(suite, m=m)
+
+    def test_misspelled_option_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            verify.run_suite("pau", famly="o")
+
+    @pytest.mark.parametrize("family", ["orthogonal", "O"])
+    def test_family_aliases_select_the_same_groups(self, family):
+        assert verify.run_suite("ep", family=family, m=2) == \
+            verify.run_suite("ep", family="o", m=2)
+
+    @pytest.mark.parametrize("suite,options,message", [
+        ("pau", {"family": "u"}, "unknown family 'u'"),
+        ("nope", {}, "unknown suite 'nope'"),
+        ("sigma", {"m": 2}, "suite sigma takes no --family, --m or --n"),
+    ])
+    def test_library_refusals(self, suite, options, message):
+        with pytest.raises(ValueError, match=message):
+            verify.run_suite(suite, **options)
+
+    def test_all_runs_each_suite_through_the_module_global(self, monkeypatch):
+        # A traced run_suite records one span per suite only if "all"
+        # looks run_suite up on the module for each of them.
+        real = verify.run_suite
+        calls = []
+
+        def recording(name, **options):
+            calls.append((name, options))
+            return []
+
+        monkeypatch.setattr(verify, "run_suite", recording)
+        assert real("all", include_optional=True) == []
+        assert calls == [(name, {"include_optional": name == "ep"})
+                         for name in verify.SUITE_NAMES if name != "all"]
+
+
+# One value of each verify filter flag, and the (suite, flag) pairings the
+# flag rules accept: --family/--m/--n go to pau, ep and kernel when they
+# select one of the suite's groups, --include-optional to ep and all.
+VERIFY_FLAGS = {
+    "family": ["--family", "sp"],
+    "m": ["--m", "2"],
+    "n": ["--family", "sp", "--n", "1"],
+    "include-optional": ["--include-optional"],
+}
+VERIFY_ACCEPTED = {
+    ("pau", "family"), ("pau", "m"), ("pau", "n"),
+    ("ep", "m"), ("ep", "include-optional"),
+    ("kernel", "family"), ("kernel", "m"), ("kernel", "n"),
+    ("all", "include-optional"),
+}
+
+
+class TestVerifyFlagRules:
+    @pytest.mark.parametrize("flag", sorted(VERIFY_FLAGS))
+    @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+    def test_each_pairing_runs_or_exits_two(self, capsys, suite, flag):
+        rc = run(["verify", "--suite", suite] + VERIFY_FLAGS[flag])
+        captured = capsys.readouterr()
+        if (suite, flag) in VERIFY_ACCEPTED:
+            assert rc == 0
+            payload = json.loads(captured.out)
+            assert payload["total"] == payload["passed"] >= 1
+            return
+        assert rc == 2
+        assert captured.out == ""
+        if flag == "include-optional":
+            accepting = "only ep and all do"
+        elif suite == "ep":
+            accepting = "selects none of the groups of suite ep: O(2), O(3)"
+        else:
+            accepting = "only pau, ep and kernel do"
+        assert captured.err.startswith("error: ")
+        assert accepting in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["pau", "--family", "o", "--m", "5"],
+         "--family o --m 5 selects none of the groups of suite pau: "
+         "O(2), O(3), Sp(2), Sp(4)"),
+        (["ep", "--family", "sp"],
+         "--family sp selects none of the groups of suite ep: O(2), O(3)"),
+        (["ep", "--m", "4"],
+         "--m 4 selects none of the groups of suite ep: O(2), O(3)"),
+        (["ep", "--m", "6", "--include-optional"],
+         "--m 6 selects none of the groups of suite ep: O(2), O(3), O(4), O(5)"),
+        (["kernel", "--m", "7"],
+         "--m 7 selects none of the groups of suite kernel: "
+         "O(2), O(3), Sp(2), Sp(4)"),
+        (["kernel", "--family", "sp", "--n", "3"],
+         "--family sp --m 6 selects none of the groups of suite kernel: "
+         "O(2), O(3), Sp(2), Sp(4)"),
+        (["phi", "--family", "sp", "--m", "2"],
+         "suite phi takes no --family, --m or --n; only pau, ep and kernel do"),
+        (["charp", "--family", "o", "--m", "3"],
+         "suite charp takes no --family, --m or --n; only pau, ep and kernel do"),
+        (["all", "--family", "sp"],
+         "suite all takes no --family, --m or --n; only pau, ep and kernel do"),
+        (["relations", "--include-optional"],
+         "suite relations takes no --include-optional; only ep and all do"),
+    ])
+    def test_refusal_message(self, capsys, argv, message):
+        rc = run(["verify", "--suite"] + argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+    def test_optional_groups_can_be_selected(self, capsys):
+        rc, payload = invoke_json(capsys, "verify", "--suite", "ep", "--m", "4",
+                                  "--include-optional")
+        assert rc == 0
+        assert payload["total"] == payload["passed"] == 6
+        assert all(c["case"].startswith("m=4:") for c in payload["checks"])
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"

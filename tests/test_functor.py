@@ -146,6 +146,25 @@ class TestExactMatrix:
         with pytest.raises(FunctorError):
             ExactMatrix(3, 3, QQ, {index: 1})
 
+    @pytest.mark.parametrize("ring,value", [
+        (QQ, 0.5), (QQ, "1"), (QQ, True), (QQ, None), (QQ, Poly.const(1)),
+        (PrimeField(5), Fraction(1, 2)), (PrimeField(5), 2.0),
+        (PrimeField(5), False)])
+    def test_entry_values_must_belong_to_the_ring(self, ring, value):
+        with pytest.raises(FunctorError, match="coefficient"):
+            ExactMatrix(1, 1, ring, {(0, 0): value})
+        with pytest.raises(FunctorError, match="coefficient"):
+            ExactMatrix.from_rows(ring, [[1, value]])
+
+    def test_entry_values_are_coerced_into_the_ring(self):
+        gf5 = PrimeField(5)
+        seven = ExactMatrix(1, 2, gf5, {(0, 0): 7, (0, 1): -5})
+        assert seven.entries == {(0, 0): 2}
+        assert seven == ExactMatrix(1, 2, gf5, {(0, 0): 2})
+        half = ExactMatrix.from_rows(QQ, [[Fraction(4, 2), Fraction(1, 2)]])
+        assert half.entries == {(0, 0): 2, (0, 1): Fraction(1, 2)}
+        assert type(half.get(0, 0)) is int
+
     @pytest.mark.parametrize("rows,cols", [(-1, 2), (2, -3), (True, 2),
                                            (2, 0.25), (2.0, 2), ("2", 2)])
     def test_invalid_dimensions_rejected(self, rows, cols):

@@ -152,6 +152,31 @@ class TestGuards:
         with pytest.raises(LinAlgError):
             EliminationBasis(ring)
 
+    @pytest.mark.parametrize("rows", [[{0: 0.1}], [{0: "1/2"}], [{0: True}],
+                                      [{0: 1}, {1: 2.0}], [{0: None}]])
+    def test_rational_entries_are_ints_or_fractions(self, rows):
+        with pytest.raises(LinAlgError, match="is not an int or a Fraction"):
+            rank_of_rows(rows, QQ)
+
+    @pytest.mark.parametrize("rows", [[{0: 2.5}, {0: 1.0}], [{0: Fraction(1, 2)}],
+                                      [{0: Fraction(3)}], [{0: False}], [{0: "1"}]])
+    def test_prime_field_entries_are_ints(self, rows):
+        with pytest.raises(LinAlgError, match="is not an int"):
+            rank_of_rows(rows, PrimeField(5))
+
+    def test_rejected_row_leaves_the_basis_unchanged(self):
+        basis = EliminationBasis(QQ)
+        basis.add_row({0: 1})
+        with pytest.raises(LinAlgError):
+            basis.add_row({1: 0.5})
+        with pytest.raises(LinAlgError):
+            basis.contains({1: 0.5})
+        assert basis.pivots == {0: {0: 1}}
+
+    def test_fractions_and_ints_are_accepted(self):
+        assert rank_of_rows([{0: Fraction(1, 2), 1: 3}, {0: 1, 1: Fraction(6)}],
+                            QQ) == 1
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -69,9 +69,17 @@ def guard_cells(factors, what, error=FunctorError):
                         "allow it" % (what, limit))
 
 
+_FAMILY_EPS = {"orthogonal": 1, "symplectic": -1}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """Family, dimension, sign, coefficient field, and form matrices."""
+    """Family, dimension, sign, coefficient field, and form matrices.
+
+    Construction checks what both functor evaluators rely on: the family
+    and its sign eps, a positive int m (even for Sp), a field (QQ or F_p),
+    and m x m forms whose cells are 0 or +-1 in it.  The form cells are
+    stored in the field's canonical form; FunctorError otherwise."""
 
     family: str
     m: int
@@ -79,6 +87,45 @@ class GroupSpec:
     ring: object
     gram: tuple
     dual_change: tuple
+
+    def __post_init__(self):
+        if self.family not in _FAMILY_EPS:
+            raise FunctorError("unknown family %r (use 'orthogonal' or "
+                               "'symplectic')" % (self.family,))
+        if self.eps.__class__ is not int or self.eps != _FAMILY_EPS[self.family]:
+            raise FunctorError("eps must be %d for the %s family, got %r"
+                               % (_FAMILY_EPS[self.family], self.family,
+                                  self.eps))
+        _check_sizes(FunctorError, "group", m=self.m)
+        if self.m < 1:
+            raise FunctorError("dimension must be positive: %d" % self.m)
+        if self.family == "symplectic" and self.m % 2:
+            raise FunctorError("symplectic dimension must be even: %d" % self.m)
+        if not isinstance(self.ring, (Rationals, PrimeField)):
+            raise FunctorError("coefficient field must be Rationals or a "
+                               "PrimeField, got %r" % (self.ring,))
+        for name in ("gram", "dual_change"):
+            object.__setattr__(self, name, self._form(name))
+
+    def _form(self, name):
+        """The named form with each cell checked to be 0 or +-1 in the ring
+        and put in canonical form."""
+        ring, m = self.ring, self.m
+        form = getattr(self, name)
+        if len(form) != m or any(len(row) != m for row in form):
+            raise FunctorError("%s must be %d x %d" % (name, m, m))
+        signs = (ring.zero(), ring.one(), ring.neg(ring.one()))
+        out = []
+        for i, row in enumerate(form):
+            cells = []
+            for j, v in enumerate(row):
+                c = _coerce_coeff(ring, v, FunctorError)
+                if c not in signs:
+                    raise FunctorError("%s cell (%d, %d) is %s, not 0 or +-1"
+                                       % (name, i, j, ring.fmt(c)))
+                cells.append(c)
+            out.append(tuple(cells))
+        return tuple(out)
 
     def label(self):
         name = "O" if self.family == "orthogonal" else "Sp"
@@ -127,8 +174,6 @@ def group_spec(family, m, modulus=None, allow_small_modulus=False):
         gram = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
         dual = gram
     else:
-        if m % 2:
-            raise FunctorError("symplectic dimension must be even: %d" % m)
         eps = -1
         n = m // 2
         minus = ring.neg(one)
@@ -360,22 +405,11 @@ def generator_matrices(spec):
 
 def _form_signs(form, ring):
     """Nonzero cells (i, j, s) of a form matrix with the value as an integer
-    sign s = +-1; the functor's forms have no other nonzero values."""
+    sign s = +-1; :class:`GroupSpec` admits no other nonzero values."""
     one = ring.one()
-    minus = ring.neg(one)
-    cells = []
-    for i, row in enumerate(form):
-        for j, v in enumerate(row):
-            if ring.is_zero(v):
-                continue
-            if ring.eq(v, one):
-                cells.append((i, j, 1))
-            elif ring.eq(v, minus):
-                cells.append((i, j, -1))
-            else:
-                raise FunctorError("form cell (%d, %d) is %s, not +-1"
-                                   % (i, j, ring.fmt(v)))
-    return cells
+    return [(i, j, 1 if ring.eq(v, one) else -1)
+            for i, row in enumerate(form)
+            for j, v in enumerate(row) if not ring.is_zero(v)]
 
 
 @lru_cache(maxsize=1 << 14)

@@ -3,7 +3,8 @@
 Everything here reduces to exact sparse elimination: diagram matrices are
 vectorized into rows, infinitesimal invariance and commutation conditions
 into linear systems, and two-sided ideals and tensor-ideal slices into the
-closure of seed morphisms under the algebra generators s_i and e_i.
+closure of seed morphisms under three generators of the Brauer monoid: s_1,
+the r-cycle and e_1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import chain, repeat
 from math import factorial
 
 from .diagram import (_check_sizes, e_i, enumerate_diagrams,
-                      identity as identity_diagram, s_i)
+                      identity as identity_diagram, permutation_diagram, s_i)
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
                       functor_matrix, guard_cells)
 from .linalg import EliminationBasis, nullspace_of_rows, rank_of_rows
@@ -327,7 +328,8 @@ def _closure_rank(seeds, left, right, k, l, ring, delta):
     The queue starts from the reduced echelon basis of the seeds, so a
     dependent seed is dropped before it is composed.  A worklist then
     composes each element that raised the rank with every generator until
-    the rank stops growing."""
+    the rank stops growing, so the cost is rank x (len(left) + len(right))
+    compositions and row reductions."""
     diagrams = enumerate_diagrams(k, l)
     index = {d: i for i, d in enumerate(diagrams)}
     seed_rows = EliminationBasis(ring)
@@ -350,18 +352,33 @@ def _closure_rank(seeds, left, right, k, l, ring, delta):
 
 
 def _algebra_generators(r, ring, delta):
-    """The s_i and e_i of B_r, which generate it as an algebra."""
-    return [from_diagram(g(r, i), ring=ring, delta=delta)
-            for i in range(1, r) for g in (s_i, e_i)]
+    """s_1, the r-cycle c and e_1 of B_r, in that order (s_1 and e_1 at
+    r = 2, where c = s_1; none below): enough to close a subspace under B_r.
+
+    - Every Brauer diagram is a permutation, then a product of disjoint
+      e's, then a permutation, and this stack closes no loop.  s_1 and c
+      generate Sym_r, and e_i = pi e_1 pi^-1 for a permutation pi, so every
+      diagram is a loop-free word in {s_1, c, e_1}.
+    - Left multiplication by a diagram D is then exactly the composite of
+      its word's left multiplications, with no delta factor, even where
+      delta = 0 in the field.  Right multiplication likewise.
+    - So a subspace closed under the three is closed under B_r."""
+    if r < 2:
+        return []
+    gens = [s_i(r, 1), e_i(r, 1)]
+    if r > 2:
+        gens.insert(1, permutation_diagram([(j + 1) % r for j in range(r)]))
+    return [from_diagram(g, ring=ring, delta=delta) for g in gens]
 
 
 def ideal_span_dimension(r, gen, spec):
     """Dimension of the two-sided ideal slice in degree (r, r) generated by
     a square morphism, padded with identity strands on the right.
 
-    B_r is generated as an algebra by the s_i and e_i, so the ideal is the
-    closure (:func:`_closure_rank`) of the padded generator under left and
-    right composition with those 2(r - 1) diagrams.  Raises FunctorError
+    Every diagram of B_r is a loop-free word in s_1, the r-cycle and e_1
+    (:func:`_algebra_generators`), so the ideal is the closure
+    (:func:`_closure_rank`) of the padded generator under left and right
+    composition with those three diagrams.  Raises FunctorError
     unless r is a non-negative int, and when |B(r, r)|^2 exceeds the cell
     budget."""
     _check_sizes(FunctorError, "degree", r=r)
@@ -407,7 +424,8 @@ def tensor_ideal_span_dimension(k, l, spec):
         k + l = 8) it is the whole slice.
       - Closure.  slice(0, n) = span{c o M_n o d : c in B_n, d in B(0, n)}:
         the closure (:func:`_closure_rank`) of the seeds M_n o d under left
-        composition with the s_i and e_i of B_n.
+        composition with s_1, the n-cycle and e_1 of B_n
+        (:func:`_algebra_generators`).
 
     Sigma is never built.  M_n o d is the signed sum of d over Sym_(m+1)
     on its first m + 1 nodes (:func:`brauer.linear.block_act`): the

@@ -32,7 +32,7 @@ from brauer import (
     verify_pau,
 )
 from brauer.diagram import cap, cup, e_i, s_i
-from brauer.functor import guard_cells, max_cells
+from brauer.functor import GroupSpec, guard_cells, max_cells
 from brauer.invariants import kernel_basis
 from brauer.linear import lin_compose
 from brauer.words import Layer, layer_diagram
@@ -93,6 +93,42 @@ class TestGroupSpec:
     def test_modulus_must_be_an_int(self, modulus):
         with pytest.raises(FunctorError):
             group_spec("o", 3, modulus=modulus)
+
+    @pytest.mark.parametrize("gram", [
+        ((Fraction(1, 2), 0), (0, 1)),  # 1/2 is not +-1
+        ((0.5, 0), (0, 1)),  # a float is no element of QQ
+        ((1, 0),),  # not 2 x 2
+    ], ids=["half", "float", "ragged"])
+    def test_direct_spec_with_bad_form_is_refused(self, gram):
+        eye = ((1, 0), (0, 1))
+        with pytest.raises(FunctorError):
+            GroupSpec("orthogonal", 2, 1, QQ, gram, eye)
+        with pytest.raises(FunctorError):
+            GroupSpec("orthogonal", 2, 1, QQ, eye, gram)
+
+    @pytest.mark.parametrize("family,m,eps,ring", [
+        ("o", 2, 1, QQ),  # aliases belong to group_spec
+        ("orthogonal", 2, -1, QQ),
+        ("symplectic", 2, 1, QQ),
+        ("symplectic", 3, -1, QQ),
+        ("orthogonal", 0, 1, QQ),
+        ("orthogonal", 2.0, 1, QQ),
+        ("orthogonal", 2, 1, None),
+    ])
+    def test_direct_spec_with_bad_group_data_is_refused(self, family, m, eps,
+                                                         ring):
+        with pytest.raises(FunctorError):
+            GroupSpec(family, m, eps, ring, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+
+    def test_direct_spec_agrees_with_group_spec(self):
+        # cells are kept in the field's canonical form, so both evaluators
+        # see the same values as for the spec group_spec builds
+        gf3 = PrimeField(3)
+        spec = GroupSpec("symplectic", 2, -1, gf3, ((0, 1), (-1, 0)),
+                         ((0, 5), (1, 0)))
+        assert spec == group_spec("sp", 2, modulus=3, allow_small_modulus=True)
+        for d in (cap(), cup()):
+            assert functor_matrix(d, spec) == functor_matrix_layered(d, spec)
 
     def test_small_modulus_guard(self):
         with pytest.raises(FunctorError):

@@ -11,6 +11,7 @@ from brauer import (
     reduce_mod_p,
     commutant_dimension,
     e_p_formula,
+    e_p_rotation,
     enumerate_diagrams,
     functor_matrix,
     group_spec,
@@ -23,10 +24,11 @@ from brauer import (
     sigma,
     tensor_ideal_span_dimension,
 )
-from brauer.diagram import e_i, identity
+from brauer.diagram import compose, diagram_count, e_i, identity
 from brauer.functor import _morphism_to_spec_field, guard_cells
-from brauer.invariants import (_commutant_group, _reflection,
-                               _vectorized_rows, _word_classes, derived_action)
+from brauer.invariants import (_algebra_generators, _commutant_group,
+                               _reflection, _vectorized_rows, _word_classes,
+                               derived_action)
 from brauer.linalg import EliminationBasis
 from brauer.linear import (from_diagram, lin_compose, lin_tensor,
                            make_morphism, morphism_to_json)
@@ -41,6 +43,12 @@ SP2_F5 = group_spec("sp", 2, modulus=5)
 O2_F5 = group_spec("o", 2, modulus=5)
 O3_F7 = group_spec("o", 3, modulus=7)
 O1 = group_spec("o", 1)
+# delta = eps * m is 0 in these fields, so a generator word that closed a
+# loop would multiply by 0: the closure must still find the whole ideal
+# (1, 10, 91 for Phi_1 at r = 2, 3, 4; 5, 70 and 14 for E_p)
+SP2_F2 = group_spec("sp", 2, modulus=2, allow_small_modulus=True)
+O2_F2 = group_spec("o", 2, modulus=2, allow_small_modulus=True)
+O3_F3 = group_spec("o", 3, modulus=3, allow_small_modulus=True)
 
 
 # Oracle: the direct double-loop spans, kept only to cross-check the
@@ -499,6 +507,44 @@ class TestCommutant:
         assert sum(len(c) ** 2 for c in classes) == kept
 
 
+def _loop_free_reach(generators, r):
+    """The diagrams of B_r reached from the identity by left products with
+    the generators that close no loop."""
+    seen = {identity(r)}
+    frontier = list(seen)
+    while frontier:
+        step = []
+        for x in frontier:
+            for g in generators:
+                loops, y = compose(g, x)
+                if not loops and y not in seen:
+                    seen.add(y)
+                    step.append(y)
+        frontier = step
+    return seen
+
+
+class TestAlgebraGenerators:
+    @pytest.mark.parametrize("r,count", [(0, 0), (1, 0), (2, 2), (3, 3),
+                                         (4, 3)])
+    def test_generator_count(self, r, count):
+        assert len(_algebra_generators(r, SP2.ring, SP2.delta_value())) == count
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_loop_free_words_reach_every_diagram(self, r):
+        gens = [next(iter(g.terms))
+                for g in _algebra_generators(r, SP2.ring, SP2.delta_value())]
+        assert len(_loop_free_reach(gens, r)) == diagram_count(r, r)
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_cycle_and_e1_are_both_needed(self, r):
+        s1, cycle, e1 = [next(iter(g.terms)) for g in _algebra_generators(
+            r, SP2.ring, SP2.delta_value())]
+        total = diagram_count(r, r)
+        assert len(_loop_free_reach([s1, e1], r)) < total
+        assert len(_loop_free_reach([s1, cycle], r)) < total
+
+
 class TestIdeals:
     @pytest.mark.parametrize("r,expected", [(2, 1), (3, 10), (4, 91)])
     def test_symplectic_kernel_is_principal(self, r, expected):
@@ -532,8 +578,12 @@ class TestIdeals:
         (O3, sigma(1, 2), (2, 3, 4)),
         (O3, from_diagram(e_i(2, 1)), (2, 3, 4)),
         (SP2, from_diagram(identity(1)), (1, 2, 3)),
+        (SP2_F2, reduce_mod_p(phi(1), 2), (2, 3, 4)),
+        (O2_F2, reduce_mod_p(e_p_rotation(2, 1), 2), (3, 4)),
+        (O3_F3, reduce_mod_p(e_p_rotation(3, 2), 3), (4,)),
     ], ids=["sp2-phi1", "sp2f5-phi1", "sp4-phi2", "o2-ep", "o2f5-ep", "o3-ep",
-            "o3f7-ep", "o3-sigma2", "o3-e1", "sp2-id1"])
+            "o3f7-ep", "o3-sigma2", "o3-e1", "sp2-id1", "sp2f2-phi1",
+            "o2f2-ep", "o3f3-ep"])
     def test_closure_matches_double_loop(self, spec, gen, widths):
         for r in widths:
             assert ideal_span_dimension(r, gen, spec) == _oracle_ideal_span(

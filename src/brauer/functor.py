@@ -2,13 +2,15 @@
 
 A group spec fixes a family (orthogonal ``O(m)`` with a symmetric bilinear
 form, or symplectic ``Sp(m)`` with an alternating one, ``m`` even), the
-dimension ``m``, the form matrix, and the coefficient field.  Every diagram
-``(k, l)`` then maps to an exact ``m^l x m^k`` matrix: through strands
-contract to Kronecker deltas, bottom arcs to form coefficients, top arcs to
-dual-pairing coefficients, the whole weighted by the form's sign raised to
-the diagram's crossing count.  The map is functorial (composition goes to
-matrix product, juxtaposition to Kronecker product) and kills every loop
-factor ``delta`` at the numeric value ``eps * m``.
+dimension ``m``, the coefficient field, and the form as m signed partner
+pairs: form[i] = (j, s) is the one nonzero cell G[i][j] = s = +-1 of row i.
+Every diagram ``(k, l)`` then maps to an exact ``m^l x m^k`` matrix:
+through strands contract to Kronecker deltas, bottom arcs to the form's
+cells, top arcs to the cells of its inverse eps * G, the whole weighted by
+the form's sign raised to the diagram's crossing count.  The map is
+functorial (composition goes to matrix product, juxtaposition to Kronecker
+product) and kills every loop factor ``delta`` at the numeric value
+``eps * m``.
 
 Two independent evaluators are provided: :func:`functor_matrix` contracts a
 diagram directly cell by cell, while :func:`functor_matrix_layered` applies
@@ -22,7 +24,7 @@ compare them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -74,58 +76,57 @@ _FAMILY_EPS = {"orthogonal": 1, "symplectic": -1}
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Family, dimension, sign, coefficient field, and form matrices.
+    """Family, dimension, coefficient field, and form as m signed pairs.
 
-    Construction checks what both functor evaluators rely on: the family
-    and its sign eps, a positive int m (even for Sp), a field (QQ or F_p),
-    and m x m forms whose cells are 0 or +-1 in it.  The form cells are
-    stored in the field's canonical form; FunctorError otherwise."""
+    form[i] = (j, s) means G[i][j] = s = +-1, the only nonzero cell of row
+    i of the form matrix G.  Construction checks what both functor
+    evaluators rely on: a known family, a positive int m (even for Sp), a
+    field (QQ or F_p), and pairs whose partner map i -> j is an involution
+    with s_j = eps * s_i, without fixed points for Sp.  Then G^T = eps * G
+    and G^-1 = eps * G, so the form is nondegenerate, symmetric for O and
+    alternating for Sp, and the cup's cells are eps times the same pairs.
+    eps is derived from the family.  FunctorError otherwise."""
 
     family: str
     m: int
-    eps: int
     ring: object
-    gram: tuple
-    dual_change: tuple
+    form: tuple
+    eps: int = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILY_EPS:
             raise FunctorError("unknown family %r (use 'orthogonal' or "
                                "'symplectic')" % (self.family,))
-        if self.eps.__class__ is not int or self.eps != _FAMILY_EPS[self.family]:
-            raise FunctorError("eps must be %d for the %s family, got %r"
-                               % (_FAMILY_EPS[self.family], self.family,
-                                  self.eps))
+        eps = _FAMILY_EPS[self.family]
+        object.__setattr__(self, "eps", eps)
         _check_sizes(FunctorError, "group", m=self.m)
-        if self.m < 1:
-            raise FunctorError("dimension must be positive: %d" % self.m)
-        if self.family == "symplectic" and self.m % 2:
-            raise FunctorError("symplectic dimension must be even: %d" % self.m)
+        m = self.m
+        if m < 1:
+            raise FunctorError("dimension must be positive: %d" % m)
+        if eps == -1 and m % 2:
+            raise FunctorError("symplectic dimension must be even: %d" % m)
         if not isinstance(self.ring, (Rationals, PrimeField)):
             raise FunctorError("coefficient field must be Rationals or a "
                                "PrimeField, got %r" % (self.ring,))
-        for name in ("gram", "dual_change"):
-            object.__setattr__(self, name, self._form(name))
-
-    def _form(self, name):
-        """The named form with each cell checked to be 0 or +-1 in the ring
-        and put in canonical form."""
-        ring, m = self.ring, self.m
-        form = getattr(self, name)
-        if len(form) != m or any(len(row) != m for row in form):
-            raise FunctorError("%s must be %d x %d" % (name, m, m))
-        signs = (ring.zero(), ring.one(), ring.neg(ring.one()))
-        out = []
-        for i, row in enumerate(form):
-            cells = []
-            for j, v in enumerate(row):
-                c = _coerce_coeff(ring, v, FunctorError)
-                if c not in signs:
-                    raise FunctorError("%s cell (%d, %d) is %s, not 0 or +-1"
-                                       % (name, i, j, ring.fmt(c)))
-                cells.append(c)
-            out.append(tuple(cells))
-        return tuple(out)
+        try:
+            form = tuple((j, s) for j, s in self.form)
+        except (TypeError, ValueError):
+            form = None
+        if form is None or len(form) != m:
+            raise FunctorError("form must be %d (partner, sign) pairs, got %r"
+                               % (m, self.form))
+        for i, (j, s) in enumerate(form):
+            if (j.__class__ is not int or not 0 <= j < m
+                    or s.__class__ is not int or s not in (1, -1)):
+                raise FunctorError("form pair %d is (%r, %r), not an int "
+                                   "partner in [0, %d) and an int sign +-1"
+                                   % (i, j, s, m))
+            # For Sp a fixed point j = i fails here too: s = -s is no sign.
+            if form[j] != (i, eps * s):
+                raise FunctorError("form pairs %d with %d by sign %d, so it "
+                                   "must pair %d with %d by sign %d (eps = %d)"
+                                   % (i, j, s, j, i, eps * s, eps))
+        object.__setattr__(self, "form", form)
 
     def label(self):
         name = "O" if self.family == "orthogonal" else "Sp"
@@ -148,6 +149,8 @@ _FAMILY_ALIASES = {
 def group_spec(family, m, modulus=None, allow_small_modulus=False):
     """Build the group data for ``O(m)`` or ``Sp(m)`` (``m`` even for Sp).
 
+    The form is the identity for O(m) and the standard J for Sp(m), which
+    pairs i with n + i by sign +1 and n + i with i by -1, n = m / 2.
     ``modulus`` switches the coefficient field from the rationals to the
     prime field of that order; the characteristic must be at least ``m + 2``
     (the range where the characteristic-zero kernel statements persist)
@@ -157,8 +160,6 @@ def group_spec(family, m, modulus=None, allow_small_modulus=False):
     if key is None:
         raise FunctorError("unknown family %r (use 'o' or 'sp')" % (family,))
     _check_sizes(FunctorError, "group", m=m)
-    if m < 1:
-        raise FunctorError("dimension must be positive: %d" % m)
     if modulus is None:
         ring = QQ
     else:
@@ -168,26 +169,13 @@ def group_spec(family, m, modulus=None, allow_small_modulus=False):
             raise FunctorError(
                 "modulus %d is below m + 2 = %d, outside the guaranteed "
                 "range; pass allow_small_modulus to proceed" % (modulus, m + 2))
-    one, zero = ring.one(), ring.zero()
     if key == "orthogonal":
-        eps = 1
-        gram = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
-        dual = gram
+        form = tuple((i, 1) for i in range(m))
     else:
-        eps = -1
         n = m // 2
-        minus = ring.neg(one)
-        gram = []
-        for i in range(m):
-            row = [zero] * m
-            if i < n:
-                row[n + i] = one
-            else:
-                row[i - n] = minus
-            gram.append(tuple(row))
-        gram = tuple(gram)
-        dual = tuple(tuple(ring.neg(v) for v in row) for row in gram)
-    return GroupSpec(family=key, m=m, eps=eps, ring=ring, gram=gram, dual_change=dual)
+        form = (tuple((n + i, 1) for i in range(n))
+                + tuple((i, -1) for i in range(n)))
+    return GroupSpec(key, m, ring, form)
 
 
 class ExactMatrix:
@@ -393,50 +381,39 @@ def generator_matrices(spec):
     # Built here from the spec's own ring elements, so trusted.
     x_mat = ExactMatrix._trusted(m * m, m * m, ring, swap)
     a_mat = ExactMatrix._trusted(1, m * m, ring,
-                                 {(0, a * m + b): v
-                                  for a, row in enumerate(spec.gram)
-                                  for b, v in enumerate(row) if not ring.is_zero(v)})
+                                 {(0, a * m + b): ring.from_int(s)
+                                  for a, (b, s) in enumerate(spec.form)})
     u_mat = ExactMatrix._trusted(m * m, 1, ring,
-                                 {(a * m + b, 0): v
-                                  for a, row in enumerate(spec.dual_change)
-                                  for b, v in enumerate(row) if not ring.is_zero(v)})
+                                 {(a * m + b, 0): ring.from_int(eps * s)
+                                  for a, (b, s) in enumerate(spec.form)})
     return {"I": ident, "X": x_mat, "A": a_mat, "U": u_mat}
-
-
-def _form_signs(form, ring):
-    """Nonzero cells (i, j, s) of a form matrix with the value as an integer
-    sign s = +-1; :class:`GroupSpec` admits no other nonzero values."""
-    one = ring.one()
-    return [(i, j, 1 if ring.eq(v, one) else -1)
-            for i, row in enumerate(form)
-            for j, v in enumerate(row) if not ring.is_zero(v)]
 
 
 @lru_cache(maxsize=1 << 14)
 def _diagram_matrix(d, spec):
     """Direct contraction.  Each arc contributes m choices of (row offset,
     column offset, sign): a through strand an index t on both sides, a
-    bottom arc a form cell, a top arc a dual-form cell.  Every cell of the
-    product of choices is nonzero with value eps^crossings times the
-    product of the +-1 signs, so cells are built as integer signs and
-    mapped to one of the two field elements +-1 at the end."""
-    m, ring = spec.m, spec.ring
+    bottom arc a pair (i, j, s) of the form, a top arc the same pair with
+    sign eps * s.  Every cell of the product of choices is nonzero with
+    value eps^crossings times the product of the +-1 signs, so cells are
+    built as integer signs and mapped to one of the two field elements +-1
+    at the end."""
+    m, ring, eps = spec.m, spec.ring, spec.eps
     k, l = d.k, d.l
     guard_cells(repeat(m, k + l), "computation needs %d^%d matrix cells"
                 % (m, k + l))
     pow_k = [m ** (k - 1 - a) for a in range(k)]
     pow_l = [m ** (l - 1 - b) for b in range(l)]
-    gram_cells = _form_signs(spec.gram, ring)
-    dual_cells = _form_signs(spec.dual_change, ring)
-    sign = -1 if spec.eps == -1 and crossing_count(d) % 2 else 1
+    form = spec.form
+    sign = -1 if eps == -1 and crossing_count(d) % 2 else 1
     cells = [(0, 0, sign)]
     for a, b in d.pairs:
         if b < k:
             choices = [(0, i * pow_k[a] + j * pow_k[b], s)
-                       for i, j, s in gram_cells]
+                       for i, (j, s) in enumerate(form)]
         elif a >= k:
-            choices = [(i * pow_l[a - k] + j * pow_l[b - k], 0, s)
-                       for i, j, s in dual_cells]
+            choices = [(i * pow_l[a - k] + j * pow_l[b - k], 0, eps * s)
+                       for i, (j, s) in enumerate(form)]
         else:
             choices = [(t * pow_l[b - k], t * pow_k[a], 1) for t in range(m)]
         cells = [(row + dr, col + dc, s * ds)

@@ -34,9 +34,10 @@ def _vectorized_rows(k, l, spec):
     """One sparse row per (k, l) diagram: its matrix flattened row-major,
     kept on one column per class of proportional columns.
 
-    Every cell is +-1 (see :func:`brauer.functor._form_signs`), so a column
-    is its list of signed row numbers +-(idx + 1), and two columns are
-    proportional exactly when their lists agree up to one overall sign.
+    Every cell is +-1, a product of the form's signs (see
+    :class:`brauer.functor.GroupSpec`), so a column is its list of signed
+    row numbers +-(idx + 1), and two columns are proportional exactly when
+    their lists agree up to one overall sign.
     The list, sign-normalised on its first entry, keys the class.
     Dropping a column that is a multiple of a kept one changes neither the
     rank nor the left kernel {x : x M = 0}.  Classes are numbered in the
@@ -47,15 +48,17 @@ def _vectorized_rows(k, l, spec):
     Returns (diagrams, rows, width): the diagrams in deterministic order,
     their rows with +-1 int entries, and the number of classes."""
     _check_sizes(FunctorError, "valency", k=k, l=l)
-    guard_cells(repeat(spec.m, k + l), "computation needs %d^%d matrix cells"
-                % (spec.m, k + l))
     n = k + l
-    if n % 2 == 0:
-        # Each of the |B(k, l)| diagrams has one nonzero per choice of an
-        # index on each of its n / 2 arcs.
-        guard_cells(chain(range(3, n, 2), repeat(spec.m, n // 2)),
-                    "computation needs %d!! * %d^%d row nonzeros"
-                    % (n - 1, spec.m, n // 2))
+    if n % 2:
+        # B(k, l) is empty: no rows, whatever the group.
+        return [], [], 0
+    guard_cells(repeat(spec.m, n), "computation needs %d^%d matrix cells"
+                % (spec.m, n))
+    # Each of the |B(k, l)| diagrams has one nonzero per choice of an index
+    # on each of its n / 2 arcs.
+    guard_cells(chain(range(3, n, 2), repeat(spec.m, n // 2)),
+                "computation needs %d!! * %d^%d row nonzeros"
+                % (n - 1, spec.m, n // 2))
     diagrams = enumerate_diagrams(k, l)
     cols = spec.m ** k
     one = spec.ring.one()
@@ -124,24 +127,19 @@ def kernel_basis(k, l, spec):
 
 def lie_generators(spec):
     """Basis of the form-preserving matrix Lie algebra: solutions of
-    X^T G + G X = 0 over the group's field, as exact matrices."""
-    m, ring = spec.m, spec.ring
-    gram = spec.gram
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            row = {}
-            for c in range(m):
-                if not ring.is_zero(gram[c][b]):
-                    key = c * m + a
-                    row[key] = ring.add(row.get(key, ring.zero()), gram[c][b])
-                if not ring.is_zero(gram[a][c]):
-                    key = c * m + b
-                    row[key] = ring.add(row.get(key, ring.zero()), gram[a][c])
-            rows.append(row)
+    X^T G + G X = 0 over the group's field, as exact matrices.
+
+    Entry (a, b) of X^T G + G X is X[c][a] G[c][b] + G[a][d] X[d][b] with
+    c the partner of b and d that of a, the only cells of column b and row
+    a of G; G[c][b] = eps * G[b][c]."""
+    m, ring, form = spec.m, spec.ring, spec.form
     basis = EliminationBasis(ring)
-    for row in rows:
-        basis.add_row(row)
+    for a, (d, s_a) in enumerate(form):
+        for b, (c, s_b) in enumerate(form):
+            row = {c * m + a: spec.eps * s_b}
+            key = d * m + b
+            row[key] = row.get(key, 0) + s_a
+            basis.add_row(row)
     out = []
     for vec in basis.nullspace(range(m * m)):
         entries = {}
@@ -153,14 +151,26 @@ def lie_generators(spec):
     return out
 
 
-def _reflection(spec):
-    """Orientation-reversing isometry generating the second component of the
-    orthogonal group; None for the connected symplectic family."""
-    if spec.family != "orthogonal":
+def _reflection(group):
+    """Orientation-reversing isometry of an orthogonal form, generating the
+    second component of the group; None for the connected symplectic
+    family.  It negates the first basis vector the form pairs with itself,
+    or, when there is none, swaps vector m // 2 with its partner j, scaled
+    by the form's sign s = G[m // 2][j]: on that plane G is s times the
+    swap, which the swap preserves, and the swap has determinant -1."""
+    if group.family != "orthogonal":
         return None
-    ring, m = spec.ring, spec.m
-    entries = {(i, i): ring.one() for i in range(1, m)}
-    entries[(0, 0)] = ring.neg(ring.one())
+    ring, m, form = group.ring, group.m, group.form
+    one = ring.one()
+    entries = {(i, i): one for i in range(m)}
+    fixed = next((i for i, (j, _) in enumerate(form) if i == j), None)
+    if fixed is not None:
+        entries[(fixed, fixed)] = ring.neg(one)
+    else:
+        h = m // 2
+        j, s = form[h]
+        del entries[(h, h)], entries[(j, j)]
+        entries[(h, j)] = entries[(j, h)] = ring.from_int(s)
     return ExactMatrix(m, m, ring, entries)
 
 
@@ -181,30 +191,18 @@ def derived_action(x_mat, r):
 
 
 def _commutant_group(spec):
-    """The group data the commutant is solved over, and its reflection.
+    """The group data the commutant is solved over.
 
     The symplectic family, and O(m) in characteristic 2, keep the spec's
-    own form (and, for O(m), its reflection).  Otherwise O(m) moves to the
-    split form S, with S[i][m - 1 - i] = 1, where the diagonal of so(S) is
-    a Cartan subalgebra; its reflection negates the middle basis vector for
-    odd m and swaps the two middle basis vectors for even m."""
+    own form.  Otherwise O(m) moves to the split form S, which pairs i with
+    m - 1 - i by sign +1, where the diagonal of so(S) is a Cartan
+    subalgebra."""
     ring = spec.ring
     if spec.family != "orthogonal" or (isinstance(ring, PrimeField)
                                        and ring.p == 2):
-        return spec, _reflection(spec)
+        return spec
     m = spec.m
-    one, zero = ring.one(), ring.zero()
-    split = tuple(tuple(one if i + j == m - 1 else zero for j in range(m))
-                  for i in range(m))
-    h = m // 2
-    if m % 2:
-        entries = {(i, i): one for i in range(m)}
-        entries[(h, h)] = ring.neg(one)
-    else:
-        entries = {(i, i): one for i in range(m) if i not in (h - 1, h)}
-        entries[(h - 1, h)] = entries[(h, h - 1)] = one
-    return (replace(spec, gram=split, dual_change=split),
-            ExactMatrix(m, m, ring, entries))
+    return replace(spec, form=tuple((m - 1 - i, 1) for i in range(m)))
 
 
 def _word_classes(group, refl, r):
@@ -215,13 +213,11 @@ def _word_classes(group, refl, r):
     reflection (None for the symplectic family) is diagonal, the parity of
     its letters on which the reflection is -1.  Returns the classes as
     lists of word indices."""
-    ring, m, gram = group.ring, group.m, group.gram
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            g = gram[a][b]
-            if not ring.is_zero(g):
-                rows.append({a: g, b: g} if a != b else {a: ring.add(g, g)})
+    ring, m = group.ring, group.m
+    # A diagonal X = diag(h) solves it when h_a + h_b = 0 for each pair
+    # (a, b) of the form.
+    rows = [{a: s, b: s} if a != b else {a: 2 * s}
+            for a, (b, s) in enumerate(group.form)]
     cartan = nullspace_of_rows(rows, range(m), ring)
     letters = [[h.get(a, 0) for h in cartan] for a in range(m)]
     mods = [ring.p if isinstance(ring, PrimeField) else 0] * len(cartan)
@@ -290,7 +286,8 @@ def commutant_dimension(r, spec):
     guard_cells(repeat(spec.m, 2 * r), "computation needs %d^%d matrix cells"
                 % (spec.m, 2 * r))
     n = spec.m ** r
-    group, refl = _commutant_group(spec)
+    group = _commutant_group(spec)
+    refl = _reflection(group)
     kept = {}
     for words in _word_classes(group, refl, r):
         for a in words:

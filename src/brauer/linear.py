@@ -398,10 +398,11 @@ def integrality_check(x):
 
 
 def specialize_delta(x, value):
-    """Evaluate a symbolic morphism at a rational value of delta."""
+    """Evaluate a symbolic morphism at a rational value of delta, an int or
+    a Fraction; MorphismError for anything else (a float, a bool, a str)."""
     if not isinstance(x.ring, PolynomialsInDelta) or x.delta is not None:
         raise MorphismError("specialize_delta expects a symbolic morphism")
-    value = Fraction(value)
+    value = _coerce_coeff(QQ, value, MorphismError)
     terms = {d: c.evaluate(value) for d, c in x.terms.items()}
     return Morphism(x.k, x.l, QQ, value, terms)
 

@@ -280,6 +280,21 @@ class TestFunctorCommands:
         assert rc == 0
         assert payload == {"dimension": 0}
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["rank"], {"rank": 0, "kernel_dim": 0}),
+        (["kernel", "--no-basis"], {"dimension": 0}),
+        (["kernel"], {"dimension": 0, "basis": []}),
+        (["ideal-span", "--slice", "2,3"], {"dimension": 0}),
+    ], ids=["rank", "kernel-no-basis", "kernel", "ideal-span"])
+    def test_odd_valency_is_empty_at_any_dimension(self, capsys, argv,
+                                                   expected):
+        # B(2, 3) is empty, so no 100^5 cells are needed to answer
+        kl = [] if argv[0] == "ideal-span" else ["--k", "2", "--l", "3"]
+        rc, payload = invoke_json(capsys, argv[0], "--family", "o", "--m",
+                                  "100", *kl, *argv[1:])
+        assert rc == 0
+        assert payload == expected
+
     def test_negative_valency_is_user_error(self, capsys):
         rc = run(["functor-matrix", "--family", "sp", "--m", "2",
                   '{"k": -2, "l": 2, "pairs": []}'])

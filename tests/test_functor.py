@@ -33,7 +33,7 @@ from brauer import (
 )
 from brauer.diagram import cap, cup, e_i, s_i
 from brauer.functor import GroupSpec, guard_cells, max_cells
-from brauer.invariants import kernel_basis
+from brauer.invariants import hom_rank, kernel_basis
 from brauer.linear import lin_compose
 from brauer.words import Layer, layer_diagram
 
@@ -62,19 +62,11 @@ class TestGroupSpec:
         assert group_spec("sp", 2, modulus=7).delta_value() == gf7.from_int(-2)
 
     def test_orthogonal_form_is_identity(self):
-        spec = group_spec("o", 3)
-        for i in range(3):
-            for j in range(3):
-                expected = Fraction(1) if i == j else Fraction(0)
-                assert spec.gram[i][j] == expected
-        assert spec.dual_change == spec.gram
+        assert group_spec("o", 3).form == ((0, 1), (1, 1), (2, 1))
 
     def test_symplectic_form_is_standard(self):
-        spec = group_spec("sp", 2)
-        assert spec.gram == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
-        assert spec.dual_change == tuple(
-            tuple(-v for v in row) for row in spec.gram
-        )
+        assert group_spec("sp", 2).form == ((1, 1), (0, -1))
+        assert group_spec("sp", 4).form == ((2, 1), (3, 1), (0, -1), (1, -1))
 
     def test_rejections(self):
         with pytest.raises(FunctorError):
@@ -94,41 +86,80 @@ class TestGroupSpec:
         with pytest.raises(FunctorError):
             group_spec("o", 3, modulus=modulus)
 
-    @pytest.mark.parametrize("gram", [
-        ((Fraction(1, 2), 0), (0, 1)),  # 1/2 is not +-1
-        ((0.5, 0), (0, 1)),  # a float is no element of QQ
-        ((1, 0),),  # not 2 x 2
-    ], ids=["half", "float", "ragged"])
-    def test_direct_spec_with_bad_form_is_refused(self, gram):
-        eye = ((1, 0), (0, 1))
+    @pytest.mark.parametrize("form", [
+        ((0, 0), (1, 0)),  # the zero form: cap went to the zero matrix
+        ((1, 2), (0, 2)),  # 2 is not +-1
+        ((0, Fraction(1)), (1, 1)),  # signs are ints
+        ((0, True), (1, 1)),  # a bool is no sign
+        ((0.0, 1), (1, 1)),  # a float is no partner
+        ((2, 1), (1, 1)),  # partner out of range
+        ((-1, 1), (1, 1)),  # partner out of range
+        ((0, 1),),  # fewer than m pairs
+        ((0, 1), (1, 1), (2, 1)),  # more than m pairs
+        ((0, 1, 0), (1, 1, 0)),  # cells are pairs
+        (0, 1),  # cells are pairs
+        None,
+        ((1, 1), (1, 1)),  # not an involution
+        # an alternating form labelled orthogonal: hom_rank(2, 2) was 2
+        # but commutant_dimension(2) was 3
+        ((1, 1), (0, -1)),
+    ], ids=["zero", "two", "fraction-sign", "bool-sign", "float-partner",
+            "partner-high", "partner-negative", "short", "long", "triple",
+            "flat", "none", "non-involution", "alternating"])
+    def test_direct_orthogonal_spec_with_bad_form_is_refused(self, form):
         with pytest.raises(FunctorError):
-            GroupSpec("orthogonal", 2, 1, QQ, gram, eye)
-        with pytest.raises(FunctorError):
-            GroupSpec("orthogonal", 2, 1, QQ, eye, gram)
+            GroupSpec("orthogonal", 2, QQ, form)
 
-    @pytest.mark.parametrize("family,m,eps,ring", [
-        ("o", 2, 1, QQ),  # aliases belong to group_spec
-        ("orthogonal", 2, -1, QQ),
-        ("symplectic", 2, 1, QQ),
-        ("symplectic", 3, -1, QQ),
-        ("orthogonal", 0, 1, QQ),
-        ("orthogonal", 2.0, 1, QQ),
-        ("orthogonal", 2, 1, None),
-    ])
-    def test_direct_spec_with_bad_group_data_is_refused(self, family, m, eps,
-                                                         ring):
+    @pytest.mark.parametrize("form", [
+        ((0, 1), (1, -1)),  # fixed points
+        ((1, 1), (0, 1)),  # symmetric form labelled symplectic
+        ((1, 1), (1, -1)),  # not an involution
+    ], ids=["fixed-point", "symmetric", "non-involution"])
+    def test_direct_symplectic_spec_with_bad_form_is_refused(self, form):
         with pytest.raises(FunctorError):
-            GroupSpec(family, m, eps, ring, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+            GroupSpec("symplectic", 2, QQ, form)
+
+    @pytest.mark.parametrize("family,m,ring,form", [
+        ("o", 2, QQ, ((0, 1), (1, 1))),  # aliases belong to group_spec
+        ("unitary", 2, QQ, ((0, 1), (1, 1))),
+        ("symplectic", 3, QQ, ((1, 1), (0, -1), (2, 1))),
+        ("orthogonal", 0, QQ, ()),
+        ("orthogonal", 2.0, QQ, ((0, 1), (1, 1))),
+        ("orthogonal", 2, None, ((0, 1), (1, 1))),
+    ], ids=["alias", "unknown", "odd-sp", "zero-m", "float-m", "no-field"])
+    def test_direct_spec_with_bad_group_data_is_refused(self, family, m, ring,
+                                                         form):
+        with pytest.raises(FunctorError):
+            GroupSpec(family, m, ring, form)
+
+    def test_eps_is_derived_not_settable(self):
+        with pytest.raises(TypeError):
+            GroupSpec("orthogonal", 1, QQ, ((0, 1),), eps=1)
+        assert GroupSpec("symplectic", 2, QQ, ((1, 1), (0, -1))).eps == -1
+        # any symmetric signed pairing is an orthogonal form
+        assert GroupSpec("orthogonal", 2, QQ, ((1, -1), (0, -1))).eps == 1
 
     def test_direct_spec_agrees_with_group_spec(self):
-        # cells are kept in the field's canonical form, so both evaluators
-        # see the same values as for the spec group_spec builds
+        # a list of lists is kept as a tuple of pairs, so both evaluators
+        # see the same form as for the spec group_spec builds
         gf3 = PrimeField(3)
-        spec = GroupSpec("symplectic", 2, -1, gf3, ((0, 1), (-1, 0)),
-                         ((0, 5), (1, 0)))
+        spec = GroupSpec("symplectic", 2, gf3, [[1, 1], [0, -1]])
         assert spec == group_spec("sp", 2, modulus=3, allow_small_modulus=True)
+        assert hash(spec) == hash(group_spec("sp", 2, modulus=3,
+                                             allow_small_modulus=True))
         for d in (cap(), cup()):
             assert functor_matrix(d, spec) == functor_matrix_layered(d, spec)
+
+    @pytest.mark.parametrize("spec", [group_spec("o", m) for m in range(1, 7)]
+                             + [group_spec("sp", m) for m in (2, 4, 6, 8)]
+                             + [group_spec("sp", 4, modulus=7)],
+                             ids=lambda s: s.label())
+    def test_built_forms_satisfy_the_generator_relations(self, spec):
+        checks = verify_pau(spec)
+        assert checks and all(c.passed for c in checks)
+
+    def test_large_orthogonal_rank_needs_no_dense_form(self):
+        assert hom_rank(1, 1, group_spec("o", 3000)) == 1
 
     def test_small_modulus_guard(self):
         with pytest.raises(FunctorError):

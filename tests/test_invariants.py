@@ -1,6 +1,7 @@
 """Oracle tests for ranks, kernels, commutants, and ideal spans of the
 tensor-representation functor at desk scale."""
 
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -25,14 +26,14 @@ from brauer import (
     tensor_ideal_span_dimension,
 )
 from brauer.diagram import compose, diagram_count, e_i, identity
-from brauer.functor import _morphism_to_spec_field, guard_cells
+from brauer.functor import GroupSpec, _morphism_to_spec_field, guard_cells
 from brauer.invariants import (_algebra_generators, _commutant_group,
                                _reflection, _vectorized_rows, _word_classes,
                                derived_action)
 from brauer.linalg import EliminationBasis
 from brauer.linear import (from_diagram, lin_compose, lin_tensor,
                            make_morphism, morphism_to_json)
-from brauer.rings import PrimeField
+from brauer.rings import QQ, PrimeField
 
 O2 = group_spec("o", 2)
 O3 = group_spec("o", 3)
@@ -319,11 +320,8 @@ def _commutant_grid():
 
 
 def gram_matrix(spec):
-    entries = {}
-    for i, row in enumerate(spec.gram):
-        for j, v in enumerate(row):
-            entries[(i, j)] = v
-    return ExactMatrix(spec.m, spec.m, spec.ring, entries)
+    return ExactMatrix(spec.m, spec.m, spec.ring,
+                       {(i, j): s for i, (j, s) in enumerate(spec.form)})
 
 
 class TestRanks:
@@ -485,16 +483,44 @@ class TestCommutant:
                                                   allow_small_modulus=True)],
                              ids=lambda s: s.label())
     def test_split_form_and_reflection(self, spec):
-        group, refl = _commutant_group(spec)
+        group = _commutant_group(spec)
+        refl = _reflection(group)
         form = gram_matrix(group)
         assert refl.transpose().mul(form).mul(refl) == form
         assert refl.mul(refl) == ExactMatrix.identity(spec.m, spec.ring)
         assert refl != ExactMatrix.identity(spec.m, spec.ring)
         assert all(i + j == spec.m - 1 for i, j in form.entries)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_reflection_is_the_hand_built_one(self, m):
+        # identity form: negate e_0; split form: negate the middle vector
+        # for odd m, swap the two middle vectors for even m
+        spec = group_spec("o", m)
+        one, minus = Fraction(1), Fraction(-1)
+        assert _reflection(spec).entries == {
+            (i, i): minus if i == 0 else one for i in range(m)}
+        h = m // 2
+        if m % 2:
+            want = {(i, i): minus if i == h else one for i in range(m)}
+        else:
+            want = {(i, i): one for i in range(m) if i not in (h - 1, h)}
+            want[(h - 1, h)] = want[(h, h - 1)] = one
+        assert _reflection(_commutant_group(spec)).entries == want
+
+    @pytest.mark.parametrize("form", [((1, -1), (0, -1)),
+                                      ((3, 1), (2, -1), (1, -1), (0, 1)),
+                                      ((0, -1), (2, 1), (1, 1))],
+                             ids=["neg-swap", "mixed", "neg-fixed"])
+    def test_reflection_of_any_orthogonal_form(self, form):
+        spec = GroupSpec("orthogonal", len(form), QQ, form)
+        refl, g = _reflection(spec), gram_matrix(spec)
+        assert refl.transpose().mul(g).mul(refl) == g
+        assert refl.mul(refl) == ExactMatrix.identity(spec.m, QQ)
+        assert refl != ExactMatrix.identity(spec.m, QQ)
+
     def test_characteristic_two_keeps_the_identity_form(self):
         spec = group_spec("o", 2, modulus=2, allow_small_modulus=True)
-        assert _commutant_group(spec) == (spec, _reflection(spec))
+        assert _commutant_group(spec) == spec
         assert commutant_dimension(2, spec) == 4
 
     @pytest.mark.parametrize("r,spec,kept", [(3, O3, 141), (2, group_spec("sp", 6), 90),
@@ -502,7 +528,8 @@ class TestCommutant:
                                              (3, group_spec("o", 3, modulus=5), 141)],
                              ids=lambda v: v.label() if hasattr(v, "label") else None)
     def test_unknowns_restricted_to_weight_classes(self, r, spec, kept):
-        classes = _word_classes(*_commutant_group(spec), r)
+        group = _commutant_group(spec)
+        classes = _word_classes(group, _reflection(group), r)
         assert sorted(w for c in classes for w in c) == list(range(spec.m ** r))
         assert sum(len(c) ** 2 for c in classes) == kept
 

@@ -141,6 +141,13 @@ class TestSpecialization:
         sq = lin_compose(e, e)  # delta * e, symbolic
         sp = specialize_delta(sq, Fraction(7))
         assert sp == lin_scale(Fraction(7), from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(7)))
+        assert specialize_delta(sq, 7) == sp
+
+    @pytest.mark.parametrize("value", [0.1, True, "3", None],
+                             ids=["float", "bool", "str", "none"])
+    def test_specialize_refuses_inexact_values(self, value):
+        with pytest.raises(MorphismError):
+            specialize_delta(sigma(1, 2), value)
 
     def test_specialize_requires_symbolic(self):
         e = from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(2))

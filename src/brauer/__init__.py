@@ -18,7 +18,7 @@ from .linear import (Morphism, MorphismError, from_diagram, identity_morphism,
                      lin_power, lin_scale, lin_star, lin_sub, lin_tensor,
                      make_morphism, morphism_from_json, morphism_to_json,
                      reduce_mod_p, specialize_delta, zero_morphism)
-from .elements import (AlgebraContext, ElementError, antisymmetrizer_block,
+from .elements import (ElementError, antisymmetrizer_block,
                        brauer_presentation_report, d_pq, e_i_j, e_p_formula,
                        e_p_rotation, e_product, f_p, from_permutation,
                        jones_trace_symbolic, phi, sigma, verify_afu,

@@ -4,6 +4,12 @@ Houses the (anti)symmetrizers Sigma_eps(r), the quasi-idempotents Phi and
 E_p, the bent elements D(p, q), products of cap-cup generators, and exact
 verifiers for the recursion/cap/bend identities these elements satisfy.
 
+The kernel generators fix their own loop value and are built over QQ:
+Phi_n at delta = -2n, E_p and F_p at delta = m, D(p, q) at delta = -2n.
+E_p and D(p, q) are one bend of an enumerated Sigma (:func:`_bend`): the
+antisymmetrizer of degree m + 1 with p legs turned on each side, and the
+symmetrizer of degree 2n + 1 with p legs turned up and q down.
+
 Index conventions follow the classical generator notation: s_i and e_i act
 on strands i, i+1 with 1-based i, and antisymmetrizer windows [k, l] are
 1-based inclusive.  Reciprocal factorials 1/t! are taken to vanish for
@@ -13,14 +19,13 @@ uniformly at the boundary of their parameter ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, permutations
 from math import factorial
 
 from . import diagram as dg
-from .diagram import (_check_sizes, _is_int, closure_loops, identity,
-                      lower_diagram, make_diagram, tensor)
+from .diagram import (Diagram, _check_sizes, _is_int, closure_loops,
+                      identity, lower_diagram, make_diagram, tensor)
 from .functor import guard_cells
 from .linear import (
     Morphism,
@@ -45,7 +50,6 @@ from .report import check_bool
 from .rings import QQ, QQ_DELTA, Poly
 
 __all__ = [
-    "AlgebraContext",
     "ElementError",
     "inversions",
     "from_permutation",
@@ -71,30 +75,6 @@ __all__ = [
 
 class ElementError(ValueError):
     """Raised for out-of-range constructor parameters."""
-
-
-@dataclass(frozen=True)
-class AlgebraContext:
-    """Degree, coefficient ring and delta handling for one algebra."""
-
-    r: int
-    ring: object = QQ_DELTA
-    delta: object = None
-
-    def diagram(self, d):
-        return from_diagram(d, ring=self.ring, delta=self.delta)
-
-    def identity(self):
-        return identity_morphism(self.r, ring=self.ring, delta=self.delta)
-
-    def zero(self):
-        return zero_morphism(self.r, self.r, ring=self.ring, delta=self.delta)
-
-    def s(self, i):
-        return self.diagram(dg.s_i(self.r, i))
-
-    def e(self, i):
-        return self.diagram(dg.e_i(self.r, i))
 
 
 def inversions(pi):
@@ -156,19 +136,19 @@ def e_product(indices, r, ring=QQ_DELTA, delta=None):
 def e_i_j(i, j, r, ring=QQ_DELTA, delta=None):
     """Nested product e_{i,i+1} e_{i-1,i+2} ... e_{i-j+1,i+j} (1-based strands).
 
-    The factors act on pairwise disjoint strand pairs; e_i_j(i, 0, r) is the
-    identity.
+    The factors act on pairwise disjoint strand pairs, so the product is the
+    single diagram with j nested arcs on strands i-j+1..i+j at the bottom
+    and the same arcs at the top; e_i_j(i, 0, r) is the identity.
     """
     _check_sizes(ElementError, "nested window", i=i, j=j, r=r)
     if j > 0 and not (1 <= i - j + 1 and i + j <= r):
         raise ElementError(
             "nested window (i=%d, j=%d) out of range for %d strands" % (i, j, r)
         )
-    acc = identity_morphism(r, ring=ring, delta=delta)
-    for x in range(j):
-        factor = dg.e_pair(r, (i - x) - 1, (i + 1 + x) - 1)
-        acc = lin_compose(acc, from_diagram(factor, ring=ring, delta=delta))
-    return acc
+    arcs = [(i - 1 - x, i + x) for x in range(j)]
+    pairs = arcs + [(r + a, r + b) for a, b in arcs]
+    pairs += [(t, r + t) for t in range(r) if not i - j <= t < i + j]
+    return from_diagram(make_diagram(r, r, pairs), ring=ring, delta=delta)
 
 
 def phi(n):
@@ -206,42 +186,34 @@ def _guard_ep_terms(m, i):
                 % (i, r, r, 2 * r), ElementError)
 
 
-def f_p(m, p, ring=None, delta=None):
-    """Product of antisymmetrizer blocks on [1, p] and [p+1, m+1] in degree m+1."""
+def f_p(m, p):
+    """Sigma_1(p) (x) Sigma_1(m+1-p): the antisymmetrizer blocks on strands
+    [1, p] and [p+1, m+1] in degree m+1, at delta = m."""
     _check_ep_degree(m, p=p)
-    if ring is None:
-        ring, delta = QQ, Fraction(m)
-    r = m + 1
-    return lin_compose(
-        antisymmetrizer_block(1, p, r, ring=ring, delta=delta),
-        antisymmetrizer_block(p + 1, r, r, ring=ring, delta=delta),
-    )
+    if not p <= m + 1:
+        raise ElementError("block size %d out of range" % p)
+    delta = Fraction(m)
+    return lin_tensor(sigma(1, p, ring=QQ, delta=delta),
+                      sigma(1, m + 1 - p, ring=QQ, delta=delta))
 
 
-def e_p_rotation(m, p, ring=None, delta=None):
-    """Rotate the last p strands of the degree-(m+1) antisymmetrizer, term-wise.
+def e_p_rotation(m, p):
+    """Rotate the last p strands of the degree-(m+1) antisymmetrizer, term-wise:
+    the bend of :func:`_bend` with p legs turned on each side.
 
     With the boundary-position index i = m+1-p this realizes the bent
-    antisymmetrizer E_i; coefficients stay +-1.  Budgeted like
+    antisymmetrizer E_i at delta = m; coefficients stay +-1.  Budgeted like
     :func:`e_p_formula`, before Sigma is built.
     """
     _check_ep_degree(m, p=p)
     if not p <= m + 1:
         raise ElementError("rotation count %d out of range" % p)
     _guard_ep_terms(m, m + 1 - p)
-    if ring is None:
-        ring, delta = QQ, Fraction(m)
-    src = sigma(1, m + 1, ring=ring, delta=delta)
-    terms = {}
-    zero = ring.zero()
-    for d, c in src.terms.items():
-        rd = dg.rotate_right(d, p)
-        terms[rd] = ring.add(terms.get(rd, zero), c)
-    return Morphism(m + 1, m + 1, ring, delta, terms)
+    return _bend(1, m + 1, p, p, m)
 
 
-def e_p_formula(m, i, ring=None, delta=None):
-    """The bent antisymmetrizer E_i by its rational formula.
+def e_p_formula(m, i):
+    """The bent antisymmetrizer E_i at delta = m by its rational formula.
 
     Alternating sum over j of F_i e_i(j) F_i weighted by
     1/((i-j)! (m+1-i-j)! (j!)^2); agrees with e_p_rotation(m, m+1-i).
@@ -258,8 +230,7 @@ def e_p_formula(m, i, ring=None, delta=None):
     if not i <= m + 1:
         raise ElementError("index %d out of range" % i)
     _guard_ep_terms(m, i)
-    if ring is None:
-        ring, delta = QQ, Fraction(m)
+    ring, delta = QQ, Fraction(m)
     r = m + 1
     blocks = (i, r - i)
     acc = zero_morphism(r, r, ring=ring, delta=delta)
@@ -274,55 +245,54 @@ def e_p_formula(m, i, ring=None, delta=None):
     return acc
 
 
-def d_pq(n, p, q, ring=None, delta=None):
-    """Bend the degree-(2n+1) symmetrizer: p bottom legs up, q of its top legs down.
-
-    Term-wise on each permutation: the last p bottom legs wrap around the
-    right to the top boundary in reversed order; of the 2n+1 top legs the
-    first 2n+1-2(p-q)-q pass straight up, the next 2(p-q) close into p-q
-    nested arcs, and the last q wrap around the right to the bottom
-    boundary in reversed order.  The result is square of degree 2n+1-p+q.
-    """
+def d_pq(n, p, q):
+    """Bend the degree-(2n+1) symmetrizer at delta = -2n: p bottom legs up,
+    q of its top legs down (:func:`_bend`).  The result is square of degree
+    2n+1-p+q."""
     _check_sizes(ElementError, "D(p, q)", n=n, p=p, q=q)
     if not q <= p <= n:
         raise ElementError("need 0 <= q <= p <= n")
-    if ring is None:
-        ring, delta = QQ, Fraction(-2 * n)
-    w = 2 * n + 1
+    return _bend(-1, 2 * n + 1, p, q, -2 * n)
+
+
+def _bend(eps, w, p, q, delta):
+    """Bend Sigma_eps(w) term-wise over QQ at the given delta, for
+    0 <= q <= p and 2p - q <= w.
+
+    On each permutation the last p bottom legs wrap around the right to
+    the top boundary in reversed order; of the w top legs the first
+    w-2(p-q)-q pass straight up, the next 2(p-q) close into p-q nested
+    arcs, and the last q wrap around the right to the bottom boundary in
+    reversed order.  The result is square of degree w-p+q.  Every top leg
+    of a permutation ends on the bottom, so an arc joins two bottom legs
+    and no loop closes.
+    """
     narcs = p - q
     straight_top = w - 2 * narcs - q
     nr = w - p + q
-    src = sigma(-1, w, ring=ring, delta=delta)
-    final = {}
-    arc_partner = {}
-    for b in range(w - p):
-        final[b] = b
-    for t in range(p):
-        final[w - p + t] = nr + straight_top + (p - 1 - t)
-    for j in range(straight_top):
-        final[w + j] = nr + j
-    for u in range(2 * narcs):
-        arc_partner[w + straight_top + u] = w + straight_top + (2 * narcs - 1 - u)
-    for s in range(q):
-        final[w + (w - q) + s] = (w - p) + (q - 1 - s)
+    # new[x] is the node of the result that node x of Sigma becomes, or -1
+    # for a top leg closed into an arc; arc[x] is that leg's arc partner.
+    new = [*range(w - p),
+           *range(2 * nr - 1, 2 * nr - 1 - p, -1),
+           *range(nr, nr + straight_top),
+           *[-1] * (2 * narcs),
+           *range(w - p + q - 1, w - p - 1, -1)]
+    arc = {w + straight_top + u: w + straight_top + 2 * narcs - 1 - u
+           for u in range(2 * narcs)}
+    ends = [x for x in range(2 * w) if new[x] >= 0]
+    src = sigma(eps, w, ring=QQ, delta=Fraction(delta))
     terms = {}
-    zero = ring.zero()
     for d, c in src.terms.items():
         partner = d.partner
-        pairs = []
-        seen = set()
-        for x in final:
-            if x in seen:
-                continue
-            seen.add(x)
+        out = [0] * (2 * nr)
+        for x in ends:
             y = partner[x]
-            while y in arc_partner:
-                y = partner[arc_partner[y]]
-            seen.add(y)
-            pairs.append((final[x], final[y]))
-        diag = make_diagram(nr, nr, pairs)
-        terms[diag] = ring.add(terms.get(diag, zero), c)
-    return Morphism(nr, nr, ring, delta, terms)
+            if new[y] < 0:
+                y = partner[arc[y]]
+            out[new[x]] = new[y]
+        diag = Diagram._from_partner(nr, nr, out)
+        terms[diag] = terms.get(diag, 0) + c
+    return Morphism(nr, nr, QQ, src.delta, terms)
 
 
 def _id_cap_id(left, right, ring, delta):
@@ -330,9 +300,8 @@ def _id_cap_id(left, right, ring, delta):
     return from_diagram(d, ring=ring, delta=delta)
 
 
-def _id_cups_id(left, count, right, ring, delta, nested=False):
-    mid = dg.u_nest(count) if nested else _adjacent_cups(count)
-    d = tensor(tensor(identity(left), mid), identity(right))
+def _id_cups_id(left, count, right, ring, delta):
+    d = tensor(tensor(identity(left), dg.u_nest(count)), identity(right))
     return from_diagram(d, ring=ring, delta=delta)
 
 
@@ -454,17 +423,17 @@ def verify_afu(m, i, k):
         raise ElementError("need 0 <= k <= min(i, m+1-i)")
     ring, delta = QQ, Fraction(m)
     cap_left = _id_cap_id(i - 1, m - i, ring, delta)
-    cups = _id_cups_id(i - k, k, m + 1 - i - k, ring, delta, nested=True)
+    cups = _id_cups_id(i - k, k, m + 1 - i - k, ring, delta)
     lhs = lin_compose(cap_left, block_act(cups, 1, top=(i, m + 1 - i)))
     blocks = (i - 1, m - i)
     rhs = zero_morphism(m + 1 - 2 * k, m - 1, ring=ring, delta=delta)
     if k >= 1:
-        cups1 = _id_cups_id(i - k, k - 1, m + 1 - i - k, ring, delta, nested=True)
+        cups1 = _id_cups_id(i - k, k - 1, m + 1 - i - k, ring, delta)
         rhs = lin_add(rhs, lin_scale(k * k, block_act(cups1, 1, top=blocks)))
     if i - k - 1 >= 0 and m - i - k >= 0:
         zeta = Fraction(1, factorial(i - k - 1) * factorial(m - i - k))
         cap_inner = _id_cap_id(i - k - 1, m - i - k, ring, delta)
-        cups_inner = _id_cups_id(i - k - 1, k, m - i - k, ring, delta, nested=True)
+        cups_inner = _id_cups_id(i - k - 1, k, m - i - k, ring, delta)
         tail = block_act(lin_compose(cups_inner, cap_inner), 1, top=blocks,
                          bottom=(i - k, m + 1 - i - k))
         rhs = lin_add(rhs, lin_scale(zeta, tail))
@@ -486,11 +455,14 @@ def jones_trace_symbolic(x, eps=1):
     return acc
 
 
-def brauer_presentation_report(r, ring=QQ_DELTA, delta=None):
-    """Exact checks of the full generator presentation in degree r, plus the
-    derived relation e_i s_{i+1} e_i = e_i and the 180-degree anti-involution."""
-    ctx = AlgebraContext(r, ring=ring, delta=delta)
-    one = ctx.identity()
+def brauer_presentation_report(r):
+    """Exact checks of the full generator presentation in degree r over
+    symbolic delta, plus the derived relation e_i s_{i+1} e_i = e_i and the
+    180-degree anti-involution."""
+    s = {i: from_diagram(dg.s_i(r, i)) for i in range(1, r)}
+    e = {i: from_diagram(dg.e_i(r, i)) for i in range(1, r)}
+    one = identity_morphism(r)
+    delta = Poly.variable()
     checks = []
 
     def comp(*xs):
@@ -500,29 +472,29 @@ def brauer_presentation_report(r, ring=QQ_DELTA, delta=None):
         return acc
 
     for i in range(1, r):
-        si, ei = ctx.s(i), ctx.e(i)
+        si, ei = s[i], e[i]
         checks.append(check_bool("s%d^2 = 1, r=%d" % (i, r), comp(si, si) == one))
         checks.append(check_bool("s%d e%d = e%d, r=%d" % (i, i, i, r), comp(si, ei) == ei))
         checks.append(check_bool("e%d s%d = e%d, r=%d" % (i, i, i, r), comp(ei, si) == ei))
         checks.append(
             check_bool(
                 "e%d^2 = delta e%d, r=%d" % (i, i, r),
-                comp(ei, ei) == lin_scale(delta_factor(ring, delta, 1), ei),
+                comp(ei, ei) == lin_scale(delta, ei),
             )
         )
         checks.append(
             check_bool(
-                "ast(s%d) = s%d, r=%d" % (i, r - i, r), lin_ast(si) == ctx.s(r - i)
+                "ast(s%d) = s%d, r=%d" % (i, r - i, r), lin_ast(si) == s[r - i]
             )
         )
         checks.append(
             check_bool(
-                "ast(e%d) = e%d, r=%d" % (i, r - i, r), lin_ast(ei) == ctx.e(r - i)
+                "ast(e%d) = e%d, r=%d" % (i, r - i, r), lin_ast(ei) == e[r - i]
             )
         )
     for i in range(1, r - 1):
-        si, si1 = ctx.s(i), ctx.s(i + 1)
-        ei, ei1 = ctx.e(i), ctx.e(i + 1)
+        si, si1 = s[i], s[i + 1]
+        ei, ei1 = e[i], e[i + 1]
         checks.append(
             check_bool(
                 "braid s%d s%d s%d, r=%d" % (i, i + 1, i, r),
@@ -555,8 +527,8 @@ def brauer_presentation_report(r, ring=QQ_DELTA, delta=None):
         )
     for i in range(1, r):
         for j in range(i + 2, r):
-            si, sj = ctx.s(i), ctx.s(j)
-            ei, ej = ctx.e(i), ctx.e(j)
+            si, sj = s[i], s[j]
+            ei, ej = e[i], e[j]
             checks.append(
                 check_bool(
                     "s%d s%d commute, r=%d" % (i, j, r), comp(si, sj) == comp(sj, si)

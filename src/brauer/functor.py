@@ -389,6 +389,20 @@ def generator_matrices(spec):
     return {"I": ident, "X": x_mat, "A": a_mat, "U": u_mat}
 
 
+@lru_cache(maxsize=16)
+def _generators_by_column(spec):
+    """Per generator of :func:`generator_matrices`: its row count m^out(g),
+    column count m^in(g), and its nonzero cells grouped by column, as
+    (row, value) lists.  Shared between calls, so read only."""
+    gens = {}
+    for gen, mat in generator_matrices(spec).items():
+        by_col = {}
+        for (r, c), v in mat.entries.items():
+            by_col.setdefault(c, []).append((r, v))
+        gens[gen] = (mat.rows, mat.cols, by_col)
+    return gens
+
+
 @lru_cache(maxsize=1 << 14)
 def _diagram_matrix(d, spec):
     """Direct contraction.  Each arc contributes m choices of (row offset,
@@ -488,14 +502,7 @@ def functor_matrix_layered(x, spec):
     guard_cells(repeat(m, x.k + x.l),
                 "computation needs %d^%d matrix cells" % (m, x.k + x.l))
     word = synthesize_word(x)
-    # Per generator: its row count m^out(g), column count m^in(g), and its
-    # nonzero cells grouped by column.
-    gens = {}
-    for gen, mat in generator_matrices(spec).items():
-        by_col = {}
-        for (r, c), v in mat.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        gens[gen] = (mat.rows, mat.cols, by_col)
+    gens = _generators_by_column(spec)
     add, mul = ring.add, ring.mul
     one = ring.one()
     entries = {(i, i): one for i in range(m ** word.domain)}

@@ -142,11 +142,7 @@ def lie_generators(spec):
             basis.add_row(row)
     out = []
     for vec in basis.nullspace(range(m * m)):
-        entries = {}
-        for key, v in vec.items():
-            if isinstance(v, int):
-                v = ring.from_int(v)
-            entries[(key // m, key % m)] = v
+        entries = {(key // m, key % m): v for key, v in vec.items()}
         out.append(ExactMatrix(m, m, ring, entries))
     return out
 

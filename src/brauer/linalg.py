@@ -186,9 +186,9 @@ class EliminationBasis:
         column universe, one vector per free column in column order.
 
         Over the rationals each vector is scaled to primitive integers with
-        the free-column entry positive; over F_p the free-column entry is 1.
+        the free-column entry positive (:meth:`_prepare`); over F_p the
+        free-column entry is 1.
         """
-        p = self._p
         rows = self.reduced_rows()
         basis = []
         for f in columns:
@@ -197,17 +197,8 @@ class EliminationBasis:
             vec = {f: 1}
             for q, row in rows.items():
                 if f in row:
-                    vec[q] = -row[f] if p is None else -row[f] % p
-            if p is None:
-                scale = 1
-                for v in vec.values():
-                    d = v.denominator
-                    scale = scale * d // gcd(scale, d)
-                vec = {c: int(v * scale) for c, v in vec.items()}
-                g = _row_content(vec)
-                if g > 1:
-                    vec = {c: v // g for c, v in vec.items()}
-            basis.append(vec)
+                    vec[q] = -row[f]
+            basis.append(self._prepare(vec))
         return basis
 
 

@@ -59,12 +59,19 @@ def _coerce_coeff(ring, value, error=MorphismError):
 
 
 def _coerce_delta(ring, delta):
+    """Symbolic delta (None) exactly over the polynomial ring, a numeric
+    delta exactly over the other rings."""
     if delta is None:
         if not isinstance(ring, PolynomialsInDelta):
             raise MorphismError(
                 "symbolic delta requires the polynomial coefficient ring"
             )
         return None
+    if isinstance(ring, PolynomialsInDelta):
+        raise MorphismError(
+            "the polynomial coefficient ring requires symbolic delta, got "
+            "%r; specialize_delta gives a numeric one" % (delta,)
+        )
     return _coerce_coeff(ring, delta)
 
 
@@ -418,19 +425,13 @@ def reduce_mod_p(x, p):
     field = PrimeField(p)
 
     def to_int(c):
-        if isinstance(c, Poly):
-            if c.degree > 0:
-                raise MorphismError("non-constant polynomial coefficient")
-            value = c.evaluate(0)
-        else:
-            value = Fraction(c)
+        value = Fraction(c)
         if value.denominator != 1:
             raise MorphismError("non-integral value %s" % value)
         return int(value)
 
-    delta = to_int(x.delta) if not isinstance(x.delta, int) else x.delta
     terms = {d: field.from_int(to_int(c)) for d, c in x.terms.items()}
-    return Morphism(x.k, x.l, field, field.from_int(delta), terms)
+    return Morphism(x.k, x.l, field, field.from_int(to_int(x.delta)), terms)
 
 
 def morphism_to_json(x):

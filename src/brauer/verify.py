@@ -16,9 +16,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
-from .diagram import _check_sizes, diagram_count, enumerate_diagrams, x_block
-from .elements import (AlgebraContext, brauer_presentation_report, e_p_formula,
-                       e_p_rotation, from_permutation, phi, sigma, verify_afu,
+from .diagram import (_check_sizes, diagram_count, e_i, enumerate_diagrams,
+                      x_block)
+from .elements import (brauer_presentation_report, e_p_formula, e_p_rotation,
+                       from_permutation, phi, sigma, verify_afu,
                        verify_sigma_cap, verify_sigma_identities)
 from .functor import (_FAMILY_ALIASES, functor_matrix, functor_matrix_layered,
                       group_spec, trace_check, verify_pau)
@@ -30,7 +31,6 @@ from .linear import (block_act, from_diagram, integrality_check, lin_ast,
                      reduce_mod_p)
 from .report import check, check_bool
 from .rewrite import verify_relation_soundness
-from .rings import QQ
 from .words import evaluate_word, synthesize_word
 
 SUITE_NAMES = ("relations", "presentation", "sigma", "pau", "phi", "ep",
@@ -186,9 +186,10 @@ def suite_phi():
         checks.append(check_bool("%s squares to (n+1)! times itself" % tag,
                                  lhs == rhs))
         ring, delta = ph.ring, ph.delta
-        ctx = AlgebraContext(r=n + 1, ring=ring, delta=delta)
+        caps = [from_diagram(e_i(n + 1, i), ring=ring, delta=delta)
+                for i in range(1, n + 1)]
         ok = all(lin_compose(e, ph).is_zero() and lin_compose(ph, e).is_zero()
-                 for e in map(ctx.e, range(1, n + 1)))
+                 for e in caps)
         checks.append(check_bool("%s is annihilated by every cap generator" % tag, ok))
         checks.append(check_bool("%s is fixed by the rotation flip" % tag,
                                  lin_ast(ph) == ph))
@@ -218,11 +219,9 @@ def suite_ep(groups):
     checks = []
     sizes = [dim for _, dim in groups]
     for dim in sizes:
-        ring = QQ
-        delta = Fraction(dim)
-        rot = {p: e_p_rotation(dim, p, ring=ring, delta=delta)
-               for p in range(0, dim + 2)}
-        ok = all(e_p_formula(dim, i, ring=ring, delta=delta) == rot[dim + 1 - i]
+        rot = {p: e_p_rotation(dim, p) for p in range(0, dim + 2)}
+        ring, delta = rot[0].ring, rot[0].delta
+        ok = all(e_p_formula(dim, i) == rot[dim + 1 - i]
                  for i in range(0, dim + 2))
         checks.append(check_bool(
             "m=%d: rotation construction matches the closed formula" % dim, ok))
@@ -237,8 +236,8 @@ def suite_ep(groups):
         checks.append(check_bool(
             "m=%d: block antisymmetrizers absorb with factor p!(m+1-p)!" % dim, ok))
 
-        ctx = AlgebraContext(r=dim + 1, ring=ring, delta=delta)
-        caps = [ctx.e(i) for i in range(1, dim + 1)]
+        caps = [from_diagram(e_i(dim + 1, i), ring=ring, delta=delta)
+                for i in range(1, dim + 1)]
         ok = all(lin_compose(e, ep).is_zero() and lin_compose(ep, e).is_zero()
                  for ep in rot.values() for e in caps)
         checks.append(check_bool(
@@ -263,8 +262,7 @@ def suite_ep(groups):
 
     for dim in [d for d in sizes if d in (2, 3)]:
         spec = group_spec("o", dim)
-        ok = all(functor_matrix(e_p_rotation(dim, p, ring=spec.ring,
-                                             delta=spec.delta_value()), spec).is_zero()
+        ok = all(functor_matrix(e_p_rotation(dim, p), spec).is_zero()
                  for p in range(0, dim + 2))
         checks.append(check_bool(
             "functor kills every bent antisymmetrizer under O(%d)" % dim, ok))
@@ -312,7 +310,7 @@ def suite_kernel(groups):
 
     if ("o", 2) in groups:
         o2 = group_spec("o", 2)
-        e1 = e_p_rotation(2, 1, ring=o2.ring, delta=o2.delta_value())
+        e1 = e_p_rotation(2, 1)
         for r in (3, 4):
             kd = kernel_dimension(r, r, o2)
             idim = ideal_span_dimension(r, e1, o2)
@@ -325,7 +323,7 @@ def suite_kernel(groups):
         o3 = group_spec("o", 3)
         checks.append(check("O(3): kernel dimension at (3, 3) (injective range)",
                             0, kernel_dimension(3, 3, o3)))
-        e2 = e_p_rotation(3, 2, ring=o3.ring, delta=o3.delta_value())
+        e2 = e_p_rotation(3, 2)
         kd = kernel_dimension(4, 4, o3)
         checks.append(check("O(3) r=4: kernel vs bent-antisymmetrizer ideal",
                             kd, ideal_span_dimension(4, e2, o3)))

@@ -313,6 +313,15 @@ class TestFunctorCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_polynomial_morphism_with_numeric_delta_is_user_error(self, capsys):
+        rc = run(["functor-matrix", "--family", "o", "--m", "3",
+                  '{"k": 1, "l": 1, "ring": "PolynomialsInDelta", "delta": "3", '
+                  '"terms": [{"diagram": %s, "coeff": "d"}]}' % IDENT1])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "requires symbolic delta" in captured.err
+
     def test_wrong_valency_morphism_term_is_user_error(self, capsys):
         rc = run(["functor-matrix", "--family", "sp", "--m", "2",
                   '{"k": 2, "l": 2, "ring": "Rationals", "delta": "-2", '
@@ -649,6 +658,8 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("name,argv", [
         ("phi_n3.json", ["phi", "--n", "3"]),
         ("ep_m3_p2.json", ["ep", "--m", "3", "--p", "2"]),
+        ("dpq_n2_p2_q1.json", ["dpq", "--n", "2", "--p", "2", "--q", "1"]),
+        ("dpq_n3_p3_q1.json", ["dpq", "--n", "3", "--p", "3", "--q", "1"]),
         ("kernel_o3_k4_l4.json",
          ["kernel", "--family", "o", "--m", "3", "--k", "4", "--l", "4"]),
         ("kernel_sp4_k4_l4_p101.json",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from brauer import (
     QQ,
-    AlgebraContext,
     ElementError,
+    Morphism,
     Poly,
     antisymmetrizer_block,
     brauer_presentation_report,
@@ -32,6 +32,7 @@ from brauer import (
     lin_scale,
     permutation_diagram,
     phi,
+    rotate_right,
     sigma,
     tensor,
     verify_afu,
@@ -40,7 +41,7 @@ from brauer import (
     verify_sigma_identities,
     zero_morphism,
 )
-from brauer.diagram import cap, e_i, s_i
+from brauer.diagram import cap, e_i, e_pair, s_i
 from brauer.elements import inversions
 
 
@@ -91,20 +92,20 @@ class TestSigma:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_crossing_absorption(self, r):
-        ctx = AlgebraContext(r)
         for eps in (1, -1):
             sig = sigma(eps, r)
             for i in range(1, r):
-                assert lin_compose(ctx.s(i), sig) == lin_scale(-eps, sig)
-                assert lin_compose(sig, ctx.s(i)) == lin_scale(-eps, sig)
+                s = from_diagram(s_i(r, i))
+                assert lin_compose(s, sig) == lin_scale(-eps, sig)
+                assert lin_compose(sig, s) == lin_scale(-eps, sig)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_cap_kills_alternating_sum(self, r):
-        ctx = AlgebraContext(r)
         anti = sigma(1, r)
         for i in range(1, r):
-            assert lin_compose(ctx.e(i), anti).is_zero()
-            assert lin_compose(anti, ctx.e(i)).is_zero()
+            e = from_diagram(e_i(r, i))
+            assert lin_compose(e, anti).is_zero()
+            assert lin_compose(anti, e).is_zero()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ElementError):
@@ -174,6 +175,16 @@ class TestNestedCups:
 
     def test_depth_one_is_adjacent_generator(self):
         assert e_i_j(2, 1, 4) == from_diagram(e_i(4, 2))
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_equals_product_of_its_factors(self, r):
+        for i in range(1, r):
+            for j in range(min(i, r - i) + 1):
+                product = identity_morphism(r)
+                for x in range(j):
+                    factor = from_diagram(e_pair(r, i - 1 - x, i + x))
+                    product = lin_compose(product, factor)
+                assert e_i_j(i, j, r) == product
 
     def test_e_product_matches_manual(self):
         manual = lin_compose(from_diagram(e_i(3, 1)), from_diagram(e_i(3, 2)))
@@ -254,18 +265,18 @@ class TestPhi:
     @pytest.mark.parametrize("n", [1, 2])
     def test_caps_annihilate(self, n):
         p = phi(n)
-        ctx = AlgebraContext(n + 1, ring=QQ, delta=Fraction(-2 * n))
         for i in range(1, n + 1):
-            assert lin_compose(ctx.e(i), p).is_zero()
-            assert lin_compose(p, ctx.e(i)).is_zero()
+            e = from_diagram(e_i(n + 1, i), ring=QQ, delta=Fraction(-2 * n))
+            assert lin_compose(e, p).is_zero()
+            assert lin_compose(p, e).is_zero()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_permutations_absorbed(self, n):
         p = phi(n)
-        ctx = AlgebraContext(n + 1, ring=QQ, delta=Fraction(-2 * n))
         for i in range(1, n + 1):
-            assert lin_compose(ctx.s(i), p) == p
-            assert lin_compose(p, ctx.s(i)) == p
+            s = from_diagram(s_i(n + 1, i), ring=QQ, delta=Fraction(-2 * n))
+            assert lin_compose(s, p) == p
+            assert lin_compose(p, s) == p
 
     def test_requires_positive_degree(self):
         with pytest.raises(ElementError):
@@ -288,7 +299,23 @@ def _e_p_sandwich(m, i):
     return acc
 
 
+def _e_p_rotate_right(m, p):
+    """E_p by rotating each term of the enumerated Sigma_1(m+1) with
+    :func:`brauer.diagram.rotate_right`: the oracle for the bend."""
+    delta = Fraction(m)
+    terms = {}
+    for d, c in sigma(1, m + 1, ring=QQ, delta=delta).terms.items():
+        rd = rotate_right(d, p)
+        terms[rd] = terms.get(rd, 0) + c
+    return Morphism(m + 1, m + 1, QQ, delta, terms)
+
+
 class TestBentAntisymmetrizers:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_bend_matches_rotate_right(self, m):
+        for p in range(m + 2):
+            assert e_p_rotation(m, p) == _e_p_rotate_right(m, p)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_formula_matches_rotation(self, m):
         for i in range(m + 2):
@@ -347,6 +374,8 @@ class TestBentAntisymmetrizers:
             e_p_rotation(2, 4)
         with pytest.raises(ElementError):
             e_p_formula(2, -1)
+        with pytest.raises(ElementError, match="block size 4 out of range"):
+            f_p(2, 4)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_degree_below_one_rejected(self, m):

@@ -1,8 +1,12 @@
-"""Every name a library module imports is used there.
+"""Every name a library module imports is used there, and every private
+helper it defines is used somewhere.
 
-Stdlib-only static check over ``src/brauer/*.py``: an imported name must
+Stdlib-only static checks over ``src/brauer/*.py``: an imported name must
 appear as a name somewhere else in the module.  Names listed in the
-module's ``__all__`` and the re-exports of ``__init__.py`` are exempt.
+module's ``__all__`` and the re-exports of ``__init__.py`` are exempt.  A
+module-level function or class named ``_name`` must be named, outside its
+own definition, somewhere in the library, the tests or the benchmark
+(which is read, never changed).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import pathlib
 import brauer
 
 PACKAGE = pathlib.Path(brauer.__file__).resolve().parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _imported(tree):
@@ -60,3 +65,67 @@ def test_no_unused_imports():
             for path in sorted(PACKAGE.glob("*.py"))
             for line, name in unused_imports(path)]
     assert hits == []
+
+
+def _names(node):
+    """Every identifier node reads: names, attributes, imported names and
+    string constants (a getattr or monkeypatch target)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.asname or sub.name)
+            out.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def unused_private_helpers(modules, readers):
+    """(module name, line, name) for each module-level ``_name`` function or
+    class of modules that nothing names outside its own definition; the
+    other top-level statements of modules and every statement of readers
+    count as uses."""
+    uses = set()
+    for path in readers:
+        uses |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    hits = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        per_stmt = [_names(stmt) for stmt in tree.body]
+        for idx, stmt in enumerate(tree.body):
+            if not (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                continue
+            if stmt.name in uses or any(stmt.name in names for j, names
+                                        in enumerate(per_stmt) if j != idx):
+                continue
+            hits.append((path.name, stmt.lineno, stmt.name))
+    return hits
+
+
+def test_checker_sees_an_unused_private_helper(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def _dead(n):\n    return _dead(n - 1)\n\n"
+                      "def _used():\n    pass\n\n"
+                      "class _Named:\n    pass\n\n"
+                      "def _by_reader():\n    pass\n\n"
+                      "def public():\n    return _used()\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("import sample\nsample._by_reader()\n"
+                      "setattr(sample, '_Named', None)\n")
+    assert unused_private_helpers([module], [reader]) == [
+        ("sample.py", 1, "_dead")]
+
+
+def test_no_unused_private_helpers():
+    modules = sorted(PACKAGE.glob("*.py"))
+    readers = [path for folder in ("tests", "perfbench")
+               for path in sorted((REPO / folder).glob("**/*.py"))]
+    assert readers, "tests/ and perfbench/ hold no Python files"
+    assert unused_private_helpers(modules, readers) == []

@@ -57,6 +57,13 @@ class TestConstruction:
         with pytest.raises(MorphismError):
             make_morphism(2, 2, {e_i(2, 1): 1}, ring=QQ, delta=None)
 
+    @pytest.mark.parametrize("delta", [3, Fraction(3), Poly.variable()])
+    def test_polynomial_ring_requires_symbolic_delta(self, delta):
+        # a coefficient d beside a numeric delta would mean two loop values
+        with pytest.raises(MorphismError, match="requires symbolic delta"):
+            make_morphism(1, 1, {identity(1): Poly((0, 1))}, ring=QQ_DELTA,
+                          delta=delta)
+
     def test_bool_coefficient_rejected(self):
         with pytest.raises(MorphismError):
             make_morphism(2, 2, {e_i(2, 1): True})
@@ -190,6 +197,12 @@ class TestJson:
         data = morphism_to_json(x)
         pair_lists = [tuple(map(tuple, t["diagram"]["pairs"])) for t in data["terms"]]
         assert pair_lists == sorted(pair_lists)
+
+    def test_polynomial_ring_with_numeric_delta_rejected(self):
+        data = morphism_to_json(from_diagram(identity(1)))
+        data["delta"] = "3"
+        with pytest.raises(MorphismError, match="requires symbolic delta"):
+            morphism_from_json(data)
 
     def test_malformed_rejected(self):
         with pytest.raises(MorphismError):

@@ -23,8 +23,7 @@ from .functor import (FunctorError, closure_trace, functor_matrix, group_spec,
 from .invariants import (hom_rank, ideal_span_dimension, kernel_basis,
                          kernel_dimension, tensor_ideal_span_dimension)
 from .linalg import LinAlgError
-from .linear import (MorphismError, morphism_from_json, morphism_to_json,
-                     reduce_mod_p)
+from .linear import MorphismError, morphism_from_json, morphism_to_json
 from .report import all_passed, report_json
 from .rewrite import RewriteError
 from .rings import QQ, QQ_DELTA, PrimeField, RingError
@@ -91,11 +90,8 @@ def _ring_and_delta(args):
         if delta is None:
             raise ValueError("a prime-field run needs a numeric --delta")
         ring = PrimeField(modulus)
-        if delta.denominator != 1:
-            num = ring.from_int(delta.numerator)
-            den = ring.from_int(delta.denominator)
-            return ring, ring.exact_div(num, den)
-        return ring, ring.from_int(delta.numerator)
+        return ring, ring.mul(ring.from_int(delta.numerator),
+                              ring.inv(delta.denominator))
     if delta is None:
         return QQ_DELTA, None
     return QQ, delta
@@ -234,22 +230,19 @@ def _int_pair(flag, form, text, prefix=""):
     return a, b
 
 
-def _generator_from_flag(text, spec):
+def _generator_from_flag(text):
+    """The --gen morphism as built or read; ideal_span_dimension brings it
+    into the group's field."""
     if text.startswith("phi:"):
         try:
             n = int(text[4:])
         except ValueError:
             raise ValueError("--gen expects phi:N with one integer, got %r"
                              % text) from None
-        gen = phi(n)
-    elif text.startswith("ep:"):
-        gen = e_p_formula(*_int_pair("--gen", "ep:M,P", text, "ep:"))
-    else:
-        gen = morphism_from_json(_load_json_arg(text))
-    if gen.ring != spec.ring and gen.delta is not None:
-        if isinstance(spec.ring, PrimeField):
-            gen = reduce_mod_p(gen, spec.ring.p)
-    return gen
+        return phi(n)
+    if text.startswith("ep:"):
+        return e_p_formula(*_int_pair("--gen", "ep:M,P", text, "ep:"))
+    return morphism_from_json(_load_json_arg(text))
 
 
 def run(argv=None):
@@ -369,7 +362,7 @@ def _dispatch(args, fmt):
             return 0
         if args.gen is None or args.r is None:
             raise ValueError("ideal-span needs --slice K,L, or --gen with --r")
-        gen = _generator_from_flag(args.gen, spec)
+        gen = _generator_from_flag(args.gen)
         _emit({"dimension": ideal_span_dimension(args.r, gen, spec)}, fmt)
         return 0
 

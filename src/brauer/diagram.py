@@ -20,8 +20,11 @@ else speaks 0-based positions.
 from __future__ import annotations
 
 import itertools
+import os
 
 from brauer import ops
+
+DEFAULT_MAX_CELLS = 10 ** 7
 
 
 class DiagramError(ValueError):
@@ -37,6 +40,37 @@ def _check_sizes(error, what, **sizes):
     for name, v in sizes.items():
         if not _is_int(v) or v < 0:
             raise error("%s %s=%r is not a non-negative integer" % (what, name, v))
+
+
+def max_cells(error=ValueError):
+    """Densest matrix cell count allowed, overridable via BRAUER_MAX_CELLS;
+    a malformed value raises error."""
+    raw = os.environ.get("BRAUER_MAX_CELLS")
+    if raw is None:
+        return DEFAULT_MAX_CELLS
+    try:
+        value = int(raw)
+    except ValueError:
+        raise error("BRAUER_MAX_CELLS must be an integer: %r" % raw)
+    if value <= 0:
+        raise error("BRAUER_MAX_CELLS must be positive: %r" % raw)
+    return value
+
+
+def guard_cells(factors, what, error):
+    """Refuse work whose size, the product of the factors, exceeds
+    max_cells(): the one budget of every constructor that grows faster
+    than polynomially, and of every size no input backs up.  The product
+    is formed only until it passes the limit, so a count of any size costs
+    a few multiplications; what names the count by formula for the
+    message, raised as error."""
+    limit = max_cells(error)
+    count = 1
+    for factor in factors:
+        count *= factor
+        if count > limit:
+            raise error("%s, above the limit %d; raise BRAUER_MAX_CELLS to "
+                        "allow it" % (what, limit))
 
 
 class Diagram:
@@ -55,6 +89,10 @@ class Diagram:
     def __init__(self, k, l, pairs):
         _check_sizes(DiagramError, "valency", k=k, l=l)
         n = k + l
+        pairs = tuple(pairs)
+        if 2 * len(pairs) != n:
+            raise DiagramError("%d arcs cannot cover the %d nodes of a "
+                               "(%d, %d) diagram" % (len(pairs), n, k, l))
         partner = [-1] * n
         for arc in pairs:
             try:
@@ -69,10 +107,6 @@ class Diagram:
                 raise DiagramError("node repeated in arc %r" % (arc,))
             partner[a] = b
             partner[b] = a
-        if -1 in partner:
-            raise DiagramError(
-                "pairs do not cover all %d nodes of a (%d, %d) diagram" % (n, k, l)
-            )
         _finish(self, k, l, partner)
 
     @staticmethod

@@ -6,6 +6,7 @@ verifiers for the recursion/cap/bend identities these elements satisfy.
 
 The kernel generators fix their own loop value and are built over QQ:
 Phi_n at delta = -2n, E_p and F_p at delta = m, D(p, q) at delta = -2n.
+The functor reduces them mod p where they meet a group over F_p.
 E_p and D(p, q) are one bend of an enumerated Sigma (:func:`_bend`): the
 antisymmetrizer of degree m + 1 with p legs turned on each side, and the
 symmetrizer of degree 2n + 1 with p legs turned up and q down.
@@ -25,8 +26,8 @@ from math import factorial
 
 from . import diagram as dg
 from .diagram import (Diagram, _check_sizes, _is_int, closure_loops,
-                      identity, lower_diagram, make_diagram, tensor)
-from .functor import guard_cells
+                      guard_cells, identity, lower_diagram, make_diagram,
+                      tensor)
 from .linear import (
     Morphism,
     MorphismError,
@@ -34,7 +35,6 @@ from .linear import (
     delta_factor,
     from_diagram,
     identity_morphism,
-    integrality_check,
     lin_add,
     lin_ast,
     lin_compose,
@@ -42,8 +42,6 @@ from .linear import (
     lin_sub,
     lin_tensor,
     make_morphism,
-    reduce_mod_p,
-    specialize_delta,
     zero_morphism,
 )
 from .report import check_bool
@@ -67,9 +65,6 @@ __all__ = [
     "verify_afu",
     "jones_trace_symbolic",
     "brauer_presentation_report",
-    "integrality_check",
-    "reduce_mod_p",
-    "specialize_delta",
 ]
 
 

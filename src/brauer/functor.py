@@ -23,52 +23,21 @@ compare them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .diagram import Diagram, _check_sizes, closure_loops, crossing_count
-from .linear import Morphism, _coerce_coeff, _drop_zeros, specialize_delta
+from .diagram import (Diagram, _check_sizes, closure_loops, crossing_count,
+                      guard_cells)
+from .linear import (Morphism, _coerce_coeff, _drop_zeros, reduce_mod_p,
+                     specialize_delta)
 from .report import check_bool
-from .rings import PolynomialsInDelta, PrimeField, Rationals, QQ, ring_from_name
+from .rings import PrimeField, Rationals, QQ, ring_from_name
 from .words import synthesize_word
-
-DEFAULT_MAX_CELLS = 10 ** 7
 
 
 class FunctorError(ValueError):
     """Raised for invalid group data or out-of-budget matrix requests."""
-
-
-def max_cells():
-    """Densest matrix cell count allowed, overridable via BRAUER_MAX_CELLS."""
-    raw = os.environ.get("BRAUER_MAX_CELLS")
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FunctorError("BRAUER_MAX_CELLS must be an integer: %r" % raw)
-    if value <= 0:
-        raise FunctorError("BRAUER_MAX_CELLS must be positive: %r" % raw)
-    return value
-
-
-def guard_cells(factors, what, error=FunctorError):
-    """Refuse work whose size, the product of the factors, exceeds
-    max_cells(): the one budget of every constructor that grows faster
-    than polynomially.  The product is formed only until it passes the
-    limit, so a count of any size costs a few multiplications; what names
-    the count by formula for the message, raised as error."""
-    limit = max_cells()
-    count = 1
-    for factor in factors:
-        count *= factor
-        if count > limit:
-            raise error("%s, above the limit %d; raise BRAUER_MAX_CELLS to "
-                        "allow it" % (what, limit))
 
 
 _FAMILY_EPS = {"orthogonal": 1, "symplectic": -1}
@@ -415,7 +384,7 @@ def _diagram_matrix(d, spec):
     m, ring, eps = spec.m, spec.ring, spec.eps
     k, l = d.k, d.l
     guard_cells(repeat(m, k + l), "computation needs %d^%d matrix cells"
-                % (m, k + l))
+                % (m, k + l), FunctorError)
     pow_k = [m ** (k - 1 - a) for a in range(k)]
     pow_l = [m ** (l - 1 - b) for b in range(l)]
     form = spec.form
@@ -439,18 +408,17 @@ def _diagram_matrix(d, spec):
 
 
 def _morphism_to_spec_field(x, spec):
-    """Check a morphism's scalars fit the group: coefficients must live in
-    the spec's field and the loop value must be eps * m there.  Symbolic
-    morphisms over a rational field are specialized at eps * m."""
+    """The morphism over the group's field: the one place a morphism is
+    brought there.  A symbolic morphism is specialized at eps * m, and an
+    integral rational one is reduced mod p for a group over F_p.  The
+    coefficients must then live in the spec's field and the loop value be
+    eps * m there; FunctorError otherwise (MorphismError from the
+    reduction of a non-integral one)."""
     ring = spec.ring
     if x.delta is None:
-        if not isinstance(x.ring, PolynomialsInDelta):
-            raise FunctorError("symbolic morphism over unexpected ring %s" % x.ring.name)
-        if not isinstance(ring, Rationals):
-            raise FunctorError(
-                "cannot evaluate a symbolic morphism over %s; specialize and "
-                "reduce it first" % ring.name)
-        return specialize_delta(x, Fraction(spec.eps * spec.m))
+        x = specialize_delta(x, spec.eps * spec.m)
+    if isinstance(ring, PrimeField) and isinstance(x.ring, Rationals):
+        x = reduce_mod_p(x, ring.p)
     if x.ring != ring:
         raise FunctorError("morphism ring %s does not match group field %s"
                            % (x.ring.name, ring.name))
@@ -500,7 +468,8 @@ def functor_matrix_layered(x, spec):
         raise FunctorError("expected a Diagram or Morphism, got %r" % (x,))
     m, ring = spec.m, spec.ring
     guard_cells(repeat(m, x.k + x.l),
-                "computation needs %d^%d matrix cells" % (m, x.k + x.l))
+                "computation needs %d^%d matrix cells" % (m, x.k + x.l),
+                FunctorError)
     word = synthesize_word(x)
     gens = _generators_by_column(spec)
     add, mul = ring.add, ring.mul

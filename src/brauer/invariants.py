@@ -14,10 +14,10 @@ from dataclasses import replace
 from itertools import chain, repeat
 from math import factorial
 
-from .diagram import (_check_sizes, e_i, enumerate_diagrams,
+from .diagram import (_check_sizes, e_i, enumerate_diagrams, guard_cells,
                       identity as identity_diagram, permutation_diagram, s_i)
 from .functor import (ExactMatrix, FunctorError, _morphism_to_spec_field,
-                      functor_matrix, guard_cells)
+                      functor_matrix)
 from .linalg import EliminationBasis, nullspace_of_rows, rank_of_rows
 from .linear import (block_orbit, from_diagram, lin_compose, lin_tensor,
                      make_morphism)
@@ -53,12 +53,12 @@ def _vectorized_rows(k, l, spec):
         # B(k, l) is empty: no rows, whatever the group.
         return [], [], 0
     guard_cells(repeat(spec.m, n), "computation needs %d^%d matrix cells"
-                % (spec.m, n))
+                % (spec.m, n), FunctorError)
     # Each of the |B(k, l)| diagrams has one nonzero per choice of an index
     # on each of its n / 2 arcs.
     guard_cells(chain(range(3, n, 2), repeat(spec.m, n // 2)),
                 "computation needs %d!! * %d^%d row nonzeros"
-                % (n - 1, spec.m, n // 2))
+                % (n - 1, spec.m, n // 2), FunctorError)
     diagrams = enumerate_diagrams(k, l)
     cols = spec.m ** k
     one = spec.ring.one()
@@ -280,7 +280,7 @@ def commutant_dimension(r, spec):
     classes."""
     _check_sizes(FunctorError, "degree", r=r)
     guard_cells(repeat(spec.m, 2 * r), "computation needs %d^%d matrix cells"
-                % (spec.m, 2 * r))
+                % (spec.m, 2 * r), FunctorError)
     n = spec.m ** r
     group = _commutant_group(spec)
     refl = _reflection(group)
@@ -366,7 +366,9 @@ def _algebra_generators(r, ring, delta):
 
 def ideal_span_dimension(r, gen, spec):
     """Dimension of the two-sided ideal slice in degree (r, r) generated by
-    a square morphism, padded with identity strands on the right.
+    a square morphism, padded with identity strands on the right.  The
+    generator is first brought into the group's field, as the functor does
+    (:func:`~brauer.functor._morphism_to_spec_field`).
 
     Every diagram of B_r is a loop-free word in s_1, the r-cycle and e_1
     (:func:`_algebra_generators`), so the ideal is the closure
@@ -376,7 +378,8 @@ def ideal_span_dimension(r, gen, spec):
     budget."""
     _check_sizes(FunctorError, "degree", r=r)
     guard_cells((j * j for j in range(3, 2 * r, 2)),
-                "computation needs (%d!!)^2 matrix cells" % (2 * r - 1))
+                "computation needs (%d!!)^2 matrix cells" % (2 * r - 1),
+                FunctorError)
     gen = _morphism_to_spec_field(gen, spec)
     if gen.k != gen.l:
         raise FunctorError("ideal generator must be square, got (%d, %d)"
@@ -436,7 +439,8 @@ def tensor_ideal_span_dimension(k, l, spec):
     if n % 2 or n < base:
         return 0
     guard_cells((j * j for j in range(3, n, 2)),
-                "computation needs (%d!!)^2 matrix cells" % (n - 1))
+                "computation needs (%d!!)^2 matrix cells" % (n - 1),
+                FunctorError)
     ring, delta = spec.ring, spec.delta_value()
     order = factorial(base)
     seen = set()

@@ -415,23 +415,22 @@ def specialize_delta(x, value):
 
 
 def reduce_mod_p(x, p):
-    """Reduce an integral morphism with numeric integral delta modulo p."""
+    """Reduce an integral morphism with a numeric integral delta modulo p.
+    A morphism already over a prime field is refused: its residues belong
+    to that field, not to the integers."""
     if x.delta is None:
         raise MorphismError(
             "cannot reduce a symbolic morphism; specialize delta first"
         )
-    if not integrality_check(x):
-        raise MorphismError("morphism has non-integral coefficients")
+    if isinstance(x.ring, PrimeField):
+        raise MorphismError("cannot reduce a morphism over %s mod %r"
+                            % (x.ring.name, p))
+    if not (integrality_check(x) and x.ring.is_integral(x.delta)):
+        raise MorphismError("morphism has a non-integral coefficient or "
+                            "loop value")
     field = PrimeField(p)
-
-    def to_int(c):
-        value = Fraction(c)
-        if value.denominator != 1:
-            raise MorphismError("non-integral value %s" % value)
-        return int(value)
-
-    terms = {d: field.from_int(to_int(c)) for d, c in x.terms.items()}
-    return Morphism(x.k, x.l, field, field.from_int(to_int(x.delta)), terms)
+    terms = {d: field.from_int(c) for d, c in x.terms.items()}
+    return Morphism(x.k, x.l, field, field.from_int(x.delta), terms)
 
 
 def morphism_to_json(x):

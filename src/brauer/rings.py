@@ -2,8 +2,8 @@
 univariate polynomials in the loop parameter.
 
 Every ring is a descriptor object exposing a uniform protocol (zero/one,
-add/neg/sub/mul, exact division where possible, integer injection, string
-round-trip) so the linear-algebra layer can stay generic over the
+add/neg/sub/mul, integer injection, string round-trip; the prime fields
+also invert) so the linear-algebra layer can stay generic over the
 coefficient domain.  All arithmetic is exact; nothing here ever touches
 floating point.
 
@@ -132,28 +132,6 @@ class Poly:
             n >>= 1
         return result
 
-    def divmod(self, other):
-        """Long division: returns (quotient, remainder) with deg r < deg other."""
-        if not isinstance(other, Poly):
-            raise RingError("can only divide by another polynomial")
-        if other.is_zero():
-            raise RingError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return Poly(), self
-        quot = [0] * (dq + 1)
-        lead = div[-1]
-        for shift in range(dq, -1, -1):
-            # Through Fraction: int / int would give a float.
-            c = rational(Fraction(rem[shift + len(div) - 1], lead))
-            quot[shift] = c
-            if c:
-                for i, d in enumerate(div):
-                    rem[shift + i] -= c * d
-        return Poly(quot), Poly(rem)
-
     def evaluate(self, value):
         value = rational(value)
         acc = 0
@@ -280,10 +258,6 @@ class CoefficientRing:
     def is_zero(self, a):
         return self.eq(a, self.zero())
 
-    def exact_div(self, a, b):
-        """Divide when the quotient exists in the ring; raise otherwise."""
-        raise NotImplementedError
-
     def power(self, a, n):
         if n < 0:
             raise RingError("negative powers are not supported")
@@ -340,11 +314,6 @@ class Rationals(CoefficientRing):
     def mul(self, a, b):
         return rational(a * b)
 
-    def exact_div(self, a, b):
-        if b == 0:
-            raise RingError("division by zero")
-        return rational(Fraction(a) / b)
-
     def parse(self, s):
         try:
             return rational(Fraction(s.strip()))
@@ -372,14 +341,6 @@ class Integers(CoefficientRing):
 
     def mul(self, a, b):
         return a * b
-
-    def exact_div(self, a, b):
-        if b == 0:
-            raise RingError("division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise RingError("%d is not divisible by %d" % (a, b))
-        return q
 
     def parse(self, s):
         try:
@@ -464,9 +425,6 @@ class PrimeField(CoefficientRing):
             raise RingError("division by zero in %s" % self.name)
         return pow(a, -1, self.p)
 
-    def exact_div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def parse(self, s):
         try:
             return int(s.strip()) % self.p
@@ -502,12 +460,6 @@ class PolynomialsInDelta(CoefficientRing):
 
     def mul(self, a, b):
         return a * b
-
-    def exact_div(self, a, b):
-        q, r = a.divmod(b)
-        if not r.is_zero():
-            raise RingError("inexact polynomial division: %s by %s" % (a, b))
-        return q
 
     def parse(self, s):
         return parse_poly(s)

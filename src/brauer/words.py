@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from brauer.diagram import _check_sizes, cap, compose, crossing, cup, identity, tensor
+from brauer.diagram import (_check_sizes, cap, compose, crossing, cup,
+                            guard_cells, identity, tensor)
 
 
 class Layer(NamedTuple):
@@ -39,10 +40,11 @@ class Word(NamedTuple):
 
 
 def make_word(domain, layers):
-    """Validate valency chaining and build a Word."""
+    """Validate valency chaining and build a Word.  Its widest boundary
+    stays within the cell budget: nothing but a number backs the domain."""
     _check_sizes(WordError, "word", domain=domain)
     layers = tuple(Layer(a, g, b) for (a, g, b) in layers)
-    width = domain
+    width = widest = domain
     for lay in layers:
         _check_sizes(WordError, "layer", left=lay.left, right=lay.right)
         if lay.gen not in ("X", "A", "U"):
@@ -53,6 +55,8 @@ def make_word(domain, layers):
                 % (lay, lay.in_width(), width)
             )
         width = lay.out_width()
+        widest = max(widest, width)
+    guard_cells((widest,), "a word of width %d" % widest, WordError)
     return Word(domain, layers)
 
 

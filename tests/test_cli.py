@@ -12,7 +12,7 @@ import brauer
 from brauer import Check
 from brauer import verify
 from brauer.cli import run
-from brauer.functor import max_cells
+from brauer.diagram import max_cells
 
 IDENT1 = '{"k": 1, "l": 1, "pairs": [[0, 1]]}'
 CROSS = '{"k": 2, "l": 2, "pairs": [[0, 3], [1, 2]]}'
@@ -76,6 +76,14 @@ class TestDiagramCommands:
         rc, _ = invoke(capsys, "compose", IDENT1, EBAR)
         assert rc == 2
 
+    def test_node_count_without_arcs_is_user_error(self, capsys):
+        rc = run(["compose", '{"k": 20000000, "l": 0, "pairs": []}', CUP])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: 0 arcs cannot cover the 20000000 "
+                                "nodes of a (20000000, 0) diagram\n")
+
 
 class TestWordCommands:
     def test_eval_matches_grammar(self, capsys):
@@ -102,6 +110,15 @@ class TestWordCommands:
     def test_bad_layer_text_is_user_error(self, capsys):
         rc, _ = invoke(capsys, "word-eval", "--domain", "2", "0:Q:0")
         assert rc == 2
+
+    def test_domain_over_budget_is_user_error(self, capsys):
+        rc = run(["word-eval", "--domain", "1000000000", ""])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a word of width 1000000000, above the limit %d; raise "
+            "BRAUER_MAX_CELLS to allow it\n" % max_cells())
 
     def test_non_integer_layer_position_is_user_error(self, capsys):
         rc = run(["word-eval", "--domain", "2", "0:X:x"])
@@ -132,6 +149,20 @@ class TestElementCommands:
                                   "--delta", "3", "--modulus", "5")
         assert rc == 0
         assert payload["ring"] == "PrimeField(5)"
+
+    def test_sigma_fractional_delta_mod_p(self, capsys):
+        # 1/2 = 4 in F_7
+        rc, payload = invoke_json(capsys, "sigma", "--eps", "1", "--r", "2",
+                                  "--delta", "1/2", "--modulus", "7")
+        assert rc == 0
+        assert payload["ring"] == "PrimeField(7)"
+        assert payload["delta"] == "4"
+        rc = run(["sigma", "--eps", "1", "--r", "2", "--delta", "1/7",
+                  "--modulus", "7"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: division by zero in PrimeField(7)\n"
 
     def test_phi_degree_one(self, capsys):
         rc, payload = invoke_json(capsys, "phi", "--n", "1")
@@ -236,6 +267,26 @@ class TestFunctorCommands:
         assert rc == 0
         assert payload["rows"] == payload["cols"] == 4
         assert len(payload["entries"]) == 4
+
+    def test_functor_matrix_brings_a_morphism_into_the_prime_field(
+            self, capsys):
+        sp2_f5 = ["functor-matrix", "--family", "sp", "--m", "2",
+                  "--modulus", "5"]
+        # Phi_1, over QQ, is reduced mod 5 and still dies in Sp(2)
+        _, text = invoke(capsys, "phi", "--n", "1")
+        rc, payload = invoke_json(capsys, *sp2_f5, text)
+        assert rc == 0
+        assert payload == {"rows": 4, "cols": 4, "ring": "PrimeField(5)",
+                           "entries": []}
+        # the symbolic Sigma_-1 is specialized at -2 and reduced: the same
+        # matrix as Sigma_-1 built over F_5 at delta = 3
+        _, symbolic = invoke(capsys, "sigma", "--eps", "-1", "--r", "2")
+        _, over_f5 = invoke(capsys, "sigma", "--eps", "-1", "--r", "2",
+                            "--delta", "3", "--modulus", "5")
+        rc, payload = invoke_json(capsys, *sp2_f5, symbolic)
+        assert rc == 0
+        assert payload["entries"]
+        assert (rc, payload) == invoke_json(capsys, *sp2_f5, over_f5)
 
     def test_trace(self, capsys):
         rc, payload = invoke_json(capsys, "trace", "--family", "o", "--m", "2", IDENT1)
@@ -463,6 +514,28 @@ class TestIdealSpan:
         assert captured.err == (
             "error: computation needs %s matrix cells, above the limit %d; "
             "raise BRAUER_MAX_CELLS to allow it\n" % (count, max_cells()))
+
+    def test_generator_over_another_prime_field_is_refused(self, capsys,
+                                                           tmp_path):
+        # -E_2 reduced mod 7 has coefficients 6; read mod 5 they would be
+        # 1, and the span of E_2 (dimension 82) came out
+        _, text = invoke(capsys, "ep", "--m", "3", "--p", "2")
+        e2 = brauer.morphism_from_json(json.loads(text))
+        path = tmp_path / "f7.json"
+        path.write_text(json.dumps(brauer.morphism_to_json(
+            brauer.reduce_mod_p(brauer.lin_scale(-1, e2), 7))))
+        rc = run(["ideal-span", "--family", "o", "--m", "3", "--modulus",
+                  "5", "--gen", "@%s" % path, "--r", "4"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: morphism ring PrimeField(7) does not "
+                                "match group field PrimeField(5)\n")
+        rc, payload = invoke_json(capsys, "ideal-span", "--family", "o", "--m",
+                                  "3", "--modulus", "5", "--gen", "ep:3,2",
+                                  "--r", "4")
+        assert rc == 0
+        assert payload == {"dimension": 14}
 
     def test_requires_generator_or_slice(self, capsys):
         rc, _ = invoke(capsys, "ideal-span", "--family", "sp", "--m", "2")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,22 @@ def test_make_diagram_validation():
         make_diagram(1, 0, [(0, 1)])
     with pytest.raises(DiagramError):
         make_diagram(2, 2, [(0, 1), (2, 5)])
+
+
+def test_arc_count_is_checked_before_the_nodes_are_allocated():
+    # 20 million nodes and no arc: refused on the count, before a slot per
+    # node is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(DiagramError, match="0 arcs cannot cover the "
+                                               "20000000 nodes"):
+            Diagram(20000000, 0, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    with pytest.raises(DiagramError, match="3 arcs cannot cover the 4 nodes"):
+        Diagram(2, 2, [(0, 1), (2, 3), (0, 2)])
 
 
 @pytest.mark.parametrize("k,l,pairs", [

@@ -11,9 +11,11 @@ from brauer import (
     QQ,
     ExactMatrix,
     FunctorError,
+    MorphismError,
     Poly,
     PrimeField,
     compose,
+    e_p_formula,
     enumerate_diagrams,
     from_diagram,
     functor_matrix,
@@ -22,17 +24,21 @@ from brauer import (
     group_spec,
     identity,
     identity_morphism,
+    ideal_span_dimension,
+    lin_scale,
     lower_diagram,
     make_morphism,
     matrix_from_json,
     matrix_to_json,
+    phi,
     raise_diagram,
+    reduce_mod_p,
     tensor,
     trace_check,
     verify_pau,
 )
-from brauer.diagram import cap, cup, e_i, s_i
-from brauer.functor import GroupSpec, guard_cells, max_cells
+from brauer.diagram import cap, cup, e_i, guard_cells, max_cells, s_i
+from brauer.functor import GroupSpec
 from brauer.invariants import hom_rank, kernel_basis
 from brauer.linear import lin_compose
 from brauer.words import Layer, layer_diagram
@@ -429,6 +435,38 @@ class TestFunctorMatrix:
         with pytest.raises(FunctorError):
             functor_matrix("not a diagram", spec)
 
+    def test_rational_morphism_is_reduced_into_the_prime_field(self):
+        spec = group_spec("sp", 2, modulus=5)
+        assert functor_matrix(phi(1), spec) == functor_matrix(
+            reduce_mod_p(phi(1), 5), spec)
+        # a morphism whose matrix is not zero: 3 e - s at delta = -2, and
+        # the symbolic e_1 specialized at -2 on the way
+        x = make_morphism(2, 2, {e_i(2, 1): 3, s_i(2, 1): -1},
+                          ring=QQ, delta=Fraction(-2))
+        expected = functor_matrix(reduce_mod_p(x, 5), spec)
+        assert not expected.is_zero()
+        assert functor_matrix(x, spec) == expected
+        assert functor_matrix_layered(x, spec) == expected
+        assert functor_matrix(from_diagram(e_i(2, 1)), spec) == \
+            functor_matrix(e_i(2, 1), spec)
+
+    def test_other_prime_field_is_refused(self):
+        # -E_2 over F_7 has coefficients 6; read mod 5 they would be 1
+        f7 = reduce_mod_p(lin_scale(-1, e_p_formula(3, 2)), 7)
+        spec = group_spec("o", 3, modulus=5)
+        with pytest.raises(FunctorError, match=r"morphism ring PrimeField\(7\) "
+                                               r"does not match group field "
+                                               r"PrimeField\(5\)"):
+            functor_matrix(f7, spec)
+        with pytest.raises(FunctorError, match="does not match"):
+            ideal_span_dimension(4, f7, spec)
+
+    def test_non_integral_morphism_is_not_reduced(self):
+        x = make_morphism(1, 1, {identity(1): Fraction(1, 2)}, ring=QQ,
+                          delta=Fraction(-2))
+        with pytest.raises(MorphismError, match="non-integral"):
+            functor_matrix(x, group_spec("sp", 2, modulus=5))
+
     @pytest.mark.parametrize("spec", [group_spec("o", 2), group_spec("sp", 2)],
                              ids=lambda s: s.label())
     def test_raise_lower_compatibility(self, spec):
@@ -455,8 +493,8 @@ class TestResourceGuard:
         monkeypatch.setenv("BRAUER_MAX_CELLS", "10")
         assert max_cells() == 10
         with pytest.raises(FunctorError):
-            guard_cells([11], "11 cells")
-        guard_cells([10], "10 cells")
+            guard_cells([11], "11 cells", FunctorError)
+        guard_cells([10], "10 cells", FunctorError)
         with pytest.raises(FunctorError):
             functor_matrix(identity(2), group_spec("o", 5))
 
@@ -465,15 +503,15 @@ class TestResourceGuard:
         # past the limit
         with pytest.raises(FunctorError, match=r"^2\^oo cells, above the "
                                                r"limit \d+; raise BRAUER"):
-            guard_cells(itertools.repeat(2), "2^oo cells")
+            guard_cells(itertools.repeat(2), "2^oo cells", FunctorError)
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv("BRAUER_MAX_CELLS", "not a number")
-        with pytest.raises(FunctorError):
-            max_cells()
+        with pytest.raises(FunctorError, match="must be an integer"):
+            guard_cells([1], "1 cell", FunctorError)
         monkeypatch.setenv("BRAUER_MAX_CELLS", "-3")
-        with pytest.raises(FunctorError):
-            max_cells()
+        with pytest.raises(FunctorError, match="must be positive"):
+            guard_cells([1], "1 cell", FunctorError)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,12 +1,15 @@
-"""Every name a library module imports is used there, and every private
-helper it defines is used somewhere.
+"""Every name a library module imports is used there, every private
+helper it defines is used somewhere, and its ``__all__`` lists only what
+it defines.
 
 Stdlib-only static checks over ``src/brauer/*.py``: an imported name must
 appear as a name somewhere else in the module.  Names listed in the
 module's ``__all__`` and the re-exports of ``__init__.py`` are exempt.  A
 module-level function or class named ``_name`` must be named, outside its
 own definition, somewhere in the library, the tests or the benchmark
-(which is read, never changed).
+(which is read, never changed).  A name in ``__all__`` must be bound in
+the module by a definition or an assignment, not by an import: the package
+re-exports in ``__init__.py`` alone.
 """
 
 from __future__ import annotations
@@ -129,3 +132,34 @@ def test_no_unused_private_helpers():
                for path in sorted((REPO / folder).glob("**/*.py"))]
     assert readers, "tests/ and perfbench/ hold no Python files"
     assert unused_private_helpers(modules, readers) == []
+
+
+def foreign_exports(path):
+    """Names in path's ``__all__`` that path does not define at module
+    level (by def, class or assignment)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {sub.id for t in targets for sub in ast.walk(t)
+                        if isinstance(sub, ast.Name)}
+    return sorted(_exported(tree) - defined)
+
+
+def test_checker_sees_a_foreign_export(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("from math import pi\nLIMIT = 3\n\ndef f():\n    pass\n\n"
+                      "class C:\n    pass\n\n"
+                      "__all__ = ['pi', 'LIMIT', 'f', 'C', 'missing']\n")
+    assert foreign_exports(module) == ["missing", "pi"]
+
+
+def test_exports_are_defined_where_listed():
+    hits = ["%s %s" % (path.name, name)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for name in foreign_exports(path)]
+    assert hits == []

@@ -25,8 +25,8 @@ from brauer import (
     sigma,
     tensor_ideal_span_dimension,
 )
-from brauer.diagram import compose, diagram_count, e_i, identity
-from brauer.functor import GroupSpec, _morphism_to_spec_field, guard_cells
+from brauer.diagram import compose, diagram_count, e_i, guard_cells, identity
+from brauer.functor import GroupSpec, _morphism_to_spec_field
 from brauer.invariants import (_algebra_generators, _commutant_group,
                                _reflection, _vectorized_rows, _word_classes,
                                derived_action)
@@ -291,7 +291,7 @@ def _oracle_commutant_dimension(r, spec):
     commuting with the group action (infinitesimal action plus, for the
     orthogonal family, the reflection)."""
     n = spec.m ** r
-    guard_cells([n, n], "the oracle needs (m^r)^2 unknowns")
+    guard_cells([n, n], "the oracle needs (m^r)^2 unknowns", FunctorError)
     basis = EliminationBasis(spec.ring)
     for gen in lie_generators(spec):
         for row in _commuting_rows(derived_action(gen, r), n):

@@ -172,6 +172,19 @@ class TestSpecialization:
         x = lin_scale(Fraction(1, 5), from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(2)))
         with pytest.raises(MorphismError):
             reduce_mod_p(x, 5)
+        half = from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(1, 2))
+        with pytest.raises(MorphismError, match="non-integral"):
+            reduce_mod_p(half, 5)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_reduce_mod_p_refuses_a_prime_field_morphism(self, p):
+        # -e over F_7 has coefficient 6: read as an integer it would give 1
+        # mod 5, not -1
+        x = reduce_mod_p(lin_scale(-1, from_diagram(e_i(2, 1), ring=QQ,
+                                                    delta=Fraction(-2))), 7)
+        assert x.coeff(e_i(2, 1)) == 6
+        with pytest.raises(MorphismError, match=r"over PrimeField\(7\)"):
+            reduce_mod_p(x, p)
 
     def test_integrality(self):
         assert integrality_check(lin_scale(Fraction(4), from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(1))))

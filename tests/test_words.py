@@ -36,6 +36,19 @@ def test_evaluate_examples():
     assert evaluate_word(make_word(3, [])) == (0, identity(3))
 
 
+def test_word_widths_stay_within_the_cell_budget(monkeypatch):
+    with pytest.raises(WordError, match="a word of width 1000000000, above "
+                                        "the limit"):
+        make_word(10 ** 9, [])
+    monkeypatch.setenv("BRAUER_MAX_CELLS", "4")
+    assert make_word(4, [(0, "A", 2)]).domain == 4
+    with pytest.raises(WordError, match="a word of width 5, above"):
+        make_word(5, [(0, "A", 3)])
+    # a cup above a full-width domain widens the word past the limit
+    with pytest.raises(WordError, match="a word of width 6, above"):
+        make_word(4, [(0, "U", 4)])
+
+
 def test_word_validation():
     with pytest.raises(WordError):
         make_word(1, [(0, "X", 0)])  # X needs width 2

@@ -11,8 +11,8 @@ from .diagram import (Diagram, DiagramError, ast, closure_loops, compose,
 from .words import (Layer, Word, WordError, evaluate_word, make_word,
                     synthesize_word, word_from_text, word_to_text)
 from .rewrite import RULES, apply_relation, verify_relation_soundness
-from .rings import (Integers, Poly, PolynomialsInDelta, PrimeField, QQ,
-                    QQ_DELTA, Rationals, RingError, ZZ, ring_from_name)
+from .rings import (Poly, PolynomialsInDelta, PrimeField, QQ, QQ_DELTA,
+                    Rationals, RingError, ring_from_name)
 from .linear import (Morphism, MorphismError, from_diagram, identity_morphism,
                      integrality_check, lin_add, lin_ast, lin_compose,
                      lin_power, lin_scale, lin_star, lin_sub, lin_tensor,

@@ -324,9 +324,14 @@ def enumerate_diagrams(k, l):
     """All (k, l) diagrams in a fixed deterministic order.
 
     The order pairs the smallest unmatched node with each larger node in
-    increasing order, recursively.  Count is (k+l-1)!! for even k+l.
+    increasing order, recursively.  Count is (k+l-1)!! for even k+l, and
+    is budgeted before the cache is read, so a refusal never depends on
+    what an earlier call built.
     """
     _check_sizes(DiagramError, "valency", k=k, l=l)
+    if (k + l) % 2 == 0:
+        guard_cells(range(3, k + l, 2), "B(%d, %d) has %d!! diagrams"
+                    % (k, l, k + l - 1), DiagramError)
     key = (k, l)
     cached = _ENUM_CACHE.get(key)
     if cached is None:

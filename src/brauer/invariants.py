@@ -219,7 +219,7 @@ def _word_classes(group, refl, r):
     mods = [ring.p if isinstance(ring, PrimeField) else 0] * len(cartan)
     if refl is not None and all(i == j for i, j in refl.entries):
         for a in range(m):
-            letters[a].append(0 if ring.eq(refl.get(a, a), ring.one()) else 1)
+            letters[a].append(0 if refl.get(a, a) == ring.one() else 1)
         mods.append(2)
     keys = [(0,) * len(mods)]
     for _ in range(r):
@@ -451,7 +451,7 @@ def tensor_ideal_span_dimension(k, l, spec):
         orbit, vanishes = block_orbit(d, spec.eps, top=(base,))
         seen.update(orbit)
         stab = order // len(orbit)
-        if not vanishes and not ring.is_zero(ring.from_int(stab)):
+        if not vanishes and ring.from_int(stab):
             seeds.append(make_morphism(0, n, {y: s * stab
                                               for y, s in orbit.items()},
                                        ring=ring, delta=delta))

@@ -75,11 +75,10 @@ def _coerce_delta(ring, delta):
     return _coerce_coeff(ring, delta)
 
 
-def _drop_zeros(ring, mapping):
-    """The entries of mapping whose values are nonzero in ring: what a sum
-    of nonzero terms leaves once some of them cancel."""
-    is_zero = ring.is_zero
-    return {key: v for key, v in mapping.items() if not is_zero(v)}
+def _drop_zeros(mapping):
+    """The entries of mapping whose values are nonzero: what a sum of
+    nonzero terms leaves once some of them cancel."""
+    return {key: v for key, v in mapping.items() if v}
 
 
 class Morphism:
@@ -105,7 +104,7 @@ class Morphism:
                     % (diag.k, diag.l, self.k, self.l)
                 )
             c = _coerce_coeff(ring, coeff)
-            if not ring.is_zero(c):
+            if c:
                 cleaned[diag] = c
         self.terms = cleaned
 
@@ -141,14 +140,9 @@ class Morphism:
         return (
             (self.k, self.l) == (other.k, other.l)
             and self.ring == other.ring
-            and self._delta_eq(other)
+            and self.delta == other.delta
             and self.terms == other.terms
         )
-
-    def _delta_eq(self, other):
-        if self.delta is None or other.delta is None:
-            return self.delta is None and other.delta is None
-        return self.ring.eq(self.delta, other.delta)
 
     def __hash__(self):
         raise TypeError("morphisms are not hashable")
@@ -159,7 +153,7 @@ class Morphism:
         else:
             bits = []
             for diag in self.support():
-                bits.append("%s*%r" % (self.ring.fmt(self.terms[diag]), diag))
+                bits.append("%s*%r" % (self.terms[diag], diag))
             body = " + ".join(bits)
         return "Morphism(%d, %d; %s)" % (self.k, self.l, body)
 
@@ -167,7 +161,7 @@ class Morphism:
 def _require_compatible(x, y):
     if x.ring != y.ring:
         raise MorphismError("ring mismatch: %s vs %s" % (x.ring, y.ring))
-    if not x._delta_eq(y):
+    if x.delta != y.delta:
         raise MorphismError("delta handling mismatch")
 
 
@@ -210,7 +204,7 @@ def lin_add(x, y):
     terms = dict(x.terms)
     for diag, c in y.terms.items():
         terms[diag] = ring.add(terms.get(diag, ring.zero()), c)
-    return Morphism._trusted(x.k, x.l, ring, x.delta, _drop_zeros(ring, terms))
+    return Morphism._trusted(x.k, x.l, ring, x.delta, _drop_zeros(terms))
 
 
 def lin_scale(c, x):
@@ -218,7 +212,7 @@ def lin_scale(c, x):
     c = _coerce_coeff(ring, c)
     # Every coefficient ring is an integral domain: c times a nonzero
     # coefficient is zero only when c is.
-    if ring.is_zero(c):
+    if not c:
         terms = {}
     else:
         terms = {diag: ring.mul(c, v) for diag, v in x.terms.items()}
@@ -246,7 +240,7 @@ def lin_compose(x, y):
             if loops:
                 c = ring.mul(c, delta_factor(ring, x.delta, loops))
             terms[diag] = ring.add(terms.get(diag, zero), c)
-    return Morphism._trusted(y.k, x.l, ring, x.delta, _drop_zeros(ring, terms))
+    return Morphism._trusted(y.k, x.l, ring, x.delta, _drop_zeros(terms))
 
 
 def lin_tensor(x, y):
@@ -367,7 +361,7 @@ def block_act(x, eps, top=(), bottom=()):
             if c is not None:
                 total = ring.add(total, c if s == 1 else ring.neg(c))
         scale = ring.mul(total, ring.from_int(order // len(orbit)))
-        if ring.is_zero(scale):
+        if not scale:
             continue
         neg = ring.neg(scale)
         for y, s in orbit.items():
@@ -437,27 +431,36 @@ def morphism_to_json(x):
     entries = []
     for diag in x.support():
         entries.append(
-            {"diagram": diagram_to_json(diag), "coeff": x.ring.fmt(x.terms[diag])}
+            {"diagram": diagram_to_json(diag), "coeff": str(x.terms[diag])}
         )
     return {
         "k": x.k,
         "l": x.l,
         "ring": x.ring.name,
-        "delta": "symbolic" if x.delta is None else x.ring.fmt(x.delta),
+        "delta": "symbolic" if x.delta is None else str(x.delta),
         "terms": entries,
     }
+
+
+def _parse_text(ring, text, what):
+    """Parse a JSON coefficient, which is a string: a JSON number may
+    already have lost digits (1e-400 reads as 0.0)."""
+    if not isinstance(text, str):
+        raise MorphismError("%s %r is not a string" % (what, text))
+    return ring.parse(text)
 
 
 def morphism_from_json(data):
     try:
         ring = ring_from_name(data["ring"])
         raw_delta = data["delta"]
-        delta = None if raw_delta == "symbolic" else ring.parse(str(raw_delta))
+        delta = (None if raw_delta == "symbolic"
+                 else _parse_text(ring, raw_delta, "delta"))
         terms = {}
         zero = ring.zero()
         for entry in data["terms"]:
             diag = diagram_from_json(entry["diagram"])
-            c = ring.parse(str(entry["coeff"]))
+            c = _parse_text(ring, entry["coeff"], "coefficient")
             terms[diag] = ring.add(terms.get(diag, zero), c)
         return Morphism(data["k"], data["l"], ring, delta, terms)
     except (KeyError, TypeError) as exc:

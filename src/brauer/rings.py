@@ -1,18 +1,19 @@
-"""Exact coefficient arithmetic: rationals, integers, prime fields, and
-univariate polynomials in the loop parameter.
+"""Exact coefficient arithmetic: rationals, prime fields, and univariate
+polynomials in the loop parameter.
 
-Every ring is a descriptor object exposing a uniform protocol (zero/one,
-add/neg/sub/mul, integer injection, string round-trip; the prime fields
-also invert) so the linear-algebra layer can stay generic over the
-coefficient domain.  All arithmetic is exact; nothing here ever touches
-floating point.
+Every ring is a descriptor object that does the arithmetic Python's
+operators cannot do for its values (see :class:`CoefficientRing`), so the
+linear-algebra layer can stay generic over the coefficient domain.  All
+arithmetic is exact; nothing here ever touches floating point.
 
-A rational (an element of ``Rationals`` or a ``Poly`` coefficient) has one
-canonical form, produced by :func:`rational`: a plain ``int`` when its
-denominator is 1, otherwise a ``fractions.Fraction`` with denominator > 1.
-Integer coefficients, the common case, thus never pay for ``Fraction``
-arithmetic.  ``int`` and ``Fraction`` agree under ``==``, ``hash`` and
-``str``, so equality, hashing and output do not depend on the form.
+Every element has one canonical form: a rational is a plain ``int`` when
+its denominator is 1 and a ``fractions.Fraction`` with denominator > 1
+otherwise (:func:`rational`), so integer coefficients never pay for
+``Fraction`` arithmetic; a prime-field element is a residue in [0, p); a
+:class:`Poly` has canonical rational coefficients and no trailing zeros.
+So callers compare coefficients with ``==``, test them for zero by
+truthiness and print them with ``str``; the descriptors define none of
+these.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class Poly:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -222,41 +220,18 @@ def parse_poly(text):
 class CoefficientRing:
     """Descriptor protocol shared by all exact coefficient rings.
 
-    Elements are plain Python values (``int``, ``Fraction``, ``Poly``);
-    the descriptor supplies the arithmetic so generic code never needs to
-    know the concrete element type.  Rationals are ``int`` when integral
-    and ``Fraction`` (denominator > 1) otherwise, as :func:`rational`
-    makes them; the polynomial ring keeps its coefficients the same way.
+    Elements are plain Python values in canonical form (see the module
+    docstring).  A ring supplies ``zero()``, ``from_int(n)``, ``add``,
+    ``neg``, ``mul``, ``parse(text)`` (the inverse of ``str``) and
+    ``is_integral(a)`` (whether a lies in the image of the integers);
+    ``one`` and ``power`` follow from them.  Prime fields add ``inv`` and
+    the polynomials ``delta_power``.
     """
 
     name = "?"
 
-    def zero(self):
-        raise NotImplementedError
-
     def one(self):
         return self.from_int(1)
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return self.eq(a, self.zero())
 
     def power(self, a, n):
         if n < 0:
@@ -269,16 +244,6 @@ class CoefficientRing:
             base = self.mul(base, base)
             n >>= 1
         return result
-
-    def fmt(self, a):
-        return str(a)
-
-    def parse(self, s):
-        raise NotImplementedError
-
-    def is_integral(self, a):
-        """Whether the element lies in the image of the integers."""
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, CoefficientRing) and self.name == other.name
@@ -296,9 +261,6 @@ class Rationals(CoefficientRing):
     def zero(self):
         return 0
 
-    def is_zero(self, a):
-        return not a
-
     def from_int(self, n):
         return rational(n)
 
@@ -307,9 +269,6 @@ class Rationals(CoefficientRing):
 
     def neg(self, a):
         return -a
-
-    def sub(self, a, b):
-        return rational(a - b)
 
     def mul(self, a, b):
         return rational(a * b)
@@ -322,34 +281,6 @@ class Rationals(CoefficientRing):
 
     def is_integral(self, a):
         return rational(a).__class__ is int
-
-
-class Integers(CoefficientRing):
-    name = "Integers"
-
-    def zero(self):
-        return 0
-
-    def from_int(self, n):
-        return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def parse(self, s):
-        try:
-            return int(s.strip())
-        except ValueError as exc:
-            raise RingError("malformed integer %r" % (s,)) from exc
-
-    def is_integral(self, a):
-        return True
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below _MR_LIMIT
@@ -405,11 +336,10 @@ class PrimeField(CoefficientRing):
     def zero(self):
         return 0
 
-    def is_zero(self, a):
-        return not a
-
     def from_int(self, n):
-        return int(n) % self.p
+        if n.__class__ is not int:
+            raise RingError("%r is not an integer" % (n,))
+        return n % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -469,10 +399,9 @@ class PolynomialsInDelta(CoefficientRing):
 
 
 QQ = Rationals()
-ZZ = Integers()
 QQ_DELTA = PolynomialsInDelta()
 
-_FIXED_RINGS = {QQ.name: QQ, ZZ.name: ZZ, QQ_DELTA.name: QQ_DELTA}
+_FIXED_RINGS = {QQ.name: QQ, QQ_DELTA.name: QQ_DELTA}
 _PRIME_FIELD_RE = re.compile(r"^PrimeField\((\d+)\)$")
 
 

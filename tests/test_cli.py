@@ -373,6 +373,19 @@ class TestFunctorCommands:
         assert captured.out == ""
         assert "requires symbolic delta" in captured.err
 
+    @pytest.mark.parametrize("ring,coeff", [("Rationals", "1e-400"),
+                                            ("Integers", '"1"')],
+                             ids=["float-coeff", "integers-ring"])
+    def test_morphism_outside_the_wire_format_is_user_error(self, capsys, ring,
+                                                             coeff):
+        rc = run(["functor-matrix", "--family", "o", "--m", "2",
+                  '{"k": 0, "l": 2, "ring": "%s", "delta": "2", '
+                  '"terms": [{"diagram": %s, "coeff": %s}]}' % (ring, CUP, coeff)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_wrong_valency_morphism_term_is_user_error(self, capsys):
         rc = run(["functor-matrix", "--family", "sp", "--m", "2",
                   '{"k": 2, "l": 2, "ring": "Rationals", "delta": "-2", '

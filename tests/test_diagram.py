@@ -219,6 +219,19 @@ def test_enumerate_counts():
     assert len(enumerate_diagrams(4, 4)) == 105
 
 
+def test_enumerate_budget_ignores_the_cache(monkeypatch):
+    assert len(enumerate_diagrams(4, 4)) == 105
+    monkeypatch.setenv("BRAUER_MAX_CELLS", "100")
+    with pytest.raises(DiagramError, match=r"B\(4, 4\) has 7!! diagrams"):
+        enumerate_diagrams(4, 4)
+    assert enumerate_diagrams(5, 4) == []
+
+
+def test_enumerate_refuses_seventeen_double_factorial():
+    with pytest.raises(DiagramError, match=r"B\(9, 9\) has 17!! diagrams"):
+        enumerate_diagrams(9, 9)
+
+
 def test_enumerate_distinct_and_deterministic():
     ds = enumerate_diagrams(3, 3)
     assert len(set(ds)) == 15

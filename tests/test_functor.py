@@ -321,7 +321,7 @@ class TestGenerators:
         sign = ring.from_int(spec.eps)
         for a in range(m):
             for b in range(m):
-                assert ring.eq(x.get(b * m + a, a * m + b), sign)
+                assert x.get(b * m + a, a * m + b) == sign
         assert x.nnz() == m * m
 
     @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: s.label())
@@ -566,7 +566,7 @@ def test_hypothesis_trusted_results_match_public_constructor(data):
     for result, reference in ((ma.mul(mb), product), (ma.tensor(mb), kron),
                               (ma.add(ma2), total), (ma.add(ma.neg()), cancelled)):
         assert result == ExactMatrix.from_rows(ring, reference)
-        assert not any(ring.is_zero(v) for v in result.entries.values())
+        assert all(result.entries.values())
 
     delta = data.draw(small)
     diagrams = enumerate_diagrams(2, 2)
@@ -580,4 +580,4 @@ def test_hypothesis_trusted_results_match_public_constructor(data):
             terms[d] = ring.add(terms.get(d, zero), term)
     result = lin_compose(x, y)
     assert result == make_morphism(2, 2, terms, ring=ring, delta=delta)
-    assert not any(ring.is_zero(v) for v in result.terms.values())
+    assert all(result.terms.values())

@@ -281,7 +281,7 @@ def _commuting_rows(rho, n):
                 row[key] = ring.add(row.get(key, ring.zero()), v)
             for c, v in by_col.get(b, ()):
                 key = a * n + c
-                row[key] = ring.sub(row.get(key, ring.zero()), v)
+                row[key] = ring.add(row.get(key, ring.zero()), ring.neg(v))
             if row:
                 yield row
 

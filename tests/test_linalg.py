@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from brauer import (
     QQ,
     QQ_DELTA,
-    ZZ,
     EliminationBasis,
     LinAlgError,
     PrimeField,
@@ -147,10 +146,9 @@ class TestPrimeFieldMode:
 
 
 class TestGuards:
-    @pytest.mark.parametrize("ring", [ZZ, QQ_DELTA])
-    def test_requires_field(self, ring):
+    def test_requires_field(self):
         with pytest.raises(LinAlgError):
-            EliminationBasis(ring)
+            EliminationBasis(QQ_DELTA)
 
     @pytest.mark.parametrize("rows", [[{0: 0.1}], [{0: "1/2"}], [{0: True}],
                                       [{0: 1}, {1: 2.0}], [{0: None}]])

@@ -217,6 +217,18 @@ class TestJson:
         with pytest.raises(MorphismError, match="requires symbolic delta"):
             morphism_from_json(data)
 
+    @pytest.mark.parametrize("field,value", [
+        ("coeff", 1e-400), ("coeff", 12345678901234567891.0), ("coeff", 1),
+        ("delta", 2), ("delta", None)])
+    def test_numeric_json_coefficient_rejected(self, field, value):
+        data = morphism_to_json(from_diagram(cup(), ring=QQ, delta=2))
+        if field == "coeff":
+            data["terms"][0]["coeff"] = value
+        else:
+            data["delta"] = value
+        with pytest.raises(MorphismError, match="is not a string"):
+            morphism_from_json(data)
+
     def test_malformed_rejected(self):
         with pytest.raises(MorphismError):
             morphism_from_json({"k": 2, "l": 2, "ring": "Rationals"})

@@ -40,10 +40,16 @@ def _vectorized_rows(k, l, spec):
     their lists agree up to one overall sign.
     The list, sign-normalised on its first entry, keys the class.
     Dropping a column that is a multiple of a kept one changes neither the
-    rank nor the left kernel {x : x M = 0}.  Classes are numbered in the
-    order of their smallest member column, the column a full-width
-    elimination would lead with, so elimination takes the same pivots in
-    the same order.  The m^(k+l)-wide rows are never formed.
+    rank nor the left kernel {x : x M = 0}.  The m^(k+l)-wide rows are
+    never formed.
+
+    Classes are numbered by ascending size, the number of rows that hold
+    them, ties in the order of their smallest member column.  Elimination
+    leads with a row's smallest column, so this pivots first on the
+    columns held by the fewest rows (Markowitz's order), which fills the
+    rows least: where the functor is injective every diagram owns a class
+    of size 1 and no row needs a combination.  Neither the rank nor the
+    kernel vectors of :func:`kernel_basis` depend on the column order.
 
     Returns (diagrams, rows, width): the diagrams in deterministic order,
     their rows with +-1 int entries, and the number of classes."""
@@ -70,12 +76,12 @@ def _vectorized_rows(k, l, spec):
     classes = {}
     for cell in sorted(columns):
         col = columns[cell]
-        classes.setdefault(tuple(col) if col[0] > 0 else
-                           tuple(-s for s in col), len(classes))
+        classes[tuple(col) if col[0] > 0 else tuple(-s for s in col)] = None
     # The column map holds every nonzero; free it before the rows are built.
     del columns
     rows = [{} for _ in diagrams]
-    for key, c in classes.items():
+    # A stable sort: classes of one size keep their smallest-member order.
+    for c, key in enumerate(sorted(classes, key=len)):
         for s in key:
             rows[abs(s) - 1][c] = 1 if s > 0 else -1
     return diagrams, rows, len(classes)
@@ -208,7 +214,8 @@ def _word_classes(group, refl, r):
     X^T G + G X = 0, summed over its letters in the field, and, when the
     reflection (None for the symplectic family) is diagonal, the parity of
     its letters on which the reflection is -1.  Returns the classes as
-    lists of word indices."""
+    lists of word indices, the largest first, ties in ascending key
+    order (see :func:`commutant_dimension`)."""
     ring, m = group.ring, group.m
     # A diagonal X = diag(h) solves it when h_a + h_b = 0 for each pair
     # (a, b) of the form.
@@ -229,7 +236,8 @@ def _word_classes(group, refl, r):
     classes = {}
     for word, key in enumerate(keys):
         classes.setdefault(key, []).append(word)
-    return list(classes.values())
+    return [classes[key] for key in
+            sorted(classes, key=lambda key: (-len(classes[key]), key))]
 
 
 def _commutator_rows(rho, kept, n):
@@ -269,6 +277,14 @@ def commutant_dimension(r, spec):
     power are built on the same-key pairs alone (a diagonal reflection's
     rows are then all zero and dropped), and the dimension is their count
     minus the rank.
+
+    The unknowns are numbered class by class, the largest word class first,
+    ties in ascending key order.  Elimination leads with a row's smallest
+    column, so this order sets which class is pivoted on first.  Of the
+    orders measured it took the fewest row combinations overall: O(3)
+    r = 4 needs 291,749 against 506,453 with the classes in first-word
+    order, and O(3) r = 3, O(4) r = 3, Sp(4) r = 3, Sp(6) r = 2 and
+    O(3) r = 3 over F_7 all need fewer too.
 
     Outside characteristic 2, O(m) is solved on the split form (see
     :func:`_commutant_group`), whose Cartan subalgebra is diagonal.  This is

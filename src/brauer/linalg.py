@@ -10,6 +10,13 @@ denominator 1 enter as plain ints, and only a row with a real denominator is
 scaled.  Over a prime field F_p, entries are ints in [0, p) combined inline
 modulo p, with one modular inverse per row combination.  Ranks, reduced row
 echelon forms, and nullspace bases are exact.
+
+A row is reduced in place, on the copy the engine makes of it on entry,
+and always at its smallest column, so the caller's column numbering is the
+pivot order.  Rank does not depend on it, but the work does: the rank path
+numbers first the columns held by the fewest rows (Markowitz's order, see
+:func:`brauer.invariants._vectorized_rows`), so pivot rows stay short and
+few combinations fill them in.
 """
 
 from __future__ import annotations
@@ -86,72 +93,72 @@ class EliminationBasis:
             out = {c: v // g for c, v in out.items()}
         return out
 
-    def _combine_int(self, row, lead, piv):
-        """ra * row - pa * piv with the lead cancelled.  The sign of the
-        result is free (stored rows are normalized), so ra is taken positive
-        and the common case ra = 1 copies the row unscaled."""
-        a, b = row[lead], piv[lead]
-        g = gcd(a, b)
-        ra, pa = b // g, a // g
-        if ra < 0:
-            ra, pa = -ra, -pa
-        out = dict(row) if ra == 1 else {c: v * ra for c, v in row.items()}
-        get = out.get
-        for c, v in piv.items():
-            nv = get(c, 0) - v * pa
-            if nv:
-                out[c] = nv
-            else:
-                del out[c]
-        g = _row_content(out)
-        if g > 1:
-            out = {c: v // g for c, v in out.items()}
-        return out
-
-    def _combine_field(self, row, lead, piv):
-        p = self._p
-        f = row[lead] * pow(piv[lead], -1, p) % p
-        out = dict(row)
-        get = out.get
-        for c, v in piv.items():
-            nv = (get(c, 0) - f * v) % p
-            if nv:
-                out[c] = nv
-            else:
-                del out[c]
-        return out
-
     def _reduce(self, row):
-        """Reduce a prepared row until its lead column has no pivot.
+        """Reduce a prepared row in place until its lead column has no pivot.
 
-        Returns (remainder, lead); the remainder is empty and the lead None
-        when the row lies in the span."""
+        Each step cancels the lead against its pivot row.  Over the
+        rationals the row becomes ra * row - pa * pivot with pa / ra the
+        lead ratio in lowest terms (ra > 0, as stored leads are positive),
+        then loses its content; over F_p it becomes row - f * pivot with
+        f = lead / pivot lead, one inverse per step.  The row is the one
+        :meth:`_prepare` built, never the caller's.
+
+        Returns the lead, or None (the row then empty) when the row lies
+        in the span."""
         pivots = self.pivots
-        combine = self._combine_int if self._p is None else self._combine_field
+        p = self._p
+        get = row.get
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                return row, lead
-            row = combine(row, lead, piv)
-        return row, None
+                return lead
+            if p is None:
+                a, b = row[lead], piv[lead]
+                g = gcd(a, b)
+                ra, pa = b // g, a // g
+                if ra != 1:
+                    for c, v in row.items():
+                        row[c] = v * ra
+                for c, v in piv.items():
+                    nv = get(c, 0) - v * pa
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+                g = _row_content(row)
+                if g > 1:
+                    for c, v in row.items():
+                        row[c] = v // g
+            else:
+                f = row[lead] * pow(piv[lead], -1, p) % p
+                for c, v in piv.items():
+                    nv = (get(c, 0) - f * v) % p
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+        return None
 
     def add_row(self, row):
         """Reduce a row against the basis; store it if independent.
 
         Returns True when the row increased the rank.
         """
-        row, lead = self._reduce(self._prepare(row))
+        row = self._prepare(row)
+        lead = self._reduce(row)
         if lead is None:
             return False
         if self._p is None and row[lead] < 0:
-            row = {c: -v for c, v in row.items()}
+            for c, v in row.items():
+                row[c] = -v
         self.pivots[lead] = row
         return True
 
     def contains(self, row):
-        """Whether the row lies in the current row space (no mutation)."""
-        return self._reduce(self._prepare(row))[1] is None
+        """Whether the row lies in the current row space; neither the
+        basis nor the row changes."""
+        return self._reduce(self._prepare(row)) is None
 
     def reduced_rows(self):
         """Pivot rows in reduced row echelon form (leading ones, back-reduced),

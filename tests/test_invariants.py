@@ -532,6 +532,9 @@ class TestCommutant:
         classes = _word_classes(group, _reflection(group), r)
         assert sorted(w for c in classes for w in c) == list(range(spec.m ** r))
         assert sum(len(c) ** 2 for c in classes) == kept
+        # The unknowns are numbered largest class first.
+        sizes = [len(c) for c in classes]
+        assert sizes == sorted(sizes, reverse=True)
 
 
 def _loop_free_reach(generators, r):
@@ -737,20 +740,35 @@ class TestColumnClasses:
     ], ids=_grid_id)
     def test_rows_keep_the_smallest_member_of_each_class(self, spec, k, l):
         # Column c of the short rows is +-1 times the full-width column of
-        # the c-th class's smallest member, classes taken in column order;
-        # elimination then leads with the same columns in the same order.
+        # the c-th class's smallest member, classes taken by non-decreasing
+        # size (rows holding them), ties in smallest-member order.  Every
+        # row raises the rank exactly when its full-width row does.
         full_rows, kept = _oracle_class_columns(k, l, spec)
         _, rows, width = _vectorized_rows(k, l, spec)
         assert width == len(kept)
-        for c, (_, col) in enumerate(kept):
+        for c, (_, col) in enumerate(sorted(kept, key=lambda kc: len(kc[1]))):
             short = tuple((idx, row[c]) for idx, row in enumerate(rows)
                           if c in row)
             assert short in (col, tuple((idx, -s) for idx, s in col))
         full, short = EliminationBasis(spec.ring), EliminationBasis(spec.ring)
         for full_row, row in zip(full_rows, rows):
             assert full.add_row(full_row) == short.add_row(row)
-            assert [kept[c][0] for c in short.pivot_columns()] == \
-                full.pivot_columns()
+
+    @pytest.mark.parametrize("spec", [O4, group_spec("o", 5)], ids=_grid_id)
+    def test_injective_rows_lead_with_a_column_of_their_own(self, spec):
+        # Where the functor is injective on B(4, 4), each diagram owns a
+        # class that no other row holds, and the fewest-rows-first order
+        # puts one first in its row: no row needs a combination.
+        _, rows, _ = _vectorized_rows(4, 4, spec)
+        holders = {}
+        for row in rows:
+            for c in row:
+                holders[c] = holders.get(c, 0) + 1
+        assert all(holders[min(row)] == 1 for row in rows)
+        basis = EliminationBasis(spec.ring)
+        for row in rows:
+            assert basis.add_row(row)
+            assert basis.pivots[min(row)] == row
 
     @pytest.mark.parametrize("spec,n,expected", [
         (O3, 8, 91), (O2, 8, 35), (SP2, 10, 42), (SP4, 8, 84),

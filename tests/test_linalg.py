@@ -145,6 +145,72 @@ class TestPrimeFieldMode:
         assert rows[0][0] == gf5.one()
 
 
+class TestInPlaceReduction:
+    """Elimination reduces its own copy of a row in place: the caller's dict
+    and the stored pivot rows never change."""
+
+    CASES = [
+        (QQ, [{0: 2, 1: 4, 2: 6}, {0: 3, 1: 1, 2: 5}],
+         [{0: 5, 1: 5, 2: 11}, {0: 1, 1: 7, 3: -2}, {2: 4}]),
+        (QQ, [{0: Fraction(1, 2), 1: Fraction(-1, 3)}, {1: Fraction(5, 6), 2: 1}],
+         [{0: Fraction(3, 4), 1: Fraction(1, 6), 2: Fraction(7, 2)},
+          {0: Fraction(2, 3), 2: 0}]),
+        (PrimeField(7), [{0: -4, 1: 8, 2: 14}, {0: 10, 1: -1, 2: 3}],
+         [{0: -11, 1: 20, 2: 17}, {0: 7, 1: -6, 3: 15}, {1: 0, 2: -7}]),
+    ]
+
+    @pytest.mark.parametrize("ring,basis_rows,rows", CASES,
+                             ids=["QQ-ints", "QQ-fractions", "F7-residues"])
+    def test_caller_rows_and_stored_pivots_are_left_alone(self, ring,
+                                                          basis_rows, rows):
+        basis_rows = [dict(row) for row in basis_rows]
+        basis = EliminationBasis(ring)
+        for row in basis_rows:
+            before = dict(row)
+            assert basis.add_row(row)
+            assert row == before
+        stored = {q: dict(piv) for q, piv in basis.pivots.items()}
+        for row in basis_rows:
+            row.clear()  # no stored pivot is the caller's dict
+        assert basis.pivots == stored
+        for row in rows:
+            before = dict(row)
+            basis.contains(row)
+            assert row == before
+            assert basis.pivots == stored
+        for row in rows:
+            before = dict(row)
+            basis.add_row(row)
+            assert row == before
+            assert all(basis.pivots[q] == piv for q, piv in stored.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([None, 2, 5, 11]),
+           st.lists(st.dictionaries(
+               st.integers(min_value=0, max_value=5),
+               st.tuples(st.integers(min_value=-30, max_value=30),
+                         st.integers(min_value=1, max_value=6)),
+               max_size=6), min_size=1, max_size=8))
+    def test_hypothesis_no_row_is_mutated(self, p, entries):
+        # Over QQ an entry (v, d) is v / d; over F_p it is v, often
+        # negative or at least p.
+        if p is None:
+            ring = QQ
+            rows = [{c: Fraction(v, d) if d > 1 else v
+                     for c, (v, d) in row.items()} for row in entries]
+        else:
+            ring = PrimeField(p)
+            rows = [{c: v for c, (v, _) in row.items()} for row in entries]
+        basis = EliminationBasis(ring)
+        for row in rows:
+            before = dict(row)
+            stored = {q: dict(piv) for q, piv in basis.pivots.items()}
+            basis.contains(row)
+            basis.add_row(row)
+            assert row == before
+            assert all(basis.pivots[q] == piv for q, piv in stored.items())
+
+
 class TestGuards:
     def test_requires_field(self):
         with pytest.raises(LinAlgError):

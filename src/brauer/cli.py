@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .diagram import (DiagramError, compose, diagram_count, diagram_from_json,
                       diagram_to_json, star, tensor)
@@ -26,7 +25,7 @@ from .linalg import LinAlgError
 from .linear import MorphismError, morphism_from_json, morphism_to_json
 from .report import all_passed, report_json
 from .rewrite import RewriteError
-from .rings import QQ, QQ_DELTA, PrimeField, RingError
+from .rings import QQ, QQ_DELTA, PrimeField, RingError, TextError
 from .verify import SUITE_NAMES, run_suite
 from .words import WordError, evaluate_word, synthesize_word, word_from_text, word_to_text
 
@@ -72,29 +71,18 @@ def _load_json_arg(text):
     return json.loads(text)
 
 
-def _parse_delta(text):
-    if text is None or text == "symbolic":
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("--delta expects a rational number or 'symbolic', "
-                         "got %r" % text) from None
-
-
 def _ring_and_delta(args):
     """Resolve --delta/--modulus into a coefficient ring and loop value."""
-    delta = _parse_delta(getattr(args, "delta", None))
-    modulus = getattr(args, "modulus", None)
-    if modulus is not None:
-        if delta is None:
+    if args.delta == "symbolic":
+        if args.modulus is not None:
             raise ValueError("a prime-field run needs a numeric --delta")
-        ring = PrimeField(modulus)
-        return ring, ring.mul(ring.from_int(delta.numerator),
-                              ring.inv(delta.denominator))
-    if delta is None:
         return QQ_DELTA, None
-    return QQ, delta
+    ring = QQ if args.modulus is None else PrimeField(args.modulus)
+    try:
+        return ring, ring.parse(args.delta)
+    except TextError:
+        raise ValueError("--delta expects a rational number or 'symbolic', "
+                         "got %r" % args.delta) from None
 
 
 def _dimension_from_args(args):
@@ -171,7 +159,8 @@ def _build_parser():
     p.add_argument("--eps", type=int, choices=[1, -1], required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--delta", default="symbolic",
-                   help="'symbolic' or an exact rational (default symbolic)")
+                   help="'symbolic' or an exact rational N or N/D "
+                        "(default symbolic)")
     p.add_argument("--modulus", type=int, default=None)
 
     p = subs.add_parser("phi", help="symplectic quasi-idempotent on n + 1 strands")

@@ -31,6 +31,7 @@ from .diagram import (Diagram, _check_sizes, _is_int, closure_loops,
 from .linear import (
     Morphism,
     MorphismError,
+    _check_eps,
     block_act,
     delta_factor,
     from_diagram,
@@ -89,8 +90,7 @@ def from_permutation(pi, ring=QQ_DELTA, delta=None):
 
 def sigma(eps, r, ring=QQ_DELTA, delta=None):
     """Sum over Sym_r of (-eps)^length; symmetrizer for eps=-1, antisymmetrizer for +1."""
-    if not _is_int(eps) or eps not in (1, -1):
-        raise ElementError("eps must be +1 or -1")
+    _check_eps(ElementError, eps)
     _check_sizes(ElementError, "sigma", r=r)
     guard_cells(range(2, r + 1), "a sum over Sym_%d needs %d! terms" % (r, r),
                 ElementError)
@@ -439,8 +439,7 @@ def jones_trace_symbolic(x, eps=1):
     """eps^r times the delta-weighted sum of closure loops over the terms of x."""
     if x.k != x.l:
         raise MorphismError("trace requires square valency")
-    if eps not in (1, -1):
-        raise ElementError("eps must be +1 or -1")
+    _check_eps(ElementError, eps)
     ring = x.ring
     acc = ring.zero()
     for d, c in x.terms.items():

@@ -318,39 +318,28 @@ def commutant_dimension(r, spec):
     return len(kept) - basis.rank
 
 
-def _rows_to_morphisms(basis, diagrams, k, l, ring, delta):
-    out = []
-    rows = basis.reduced_rows()
-    for pivot in sorted(rows):
-        terms = {}
-        for idx, coeff in rows[pivot].items():
-            terms[diagrams[idx]] = coeff
-        out.append(make_morphism(k, l, terms, ring=ring, delta=delta))
-    return out
-
-
 def _closure_rank(seeds, left, right, k, l, ring, delta):
     """Rank of the smallest subspace of Hom(k, l) that holds the seeds and is
     closed under left composition with the morphisms in left and right
     composition with those in right.
 
-    The queue starts from the reduced echelon basis of the seeds, so a
-    dependent seed is dropped before it is composed.  A worklist then
-    composes each element that raised the rank with every generator until
-    the rank stops growing, so the cost is rank x (len(left) + len(right))
-    compositions and row reductions."""
+    The seeds are fed first, and the queue starts from the reduced echelon
+    basis of their span, so a dependent seed is dropped before it is
+    composed.  A worklist then composes each element that raised the rank
+    with every generator until the rank stops growing, so the cost is
+    rank x (len(left) + len(right)) compositions and row reductions."""
     diagrams = enumerate_diagrams(k, l)
     index = {d: i for i, d in enumerate(diagrams)}
-    seed_rows = EliminationBasis(ring)
-    for x in seeds:
-        seed_rows.add_row({index[d]: c for d, c in x.terms.items()})
     basis = EliminationBasis(ring)
 
     def feed(y):
         return basis.add_row({index[d]: c for d, c in y.terms.items()})
 
-    queue = deque(x for x in _rows_to_morphisms(seed_rows, diagrams, k, l,
-                                                ring, delta) if feed(x))
+    for x in seeds:
+        feed(x)
+    queue = deque(make_morphism(k, l, {diagrams[i]: c for i, c in row.items()},
+                                ring=ring, delta=delta)
+                  for _, row in sorted(basis.reduced_rows().items()))
     while queue:
         x = queue.popleft()
         for y in ([lin_compose(g, x) for g in left]

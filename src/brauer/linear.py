@@ -17,6 +17,7 @@ from math import factorial
 from .diagram import (
     Diagram,
     _check_sizes,
+    _is_int,
     ast,
     compose,
     diagram_from_json,
@@ -303,9 +304,10 @@ def _walk_orbit(d, swaps, step):
             vanishes)
 
 
-def _check_eps(eps):
-    if eps not in (1, -1):
-        raise MorphismError("eps must be +1 or -1, got %r" % (eps,))
+def _check_eps(error, eps):
+    """Raise error unless eps is the int +1 or -1 (not a bool or a float)."""
+    if not _is_int(eps) or eps not in (1, -1):
+        raise error("eps must be +1 or -1")
 
 
 def block_orbit(d, eps, top=(), bottom=()):
@@ -317,7 +319,7 @@ def block_orbit(d, eps, top=(), bottom=()):
     both signs, that is when (-eps)^len is nontrivial on the stabilizer of
     d (by Schreier's lemma the edges of the walk generate the
     stabilizer), and then the signed sum over G applied to d is 0."""
-    _check_eps(eps)
+    _check_eps(MorphismError, eps)
     return _walk_orbit(d, _block_swaps(d.k, d.l, top, bottom), -eps)
 
 
@@ -340,7 +342,7 @@ def block_act(x, eps, top=(), bottom=()):
     O(h.d) = (-eps)^len(h) O(d), so every orbit is walked once: the work is
     the sum of the orbit sizes, at most |B(k, l)|, against |G| term pairs
     per term for composition, and no loop is ever closed."""
-    _check_eps(eps)
+    _check_eps(MorphismError, eps)
     swaps = _block_swaps(x.k, x.l, top, bottom)
     order = 1
     for b in tuple(top) + tuple(bottom):

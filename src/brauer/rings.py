@@ -21,6 +21,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .diagram import guard_cells
+
 VARIABLE = "d"
 
 
@@ -165,53 +167,66 @@ class Poly:
         return "Poly(%s)" % self
 
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?P<var1>%(v)s)(?:\^(?P<pow1>\d+))?)?"
-    r"|(?P<var2>%(v)s)(?:\^(?P<pow2>\d+))?)$" % {"v": VARIABLE}
-)
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_MONOMIAL_RE = re.compile(r"%s(?:\^([0-9]+))?" % VARIABLE)
+
+
+class TextError(RingError):
+    """Raised for coefficient text outside the grammar ``str`` prints."""
+
+
+def _int(digits):
+    try:
+        return int(digits)
+    except ValueError as exc:  # past the interpreter's int digit limit
+        raise TextError(str(exc)) from None
+
+
+def parse_rational(text):
+    """(numerator, denominator) of the rational ``text``, in the one form
+    ``str`` prints a rational in: an optional sign, decimal digits and an
+    optional ``/`` with a positive denominator, e.g. ``"-3/4"`` or ``"7"``.
+    No whitespace, decimal point, exponent or underscore: an exponent is
+    unbounded work in few characters."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise TextError("malformed rational %r: expected N or N/D" % (text,))
+    num = _int(m.group(1))
+    den = 1 if m.group(2) is None else _int(m.group(2))
+    if den == 0:
+        raise TextError("zero denominator in %r" % (text,))
+    return num, den
 
 
 def parse_poly(text):
     """Parse the exact string format produced by ``str(Poly)``.
 
-    Accepts e.g. ``"2*d^2-1"``, ``"d"``, ``"-3/4"``, ``"d^2+5*d+6"``.
+    Accepts e.g. ``"2*d^2-1"``, ``"d"``, ``"-3/4"``, ``"d^2+5*d+6"``, with
+    no whitespace; each coefficient is read by :func:`parse_rational`.  A
+    degree whose dense coefficient list, squared, exceeds the cell budget
+    is refused before anything is allocated: evaluating at an integer by
+    Horner's rule is quadratic in the degree.
     """
-    s = text.replace(" ", "")
-    if not s:
-        raise RingError("empty polynomial string")
-    # Every sign beyond position 0 starts a new term (coefficients and
-    # exponents are unsigned inside a term).
-    terms = []
-    start = 0
-    for i in range(1, len(s)):
-        if s[i] in "+-":
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
+    if not text:
+        raise TextError("empty polynomial string")
     coeffs = {}
-    for term in terms:
-        sign = 1
-        if term and term[0] == "+":
-            term = term[1:]
-        elif term and term[0] == "-":
-            sign = -1
-            term = term[1:]
-        m = _TERM_RE.match(term)
-        if not m:
-            raise RingError("malformed polynomial term %r in %r" % (term, text))
-        if m.group("coeff") is not None:
-            c = Fraction(m.group("coeff"))
-            if m.group("var1"):
-                p = int(m.group("pow1")) if m.group("pow1") else 1
-            else:
-                p = 0
+    # Every sign beyond position 0 starts a new term, so a term is one
+    # optional sign and c, c*d, c*d^p, d or d^p.
+    for term in re.split(r"(?<=.)(?=[+-])", text):
+        head, star, tail = term.lstrip("+-").rpartition("*")
+        m = _MONOMIAL_RE.fullmatch(tail)
+        if m is None and star:
+            raise TextError("malformed polynomial term %r in %r" % (term, text))
+        if m is None:
+            p, c = 0, Fraction(*parse_rational(tail))
         else:
-            c = 1
-            p = int(m.group("pow2")) if m.group("pow2") else 1
-        coeffs[p] = coeffs.get(p, 0) + sign * c
-    if not coeffs:
-        return Poly()
-    out = [0] * (max(coeffs) + 1)
+            p = 1 if m.group(1) is None else _int(m.group(1))
+            c = Fraction(*parse_rational(head)) if star else 1
+        coeffs[p] = coeffs.get(p, 0) + (-c if term[0] == "-" else c)
+    degree = max(coeffs)
+    guard_cells((degree + 1, degree + 1), "a polynomial of degree %d needs "
+                "(%d + 1)^2 steps to evaluate" % (degree, degree), RingError)
+    out = [0] * (degree + 1)
     for p, c in coeffs.items():
         out[p] = c
     return Poly(out)
@@ -226,6 +241,11 @@ class CoefficientRing:
     ``is_integral(a)`` (whether a lies in the image of the integers);
     ``one`` and ``power`` follow from them.  Prime fields add ``inv`` and
     the polynomials ``delta_power``.
+
+    ``parse`` reads ``N`` or ``N/D`` (:func:`parse_rational`; over F_p
+    that is N times the inverse of D) or, for QQ[δ], terms in ``d`` with
+    such coefficients (:func:`parse_poly`).  Other text raises
+    :class:`TextError`, a degree over the cell budget :class:`RingError`.
     """
 
     name = "?"
@@ -274,10 +294,7 @@ class Rationals(CoefficientRing):
         return rational(a * b)
 
     def parse(self, s):
-        try:
-            return rational(Fraction(s.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RingError("malformed rational %r" % (s,)) from exc
+        return rational(Fraction(*parse_rational(s)))
 
     def is_integral(self, a):
         return rational(a).__class__ is int
@@ -356,10 +373,8 @@ class PrimeField(CoefficientRing):
         return pow(a, -1, self.p)
 
     def parse(self, s):
-        try:
-            return int(s.strip()) % self.p
-        except ValueError as exc:
-            raise RingError("malformed element %r of %s" % (s, self.name)) from exc
+        num, den = parse_rational(s)
+        return self.mul(num, self.inv(den))
 
     def is_integral(self, a):
         return True

@@ -136,8 +136,7 @@ def suite_pau(groups):
             spec = specs[t % len(specs)]
             ring, delta = spec.ring, spec.delta_value()
             k, s, l = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
-            if (k + s) % 2 == 0 and (s + l) % 2 == 0 and \
-                    enumerate_diagrams(k, s) and enumerate_diagrams(s, l):
+            if (k + s) % 2 == 0 and (s + l) % 2 == 0:
                 x = _random_morphism(rng, s, l, ring, delta)
                 y = _random_morphism(rng, k, s, ring, delta)
                 lhs = functor_matrix(lin_compose(x, y), spec)
@@ -146,8 +145,7 @@ def suite_pau(groups):
                     ok_compose = False
             k1, l1 = rng.randint(0, 2), rng.randint(0, 2)
             k2, l2 = rng.randint(0, 2), rng.randint(0, 2)
-            if (k1 + l1) % 2 == 0 and (k2 + l2) % 2 == 0 and \
-                    enumerate_diagrams(k1, l1) and enumerate_diagrams(k2, l2):
+            if (k1 + l1) % 2 == 0 and (k2 + l2) % 2 == 0:
                 x = _random_morphism(rng, k1, l1, spec.ring, spec.delta_value())
                 y = _random_morphism(rng, k2, l2, spec.ring, spec.delta_value())
                 lhs = functor_matrix(lin_tensor(x, y), spec)

@@ -191,7 +191,8 @@ class TestElementCommands:
         assert payload["delta"] == "-2"
         assert all(t["coeff"] == "2" for t in payload["terms"])
 
-    @pytest.mark.parametrize("delta", ["1/0", "abc"], ids=["zero-den", "text"])
+    @pytest.mark.parametrize("delta", ["1/0", "abc", "0.5", "1e99999999"],
+                             ids=["zero-den", "text", "decimal", "exponent"])
     def test_malformed_delta_is_user_error(self, capsys, delta):
         rc = run(["sigma", "--eps", "1", "--r", "2", "--delta", delta])
         captured = capsys.readouterr()
@@ -383,6 +384,28 @@ class TestFunctorCommands:
                   '"terms": [{"diagram": %s, "coeff": %s}]}' % (ring, CUP, coeff)])
         captured = capsys.readouterr()
         assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("ring,delta,flags", [
+        ("Rationals", "2", ()), ("PrimeField(5)", "2", ("--modulus", "5")),
+        ("PrimeField(11)", "2", ("--modulus", "11")),
+        ("PolynomialsInDelta", "symbolic", ()),
+    ])
+    @pytest.mark.parametrize("coeff", ["1e5", "0.5", "1_000", "1/0", "", "--3",
+                                       "1e99999999", "1/0*d", "d^99999999999",
+                                       "d^3000000"])
+    def test_coefficient_outside_the_grammar_is_user_error(self, capsys, ring,
+                                                            delta, flags, coeff):
+        def matrix(c):
+            return run(["functor-matrix", "--family", "o", "--m", "2", *flags,
+                        '{"k": 0, "l": 2, "ring": "%s", "delta": "%s", "terms": '
+                        '[{"diagram": %s, "coeff": "%s"}]}' % (ring, delta, CUP, c)])
+
+        assert matrix("1") == 0
+        capsys.readouterr()
+        assert matrix(coeff) == 2
+        captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
 

@@ -10,7 +10,7 @@ import pytest
 
 from brauer.diagram import (cup, e_i, enumerate_diagrams, identity, s_i,
                             tensor, u_nest)
-from brauer.elements import sigma
+from brauer.elements import ElementError, jones_trace_symbolic, sigma
 from brauer.linear import (
     Morphism,
     MorphismError,
@@ -326,3 +326,13 @@ class TestBlockAct:
             block_act(x, **kw)
         with pytest.raises(MorphismError):
             block_orbit(e_i(2, 1), **kw)
+
+    @pytest.mark.parametrize("eps", [True, 1.0, 0], ids=["bool", "float", "zero"])
+    def test_every_eps_check_refuses_all_but_the_ints_one_and_minus_one(self, eps):
+        x = from_diagram(e_i(2, 1))
+        for error, call in [(MorphismError, lambda: block_act(x, eps)),
+                            (MorphismError, lambda: block_orbit(e_i(2, 1), eps)),
+                            (ElementError, lambda: jones_trace_symbolic(x, eps)),
+                            (ElementError, lambda: sigma(eps, 2))]:
+            with pytest.raises(error, match="eps must be"):
+                call()

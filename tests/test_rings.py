@@ -3,6 +3,7 @@ prime fields, canonical forms and formatting/parsing round-trips."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from brauer.rings import (
     QQ_DELTA,
     Rationals,
     RingError,
+    TextError,
+    parse_poly,
+    parse_rational,
     rational,
     ring_from_name,
 )
@@ -138,6 +142,61 @@ class TestRingProtocol:
     def test_from_int_refuses_what_is_not_an_int(self, n):
         with pytest.raises(RingError, match="is not an integer"):
             PrimeField(5).from_int(n)
+
+
+class TestTextGrammar:
+    """Every ring reads a rational as N or N/D, the one form str prints."""
+
+    @pytest.mark.parametrize("ring", [QQ, PrimeField(5), PrimeField(11), QQ_DELTA])
+    @pytest.mark.parametrize("text", ["1e5", "0.5", "1_000", "1/0", "", "--3",
+                                      "1/-2", " 3", "3 ", "\u0663", "1//2", "/2"])
+    def test_other_text_is_refused_by_every_ring(self, ring, text):
+        with pytest.raises(TextError):
+            ring.parse(text)
+
+    @pytest.mark.parametrize("text", ["1/0*d", "1e5*d", "d^2+0.5", "*d", "3*",
+                                      "2*d*d", "d^", "d+", "d + 1"])
+    def test_polynomial_terms_use_the_same_grammar(self, text):
+        with pytest.raises(TextError):
+            parse_poly(text)
+
+    @pytest.mark.parametrize("text,pair", [
+        ("7", (7, 1)), ("-3/4", (-3, 4)), ("+2", (2, 1)), ("4/6", (4, 6)),
+        ("0/5", (0, 5)),
+    ])
+    def test_rational_reader(self, text, pair):
+        assert parse_rational(text) == pair
+
+    def test_digits_past_the_interpreter_limit_are_refused(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts ints of any length")
+        with pytest.raises(TextError):
+            QQ.parse("1" * (limit + 1))
+        with pytest.raises(TextError):
+            parse_poly("d^" + "1" * (limit + 1))
+
+    def test_prime_field_divides_by_the_denominator(self):
+        f7 = PrimeField(7)
+        assert f7.parse("1/2") == 4
+        assert f7.parse("-3/4") == f7.mul(-3, f7.inv(4))
+        with pytest.raises(RingError, match=r"division by zero in PrimeField\(7\)"):
+            f7.parse("1/7")
+
+    def test_polynomial_degree_is_bounded_by_the_cell_budget(self):
+        with pytest.raises(RingError, match="above the limit"):
+            parse_poly("d^3000000")
+        with pytest.raises(RingError, match="above the limit"):
+            parse_poly("d^99999999999")
+        assert parse_poly("d^3000") == Poly.monomial(3000)
+
+    def test_polynomial_degree_budget_boundary(self, monkeypatch):
+        # (degree + 1)^2 cells: degree 4 needs 25
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "25")
+        assert parse_poly("d^4").degree == 4
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "24")
+        with pytest.raises(RingError, match="above the limit"):
+            parse_poly("d^4")
 
 
 class TestRingNames:

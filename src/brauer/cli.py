@@ -24,13 +24,13 @@ from .invariants import (hom_rank, ideal_span_dimension, kernel_basis,
 from .linalg import LinAlgError
 from .linear import MorphismError, morphism_from_json, morphism_to_json
 from .report import all_passed, report_json
-from .rewrite import RewriteError
-from .rings import QQ, QQ_DELTA, PrimeField, RingError, TextError
+from .rings import (QQ, QQ_DELTA, PrimeField, RingError, TextError,
+                    parse_natural)
 from .verify import SUITE_NAMES, run_suite
 from .words import WordError, evaluate_word, synthesize_word, word_from_text, word_to_text
 
 _USER_ERRORS = (DiagramError, ElementError, FunctorError, LinAlgError,
-                MorphismError, RewriteError, RingError, WordError, ValueError)
+                MorphismError, RingError, WordError, ValueError)
 
 
 def _emit(payload, fmt):
@@ -113,18 +113,26 @@ def _morphism_or_diagram(obj):
     return diagram_from_json(obj)
 
 
+def _natural(text):
+    """An integer flag's value, read by :func:`brauer.rings.parse_natural`."""
+    try:
+        return parse_natural(text)
+    except TextError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_group_flags(sub, with_kl=False):
     sub.add_argument("--family", choices=["o", "sp"], help="orthogonal or symplectic")
-    sub.add_argument("--m", type=int, help="dimension of the natural module")
-    sub.add_argument("--n", type=int,
+    sub.add_argument("--m", type=_natural, help="dimension of the natural module")
+    sub.add_argument("--n", type=_natural,
                      help="half the dimension (symplectic shorthand: m = 2n)")
-    sub.add_argument("--modulus", type=int, default=None,
+    sub.add_argument("--modulus", type=_natural, default=None,
                      help="work over the prime field of this order")
     sub.add_argument("--allow-small-modulus", action="store_true",
                      help="permit a characteristic below m + 2")
     if with_kl:
-        sub.add_argument("--k", type=int, required=True, help="bottom valency")
-        sub.add_argument("--l", type=int, required=True, help="top valency")
+        sub.add_argument("--k", type=_natural, required=True, help="bottom valency")
+        sub.add_argument("--l", type=_natural, required=True, help="top valency")
 
 
 def _build_parser():
@@ -149,31 +157,31 @@ def _build_parser():
     p.add_argument("diagram", help="diagram JSON (inline or @file)")
 
     p = subs.add_parser("word-eval", help="evaluate a layered generator word")
-    p.add_argument("--domain", type=int, required=True, help="bottom width")
+    p.add_argument("--domain", type=_natural, required=True, help="bottom width")
     p.add_argument("word", help="layers as 'a:Y:b; a:Y:b; ...' with Y in {X, A, U}")
 
     p = subs.add_parser("word-synth", help="factor a diagram into layers")
     p.add_argument("diagram", help="diagram JSON (inline or @file)")
 
     p = subs.add_parser("sigma", help="signed symmetry sum on r strands")
-    p.add_argument("--eps", type=int, choices=[1, -1], required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--eps", choices=["1", "-1"], required=True)
+    p.add_argument("--r", type=_natural, required=True)
     p.add_argument("--delta", default="symbolic",
                    help="'symbolic' or an exact rational N or N/D "
                         "(default symbolic)")
-    p.add_argument("--modulus", type=int, default=None)
+    p.add_argument("--modulus", type=_natural, default=None)
 
     p = subs.add_parser("phi", help="symplectic quasi-idempotent on n + 1 strands")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
 
     p = subs.add_parser("ep", help="bent antisymmetrizer (orthogonal kernel generator)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, required=True, help="bending index, 0..m+1")
+    p.add_argument("--m", type=_natural, required=True)
+    p.add_argument("--p", type=_natural, required=True, help="bending index, 0..m+1")
 
     p = subs.add_parser("dpq", help="paired-box element of the symplectic family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--p", type=_natural, required=True)
+    p.add_argument("--q", type=_natural, required=True)
 
     p = subs.add_parser("functor-matrix",
                         help="matrix of a diagram or morphism under the functor")
@@ -194,7 +202,7 @@ def _build_parser():
     p = subs.add_parser("ideal-span",
                         help="dimension of a two-sided ideal slice")
     _add_group_flags(p)
-    p.add_argument("--r", type=int, help="degree (square slice) for --gen")
+    p.add_argument("--r", type=_natural, help="degree (square slice) for --gen")
     p.add_argument("--gen", help="generator: 'phi:N', 'ep:M,P', inline JSON, or @file")
     p.add_argument("--slice", dest="slice_kl", metavar="K,L",
                    help="tensor-ideal slice (k, l) of the vanishing symmetrizer")
@@ -202,8 +210,8 @@ def _build_parser():
     p = subs.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=list(SUITE_NAMES), required=True)
     p.add_argument("--family", choices=["o", "sp"], default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_natural, default=None)
+    p.add_argument("--n", type=_natural, default=None)
     p.add_argument("--include-optional", action="store_true",
                    help="include the larger optional cases")
     return parser
@@ -212,7 +220,7 @@ def _build_parser():
 def _int_pair(flag, form, text, prefix=""):
     """The two comma-separated integers after prefix in a flag value."""
     try:
-        a, b = (int(t) for t in text[len(prefix):].split(","))
+        a, b = (parse_natural(t) for t in text[len(prefix):].split(","))
     except ValueError:
         raise ValueError("%s expects %s with two integers, got %r"
                          % (flag, form, text)) from None
@@ -224,7 +232,7 @@ def _generator_from_flag(text):
     into the group's field."""
     if text.startswith("phi:"):
         try:
-            n = int(text[4:])
+            n = parse_natural(text[4:])
         except ValueError:
             raise ValueError("--gen expects phi:N with one integer, got %r"
                              % text) from None
@@ -288,7 +296,8 @@ def _dispatch(args, fmt):
 
     if cmd == "sigma":
         ring, delta = _ring_and_delta(args)
-        _emit(morphism_to_json(sigma(args.eps, args.r, ring=ring, delta=delta)), fmt)
+        x = sigma(int(args.eps), args.r, ring=ring, delta=delta)
+        _emit(morphism_to_json(x), fmt)
         return 0
 
     if cmd == "phi":

@@ -48,11 +48,13 @@ def max_cells(error=ValueError):
     raw = os.environ.get("BRAUER_MAX_CELLS")
     if raw is None:
         return DEFAULT_MAX_CELLS
+    from .rings import TextError, parse_natural  # rings imports this module
     try:
-        value = int(raw)
-    except ValueError:
-        raise error("BRAUER_MAX_CELLS must be an integer: %r" % raw)
-    if value <= 0:
+        value = parse_natural(raw)
+    except TextError:
+        raise error("BRAUER_MAX_CELLS must be an integer in ASCII decimal "
+                    "digits: %r" % raw) from None
+    if value == 0:
         raise error("BRAUER_MAX_CELLS must be positive: %r" % raw)
     return value
 
@@ -254,11 +256,6 @@ def x_block(s, t):
     """Block crossing: the first s strands pass over the next t."""
     pi = [t + i for i in range(s)] + [j for j in range(t)]
     return permutation_diagram(pi)
-
-
-def a_nest(q):
-    """Nested caps: (2q, 0) diagram with arcs {i, 2q-1-i}."""
-    return Diagram(2 * q, 0, [(i, 2 * q - 1 - i) for i in range(q)])
 
 
 def u_nest(q):

@@ -1,8 +1,8 @@
-"""Distinguished elements of the diagram algebra and their identity verifiers.
+"""Distinguished elements of the diagram algebra.
 
 Houses the (anti)symmetrizers Sigma_eps(r), the quasi-idempotents Phi and
-E_p, the bent elements D(p, q), products of cap-cup generators, and exact
-verifiers for the recursion/cap/bend identities these elements satisfy.
+E_p, and the bent elements D(p, q).  The identities they satisfy are
+checked by the suites of :mod:`brauer.verify`.
 
 The kernel generators fix their own loop value and are built over QQ:
 Phi_n at delta = -2n, E_p and F_p at delta = m, D(p, q) at delta = -2n.
@@ -13,9 +13,7 @@ symmetrizer of degree 2n + 1 with p legs turned up and q down.
 
 Index conventions follow the classical generator notation: s_i and e_i act
 on strands i, i+1 with 1-based i, and antisymmetrizer windows [k, l] are
-1-based inclusive.  Reciprocal factorials 1/t! are taken to vanish for
-t < 0, which is the convention that makes the cap and bend identities hold
-uniformly at the boundary of their parameter ranges.
+1-based inclusive.
 """
 
 from __future__ import annotations
@@ -25,28 +23,12 @@ from itertools import chain, permutations
 from math import factorial
 
 from . import diagram as dg
-from .diagram import (Diagram, _check_sizes, _is_int, closure_loops,
-                      guard_cells, identity, lower_diagram, make_diagram,
-                      tensor)
-from .linear import (
-    Morphism,
-    MorphismError,
-    _check_eps,
-    block_act,
-    delta_factor,
-    from_diagram,
-    identity_morphism,
-    lin_add,
-    lin_ast,
-    lin_compose,
-    lin_scale,
-    lin_sub,
-    lin_tensor,
-    make_morphism,
-    zero_morphism,
-)
-from .report import check_bool
-from .rings import QQ, QQ_DELTA, Poly
+from .diagram import (Diagram, _check_sizes, _is_int, guard_cells,
+                      make_diagram)
+from .linear import (Morphism, _check_eps, block_act, from_diagram,
+                     identity_morphism, lin_add, lin_scale, lin_tensor,
+                     make_morphism, zero_morphism)
+from .rings import QQ, QQ_DELTA
 
 __all__ = [
     "ElementError",
@@ -54,18 +36,12 @@ __all__ = [
     "from_permutation",
     "sigma",
     "antisymmetrizer_block",
-    "e_product",
     "e_i_j",
     "phi",
     "f_p",
     "e_p_rotation",
     "e_p_formula",
     "d_pq",
-    "verify_sigma_identities",
-    "verify_sigma_cap",
-    "verify_afu",
-    "jones_trace_symbolic",
-    "brauer_presentation_report",
 ]
 
 
@@ -118,14 +94,6 @@ def antisymmetrizer_block(k, l, r, ring=QQ_DELTA, delta=None):
         lin_tensor(identity_morphism(k - 1, ring=ring, delta=delta), block),
         identity_morphism(r - l, ring=ring, delta=delta),
     )
-
-
-def e_product(indices, r, ring=QQ_DELTA, delta=None):
-    """Left-to-right product of cap-cup generators e_i for i in indices."""
-    acc = identity_morphism(r, ring=ring, delta=delta)
-    for i in indices:
-        acc = lin_compose(acc, from_diagram(dg.e_i(r, i), ring=ring, delta=delta))
-    return acc
 
 
 def e_i_j(i, j, r, ring=QQ_DELTA, delta=None):
@@ -288,259 +256,3 @@ def _bend(eps, w, p, q, delta):
         diag = Diagram._from_partner(nr, nr, out)
         terms[diag] = terms.get(diag, 0) + c
     return Morphism(nr, nr, QQ, src.delta, terms)
-
-
-def _id_cap_id(left, right, ring, delta):
-    d = tensor(tensor(identity(left), dg.cap()), identity(right))
-    return from_diagram(d, ring=ring, delta=delta)
-
-
-def _id_cups_id(left, count, right, ring, delta):
-    d = tensor(tensor(identity(left), dg.u_nest(count)), identity(right))
-    return from_diagram(d, ring=ring, delta=delta)
-
-
-def _adjacent_cups(count):
-    d = identity(0)
-    for _ in range(count):
-        d = tensor(d, dg.cup())
-    return d
-
-
-def verify_sigma_identities(r):
-    """Exact checks of the recursion, right-closure, and lowering identities
-    for Sigma_eps(r), both signs, over symbolic delta.
-
-    Each identity compares the enumerated :func:`sigma` with products in
-    which Sigma is applied by its orbit action (:func:`block_act`)."""
-    if r < 1:
-        raise ElementError("need r >= 1")
-    checks = []
-    for eps in (1, -1):
-        tag = "eps=%+d, r=%d" % (eps, r)
-        sig_r = sigma(eps, r)
-        sig_r1 = sigma(eps, r - 1)
-        wide = (r - 1,)
-        if r >= 2:
-            mid = from_diagram(tensor(identity(r - 2), dg.crossing()))
-            rhs = lin_sub(
-                block_act(identity_morphism(r), eps, top=wide),
-                lin_scale(
-                    Fraction(eps, factorial(r - 2)),
-                    block_act(mid, eps, top=wide, bottom=wide),
-                ),
-            )
-            checks.append(check_bool("sigma recursion, %s" % tag, sig_r == rhs))
-        cap_last = from_diagram(tensor(identity(r - 1), dg.cap()))
-        cup_last = from_diagram(tensor(identity(r - 1), dg.cup()))
-        closed = lin_compose(cap_last, block_act(cup_last, eps, top=(r,)))
-        coeff = Poly((Fraction(-eps * (r - 1)), Fraction(1)))
-        checks.append(
-            check_bool(
-                "sigma right closure, %s" % tag,
-                closed == lin_scale(coeff, sig_r1),
-            )
-        )
-        lowered = Morphism(
-            r + 1,
-            r - 1,
-            QQ_DELTA,
-            None,
-            {lower_diagram(d): c for d, c in sig_r.terms.items()},
-        )
-        acc = zero_morphism(r + 1, r - 1)
-        for i in range(r):
-            rest = [b for b in range(r + 1) if b not in (r - i - 1, r)]
-            pairs = [(r - i - 1, r)] + [
-                (b, (r + 1) + t) for t, b in enumerate(rest)
-            ]
-            base = make_diagram(r + 1, r - 1, pairs)
-            acc = lin_add(
-                acc,
-                lin_scale((-eps) ** i,
-                          block_act(from_diagram(base), eps, top=wide)),
-            )
-        checks.append(check_bool("sigma lowering, %s" % tag, lowered == acc))
-    return checks
-
-
-def verify_sigma_cap(r, k):
-    """Exact check of the cap identity for the degree-r symmetrizer with k
-    adjacent cups under its last 2k legs, over symbolic delta.
-
-    Every symmetrizer acts by its orbit action (:func:`block_act`); the
-    two sides apply it to different diagrams on different strands."""
-    if r < 2 or k < 0 or r - 2 * k < 0:
-        raise ElementError("need r >= 2 and 0 <= 2k <= r")
-    cap_top = from_diagram(tensor(identity(r - 2), dg.cap()))
-    cups_bottom = from_diagram(tensor(identity(r - 2 * k), _adjacent_cups(k)))
-    lhs = lin_compose(cap_top, block_act(cups_bottom, -1, top=(r,)))
-    rhs = zero_morphism(r - 2 * k, r - 2)
-    if k >= 1:
-        cups1 = from_diagram(tensor(identity(r - 2 * k), _adjacent_cups(k - 1)))
-        coeff = Poly((Fraction(4 * k * (r - k - 1)), Fraction(2 * k)))
-        sym_cups1 = block_act(cups1, -1, top=(r - 2,))
-        rhs = lin_add(rhs, lin_scale(coeff, sym_cups1))
-    if r - 2 - 2 * k >= 0:
-        cap_inner = from_diagram(tensor(identity(r - 2 - 2 * k), dg.cap()))
-        cups_inner = from_diagram(
-            tensor(identity(r - 2 - 2 * k), _adjacent_cups(k))
-        )
-        tail = block_act(lin_compose(cups_inner, cap_inner), -1,
-                         top=(r - 2,), bottom=(r - 2 * k,))
-        rhs = lin_add(rhs, lin_scale(Fraction(1, factorial(r - 2 - 2 * k)), tail))
-    checks = [check_bool("sigma cap identity, r=%d k=%d" % (r, k), lhs == rhs)]
-    if k == 1 and r >= 4:
-        shorthand = lin_scale(
-            Fraction(1, factorial(r - 4)),
-            block_act(from_diagram(dg.e_i(r - 2, r - 3)), -1,
-                      top=(r - 2,), bottom=(r - 2,)),
-        )
-        coeff = Poly((Fraction(4 * (r - 2)), Fraction(2)))
-        checks.append(
-            check_bool(
-                "sigma cap k=1 shorthand, r=%d" % r,
-                lhs == lin_add(lin_scale(coeff, sym_cups1), shorthand),
-            )
-        )
-    return checks
-
-
-def verify_afu(m, i, k):
-    """Exact check of the cap-through-bent-antisymmetrizer identity in
-    degree m+1 at delta = m (1 <= i <= m, 0 <= k <= min(i, m+1-i)).
-
-    Every product of Young antisymmetrizer blocks is applied by its orbit
-    action (:func:`block_act`)."""
-    if not 1 <= i <= m:
-        raise ElementError("need 1 <= i <= m")
-    if not 0 <= k <= min(i, m + 1 - i):
-        raise ElementError("need 0 <= k <= min(i, m+1-i)")
-    ring, delta = QQ, Fraction(m)
-    cap_left = _id_cap_id(i - 1, m - i, ring, delta)
-    cups = _id_cups_id(i - k, k, m + 1 - i - k, ring, delta)
-    lhs = lin_compose(cap_left, block_act(cups, 1, top=(i, m + 1 - i)))
-    blocks = (i - 1, m - i)
-    rhs = zero_morphism(m + 1 - 2 * k, m - 1, ring=ring, delta=delta)
-    if k >= 1:
-        cups1 = _id_cups_id(i - k, k - 1, m + 1 - i - k, ring, delta)
-        rhs = lin_add(rhs, lin_scale(k * k, block_act(cups1, 1, top=blocks)))
-    if i - k - 1 >= 0 and m - i - k >= 0:
-        zeta = Fraction(1, factorial(i - k - 1) * factorial(m - i - k))
-        cap_inner = _id_cap_id(i - k - 1, m - i - k, ring, delta)
-        cups_inner = _id_cups_id(i - k - 1, k, m - i - k, ring, delta)
-        tail = block_act(lin_compose(cups_inner, cap_inner), 1, top=blocks,
-                         bottom=(i - k, m + 1 - i - k))
-        rhs = lin_add(rhs, lin_scale(zeta, tail))
-    return [check_bool("bent-cap identity, m=%d i=%d k=%d" % (m, i, k), lhs == rhs)]
-
-
-def jones_trace_symbolic(x, eps=1):
-    """eps^r times the delta-weighted sum of closure loops over the terms of x."""
-    if x.k != x.l:
-        raise MorphismError("trace requires square valency")
-    _check_eps(ElementError, eps)
-    ring = x.ring
-    acc = ring.zero()
-    for d, c in x.terms.items():
-        acc = ring.add(acc, ring.mul(c, delta_factor(ring, x.delta, closure_loops(d))))
-    if eps == -1 and x.k % 2 == 1:
-        acc = ring.neg(acc)
-    return acc
-
-
-def brauer_presentation_report(r):
-    """Exact checks of the full generator presentation in degree r over
-    symbolic delta, plus the derived relation e_i s_{i+1} e_i = e_i and the
-    180-degree anti-involution."""
-    s = {i: from_diagram(dg.s_i(r, i)) for i in range(1, r)}
-    e = {i: from_diagram(dg.e_i(r, i)) for i in range(1, r)}
-    one = identity_morphism(r)
-    delta = Poly.variable()
-    checks = []
-
-    def comp(*xs):
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = lin_compose(acc, x)
-        return acc
-
-    for i in range(1, r):
-        si, ei = s[i], e[i]
-        checks.append(check_bool("s%d^2 = 1, r=%d" % (i, r), comp(si, si) == one))
-        checks.append(check_bool("s%d e%d = e%d, r=%d" % (i, i, i, r), comp(si, ei) == ei))
-        checks.append(check_bool("e%d s%d = e%d, r=%d" % (i, i, i, r), comp(ei, si) == ei))
-        checks.append(
-            check_bool(
-                "e%d^2 = delta e%d, r=%d" % (i, i, r),
-                comp(ei, ei) == lin_scale(delta, ei),
-            )
-        )
-        checks.append(
-            check_bool(
-                "ast(s%d) = s%d, r=%d" % (i, r - i, r), lin_ast(si) == s[r - i]
-            )
-        )
-        checks.append(
-            check_bool(
-                "ast(e%d) = e%d, r=%d" % (i, r - i, r), lin_ast(ei) == e[r - i]
-            )
-        )
-    for i in range(1, r - 1):
-        si, si1 = s[i], s[i + 1]
-        ei, ei1 = e[i], e[i + 1]
-        checks.append(
-            check_bool(
-                "braid s%d s%d s%d, r=%d" % (i, i + 1, i, r),
-                comp(si, si1, si) == comp(si1, si, si1),
-            )
-        )
-        checks.append(
-            check_bool(
-                "e%d e%d e%d = e%d, r=%d" % (i, i + 1, i, i, r),
-                comp(ei, ei1, ei) == ei,
-            )
-        )
-        checks.append(
-            check_bool(
-                "e%d e%d e%d = e%d, r=%d" % (i + 1, i, i + 1, i + 1, r),
-                comp(ei1, ei, ei1) == ei1,
-            )
-        )
-        checks.append(
-            check_bool(
-                "s%d e%d e%d = s%d e%d, r=%d" % (i, i + 1, i, i + 1, i, r),
-                comp(si, ei1, ei) == comp(si1, ei),
-            )
-        )
-        checks.append(
-            check_bool(
-                "e%d s%d e%d = e%d, r=%d" % (i, i + 1, i, i, r),
-                comp(ei, si1, ei) == ei,
-            )
-        )
-    for i in range(1, r):
-        for j in range(i + 2, r):
-            si, sj = s[i], s[j]
-            ei, ej = e[i], e[j]
-            checks.append(
-                check_bool(
-                    "s%d s%d commute, r=%d" % (i, j, r), comp(si, sj) == comp(sj, si)
-                )
-            )
-            checks.append(
-                check_bool(
-                    "s%d e%d commute, r=%d" % (i, j, r), comp(si, ej) == comp(ej, si)
-                )
-            )
-            checks.append(
-                check_bool(
-                    "e%d s%d commute, r=%d" % (i, j, r), comp(ei, sj) == comp(sj, ei)
-                )
-            )
-            checks.append(
-                check_bool(
-                    "e%d e%d commute, r=%d" % (i, j, r), comp(ei, ej) == comp(ej, ei)
-                )
-            )
-    return checks

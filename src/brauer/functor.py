@@ -31,8 +31,7 @@ from .diagram import (Diagram, _check_sizes, closure_loops, crossing_count,
                       guard_cells)
 from .linear import (Morphism, _coerce_coeff, _drop_zeros, reduce_mod_p,
                      specialize_delta)
-from .report import check_bool
-from .rings import PrimeField, Rationals, QQ, ring_from_name
+from .rings import PrimeField, Rationals, QQ
 from .words import synthesize_word
 
 
@@ -237,14 +236,6 @@ class ExactMatrix:
         return ExactMatrix._trusted(self.rows, self.cols, ring,
                                     _drop_zeros(entries))
 
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def neg(self):
-        ring = self.ring
-        entries = {k: ring.neg(v) for k, v in self.entries.items()}
-        return ExactMatrix._trusted(self.rows, self.cols, ring, entries)
-
     def scale(self, c):
         # Every coefficient ring is an integral domain: c times a nonzero
         # entry is zero only when c is.
@@ -312,25 +303,6 @@ class ExactMatrix:
 def matrix_to_json(mat):
     entries = [[i, j, str(v)] for (i, j), v in sorted(mat.entries.items())]
     return {"rows": mat.rows, "cols": mat.cols, "ring": mat.ring.name, "entries": entries}
-
-
-def matrix_from_json(obj):
-    try:
-        rows, cols = obj["rows"], obj["cols"]
-        ring = ring_from_name(obj["ring"])
-        raw = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FunctorError("malformed matrix object: %s" % exc)
-    entries = {}
-    for item in raw:
-        try:
-            i, j, text = item
-        except (TypeError, ValueError):
-            raise FunctorError("matrix entry %r is not [row, col, value]" % (item,))
-        if not isinstance(text, str):
-            raise FunctorError("matrix entry value %r is not a string" % (text,))
-        entries[(i, j)] = ring.parse(text)
-    return ExactMatrix(rows, cols, ring, entries)
 
 
 def generator_matrices(spec):
@@ -506,58 +478,3 @@ def trace_check(d, spec):
     :func:`closure_trace`."""
     expected = closure_trace(d, spec)
     return functor_matrix(d, spec).trace() == expected
-
-
-def verify_pau(spec):
-    """Check the defining matrix relations of the generating pictures:
-    crossing square and braiding, crossing symmetry of the coevaluation
-    vector and of the pairing, pairing of the coevaluation, the two zigzag
-    straightenings, and the two crossing/arc slide rules."""
-    ring = spec.ring
-    m = spec.m
-    gens = generator_matrices(spec)
-    ident, x_mat, a_mat, u_mat = gens["I"], gens["X"], gens["A"], gens["U"]
-    id1 = ExactMatrix.identity(m, ring)
-    id2 = id1.tensor(id1)
-    eps_elt = ring.from_int(spec.eps)
-    checks = []
-
-    checks.append(check_bool("%s: crossing squares to the identity" % spec.label(),
-                             x_mat.mul(x_mat) == id2))
-    lhs = x_mat.tensor(id1).mul(id1.tensor(x_mat)).mul(x_mat.tensor(id1))
-    rhs = id1.tensor(x_mat).mul(x_mat.tensor(id1)).mul(id1.tensor(x_mat))
-    checks.append(check_bool("%s: crossings braid" % spec.label(), lhs == rhs))
-
-    # The crossing matrix is the plain swap scaled by the form sign, so the
-    # sign cancels against the swap's action on the (anti)symmetric
-    # coevaluation: the crossing fixes it exactly.
-    p_mat = x_mat.scale(eps_elt)
-    checks.append(check_bool("%s: swap scales the coevaluation by the form sign"
-                             % spec.label(),
-                             p_mat.mul(u_mat) == u_mat.scale(eps_elt)))
-    checks.append(check_bool("%s: swap scales the pairing by the form sign"
-                             % spec.label(),
-                             a_mat.mul(p_mat) == a_mat.scale(eps_elt)))
-    checks.append(check_bool("%s: crossing fixes the coevaluation" % spec.label(),
-                             x_mat.mul(u_mat) == u_mat))
-    checks.append(check_bool("%s: pairing absorbs the crossing" % spec.label(),
-                             a_mat.mul(x_mat) == a_mat))
-
-    pair_val = a_mat.mul(u_mat)
-    expected = ExactMatrix(1, 1, ring, {(0, 0): ring.from_int(spec.eps * m)})
-    checks.append(check_bool("%s: pairing of the coevaluation is eps*m" % spec.label(),
-                             pair_val == expected))
-    zig1 = a_mat.tensor(id1).mul(id1.tensor(u_mat))
-    zig2 = id1.tensor(a_mat).mul(u_mat.tensor(id1))
-    checks.append(check_bool("%s: left zigzag straightens" % spec.label(), zig1 == id1))
-    checks.append(check_bool("%s: right zigzag straightens" % spec.label(), zig2 == id1))
-
-    slide1l = a_mat.tensor(id1).mul(id1.tensor(x_mat))
-    slide1r = id1.tensor(a_mat).mul(x_mat.tensor(id1))
-    checks.append(check_bool("%s: pairing slides across the crossing" % spec.label(),
-                             slide1l == slide1r))
-    slide2l = x_mat.tensor(id1).mul(id1.tensor(u_mat))
-    slide2r = id1.tensor(x_mat).mul(u_mat.tensor(id1))
-    checks.append(check_bool("%s: coevaluation slides across the crossing"
-                             % spec.label(), slide2l == slide2r))
-    return checks

@@ -23,7 +23,6 @@ from .diagram import (
     diagram_from_json,
     diagram_to_json,
     identity,
-    star,
     tensor,
 )
 from .rings import (
@@ -131,9 +130,6 @@ class Morphism:
 
     def is_zero(self):
         return not self.terms
-
-    def term_count(self):
-        return len(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -371,28 +367,10 @@ def block_act(x, eps, top=(), bottom=()):
     return Morphism._trusted(x.k, x.l, ring, x.delta, terms)
 
 
-def lin_star(x):
-    """Term-wise horizontal flip; an anti-homomorphism for composition."""
-    terms = {star(d): c for d, c in x.terms.items()}
-    return Morphism(x.l, x.k, x.ring, x.delta, terms)
-
-
 def lin_ast(x):
     """Term-wise 180-degree rotation; an anti-homomorphism fixing valency order."""
     terms = {ast(d): c for d, c in x.terms.items()}
     return Morphism(x.l, x.k, x.ring, x.delta, terms)
-
-
-def lin_power(x, n):
-    """n-fold composition power of a square morphism."""
-    if x.k != x.l:
-        raise MorphismError("powers require square valency")
-    if n < 0:
-        raise MorphismError("negative powers are not supported")
-    result = identity_morphism(x.k, ring=x.ring, delta=x.delta)
-    for _ in range(n):
-        result = lin_compose(result, x)
-    return result
 
 
 def integrality_check(x):

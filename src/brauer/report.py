@@ -37,7 +37,3 @@ def report_json(checks):
 
 def all_passed(checks):
     return all(c.passed for c in checks)
-
-
-def failures(checks):
-    return [c for c in checks if not c.passed]

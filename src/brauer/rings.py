@@ -167,6 +167,7 @@ class Poly:
         return "Poly(%s)" % self
 
 
+_NATURAL_RE = re.compile(r"[0-9]+")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _MONOMIAL_RE = re.compile(r"%s(?:\^([0-9]+))?" % VARIABLE)
 
@@ -180,6 +181,16 @@ def _int(digits):
         return int(digits)
     except ValueError as exc:  # past the interpreter's int digit limit
         raise TextError(str(exc)) from None
+
+
+def parse_natural(text):
+    """The non-negative integer ``text`` in ASCII decimal digits, e.g.
+    ``"7"``: the one reader of every integer in text.  No sign,
+    whitespace, underscore or digits of another script."""
+    if _NATURAL_RE.fullmatch(text) is None:
+        raise TextError("malformed integer %r: expected ASCII decimal digits"
+                        % (text,))
+    return _int(text)
 
 
 def parse_rational(text):
@@ -417,7 +428,7 @@ QQ = Rationals()
 QQ_DELTA = PolynomialsInDelta()
 
 _FIXED_RINGS = {QQ.name: QQ, QQ_DELTA.name: QQ_DELTA}
-_PRIME_FIELD_RE = re.compile(r"^PrimeField\((\d+)\)$")
+_PRIME_FIELD_RE = re.compile(r"PrimeField\(([1-9][0-9]*)\)")
 
 
 def ring_from_name(name):
@@ -425,7 +436,7 @@ def ring_from_name(name):
     ring = _FIXED_RINGS.get(name)
     if ring is not None:
         return ring
-    m = _PRIME_FIELD_RE.match(name)
+    m = _PRIME_FIELD_RE.fullmatch(name)
     if m:
-        return PrimeField(int(m.group(1)))
+        return PrimeField(parse_natural(m.group(1)))
     raise RingError("unknown ring %r" % (name,))

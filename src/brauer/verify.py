@@ -7,6 +7,16 @@ presentation, the antisymmetrizer identity family, the matrix relations of
 the generating pictures with functor consistency and traces, the
 quasi-idempotent suites, the kernel theorems with fullness, and the
 positive-characteristic reruns.
+
+The identity checks the suites run live here, beside them:
+:func:`brauer_presentation_report` (the generator presentation),
+:func:`verify_sigma_identities`, :func:`verify_sigma_cap` and
+:func:`verify_afu` (the symmetrizer and bent-cap identities), and
+:func:`verify_pau` (the matrix relations of the generating pictures).  In
+the cap and bent-cap identities a reciprocal factorial 1/t! vanishes for
+t < 0, which makes them hold uniformly at the boundary of their parameter
+ranges.  The relation soundness check stays in :mod:`brauer.rewrite`,
+beside the rules it checks.
 """
 
 from __future__ import annotations
@@ -16,20 +26,24 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
-from .diagram import (_check_sizes, diagram_count, e_i, enumerate_diagrams,
-                      x_block)
-from .elements import (brauer_presentation_report, e_p_formula, e_p_rotation,
-                       from_permutation, phi, sigma, verify_afu,
-                       verify_sigma_cap, verify_sigma_identities)
-from .functor import (_FAMILY_ALIASES, functor_matrix, functor_matrix_layered,
-                      group_spec, trace_check, verify_pau)
+from .diagram import (_check_sizes, cap, crossing, cup, diagram_count, e_i,
+                      enumerate_diagrams, identity, lower_diagram,
+                      make_diagram, s_i, tensor, u_nest, x_block)
+from .elements import (ElementError, e_p_formula, e_p_rotation,
+                       from_permutation, phi, sigma)
+from .functor import (_FAMILY_ALIASES, ExactMatrix, functor_matrix,
+                      functor_matrix_layered, generator_matrices, group_spec,
+                      trace_check)
 from .invariants import (commutant_dimension, hom_rank, ideal_span_dimension,
                          kernel_basis, kernel_dimension,
                          tensor_ideal_span_dimension)
-from .linear import (block_act, from_diagram, integrality_check, lin_ast,
-                     lin_compose, lin_scale, lin_tensor, make_morphism)
+from .linear import (Morphism, block_act, from_diagram, identity_morphism,
+                     integrality_check, lin_add, lin_ast, lin_compose,
+                     lin_scale, lin_sub, lin_tensor, make_morphism,
+                     zero_morphism)
 from .report import check, check_bool
 from .rewrite import verify_relation_soundness
+from .rings import QQ, QQ_DELTA, Poly
 from .words import evaluate_word, synthesize_word
 
 SUITE_NAMES = ("relations", "presentation", "sigma", "pau", "phi", "ep",
@@ -75,12 +89,254 @@ def suite_word_roundtrip():
     return checks
 
 
+def brauer_presentation_report(r):
+    """Exact checks of the full generator presentation in degree r over
+    symbolic delta, plus the derived relation e_i s_{i+1} e_i = e_i and the
+    180-degree anti-involution."""
+    s = {i: from_diagram(s_i(r, i)) for i in range(1, r)}
+    e = {i: from_diagram(e_i(r, i)) for i in range(1, r)}
+    one = identity_morphism(r)
+    delta = Poly.variable()
+    checks = []
+
+    def comp(*xs):
+        acc = xs[0]
+        for x in xs[1:]:
+            acc = lin_compose(acc, x)
+        return acc
+
+    for i in range(1, r):
+        si, ei = s[i], e[i]
+        checks.append(check_bool("s%d^2 = 1, r=%d" % (i, r), comp(si, si) == one))
+        checks.append(check_bool("s%d e%d = e%d, r=%d" % (i, i, i, r), comp(si, ei) == ei))
+        checks.append(check_bool("e%d s%d = e%d, r=%d" % (i, i, i, r), comp(ei, si) == ei))
+        checks.append(
+            check_bool(
+                "e%d^2 = delta e%d, r=%d" % (i, i, r),
+                comp(ei, ei) == lin_scale(delta, ei),
+            )
+        )
+        checks.append(
+            check_bool(
+                "ast(s%d) = s%d, r=%d" % (i, r - i, r), lin_ast(si) == s[r - i]
+            )
+        )
+        checks.append(
+            check_bool(
+                "ast(e%d) = e%d, r=%d" % (i, r - i, r), lin_ast(ei) == e[r - i]
+            )
+        )
+    for i in range(1, r - 1):
+        si, si1 = s[i], s[i + 1]
+        ei, ei1 = e[i], e[i + 1]
+        checks.append(
+            check_bool(
+                "braid s%d s%d s%d, r=%d" % (i, i + 1, i, r),
+                comp(si, si1, si) == comp(si1, si, si1),
+            )
+        )
+        checks.append(
+            check_bool(
+                "e%d e%d e%d = e%d, r=%d" % (i, i + 1, i, i, r),
+                comp(ei, ei1, ei) == ei,
+            )
+        )
+        checks.append(
+            check_bool(
+                "e%d e%d e%d = e%d, r=%d" % (i + 1, i, i + 1, i + 1, r),
+                comp(ei1, ei, ei1) == ei1,
+            )
+        )
+        checks.append(
+            check_bool(
+                "s%d e%d e%d = s%d e%d, r=%d" % (i, i + 1, i, i + 1, i, r),
+                comp(si, ei1, ei) == comp(si1, ei),
+            )
+        )
+        checks.append(
+            check_bool(
+                "e%d s%d e%d = e%d, r=%d" % (i, i + 1, i, i, r),
+                comp(ei, si1, ei) == ei,
+            )
+        )
+    for i in range(1, r):
+        for j in range(i + 2, r):
+            si, sj = s[i], s[j]
+            ei, ej = e[i], e[j]
+            checks.append(
+                check_bool(
+                    "s%d s%d commute, r=%d" % (i, j, r), comp(si, sj) == comp(sj, si)
+                )
+            )
+            checks.append(
+                check_bool(
+                    "s%d e%d commute, r=%d" % (i, j, r), comp(si, ej) == comp(ej, si)
+                )
+            )
+            checks.append(
+                check_bool(
+                    "e%d s%d commute, r=%d" % (i, j, r), comp(ei, sj) == comp(sj, ei)
+                )
+            )
+            checks.append(
+                check_bool(
+                    "e%d e%d commute, r=%d" % (i, j, r), comp(ei, ej) == comp(ej, ei)
+                )
+            )
+    return checks
+
+
 def suite_presentation():
     """Defining relations of the diagram algebra over symbolic delta."""
     checks = []
     for r in range(2, PRESENTATION_MAX_R + 1):
         checks.extend(brauer_presentation_report(r))
     return checks
+
+
+def _id_cap_id(left, right, ring, delta):
+    d = tensor(tensor(identity(left), cap()), identity(right))
+    return from_diagram(d, ring=ring, delta=delta)
+
+
+def _id_cups_id(left, count, right, ring, delta):
+    d = tensor(tensor(identity(left), u_nest(count)), identity(right))
+    return from_diagram(d, ring=ring, delta=delta)
+
+
+def _adjacent_cups(count):
+    d = identity(0)
+    for _ in range(count):
+        d = tensor(d, cup())
+    return d
+
+
+def verify_sigma_identities(r):
+    """Exact checks of the recursion, right-closure, and lowering identities
+    for Sigma_eps(r), both signs, over symbolic delta.
+
+    Each identity compares the enumerated :func:`sigma` with products in
+    which Sigma is applied by its orbit action (:func:`block_act`)."""
+    if r < 1:
+        raise ElementError("need r >= 1")
+    checks = []
+    for eps in (1, -1):
+        tag = "eps=%+d, r=%d" % (eps, r)
+        sig_r = sigma(eps, r)
+        sig_r1 = sigma(eps, r - 1)
+        wide = (r - 1,)
+        if r >= 2:
+            mid = from_diagram(tensor(identity(r - 2), crossing()))
+            rhs = lin_sub(
+                block_act(identity_morphism(r), eps, top=wide),
+                lin_scale(
+                    Fraction(eps, factorial(r - 2)),
+                    block_act(mid, eps, top=wide, bottom=wide),
+                ),
+            )
+            checks.append(check_bool("sigma recursion, %s" % tag, sig_r == rhs))
+        cap_last = from_diagram(tensor(identity(r - 1), cap()))
+        cup_last = from_diagram(tensor(identity(r - 1), cup()))
+        closed = lin_compose(cap_last, block_act(cup_last, eps, top=(r,)))
+        coeff = Poly((Fraction(-eps * (r - 1)), Fraction(1)))
+        checks.append(
+            check_bool(
+                "sigma right closure, %s" % tag,
+                closed == lin_scale(coeff, sig_r1),
+            )
+        )
+        lowered = Morphism(
+            r + 1,
+            r - 1,
+            QQ_DELTA,
+            None,
+            {lower_diagram(d): c for d, c in sig_r.terms.items()},
+        )
+        acc = zero_morphism(r + 1, r - 1)
+        for i in range(r):
+            rest = [b for b in range(r + 1) if b not in (r - i - 1, r)]
+            pairs = [(r - i - 1, r)] + [
+                (b, (r + 1) + t) for t, b in enumerate(rest)
+            ]
+            base = make_diagram(r + 1, r - 1, pairs)
+            acc = lin_add(
+                acc,
+                lin_scale((-eps) ** i,
+                          block_act(from_diagram(base), eps, top=wide)),
+            )
+        checks.append(check_bool("sigma lowering, %s" % tag, lowered == acc))
+    return checks
+
+
+def verify_sigma_cap(r, k):
+    """Exact check of the cap identity for the degree-r symmetrizer with k
+    adjacent cups under its last 2k legs, over symbolic delta.
+
+    Every symmetrizer acts by its orbit action (:func:`block_act`); the
+    two sides apply it to different diagrams on different strands."""
+    if r < 2 or k < 0 or r - 2 * k < 0:
+        raise ElementError("need r >= 2 and 0 <= 2k <= r")
+    cap_top = from_diagram(tensor(identity(r - 2), cap()))
+    cups_bottom = from_diagram(tensor(identity(r - 2 * k), _adjacent_cups(k)))
+    lhs = lin_compose(cap_top, block_act(cups_bottom, -1, top=(r,)))
+    rhs = zero_morphism(r - 2 * k, r - 2)
+    if k >= 1:
+        cups1 = from_diagram(tensor(identity(r - 2 * k), _adjacent_cups(k - 1)))
+        coeff = Poly((Fraction(4 * k * (r - k - 1)), Fraction(2 * k)))
+        sym_cups1 = block_act(cups1, -1, top=(r - 2,))
+        rhs = lin_add(rhs, lin_scale(coeff, sym_cups1))
+    if r - 2 - 2 * k >= 0:
+        cap_inner = from_diagram(tensor(identity(r - 2 - 2 * k), cap()))
+        cups_inner = from_diagram(
+            tensor(identity(r - 2 - 2 * k), _adjacent_cups(k))
+        )
+        tail = block_act(lin_compose(cups_inner, cap_inner), -1,
+                         top=(r - 2,), bottom=(r - 2 * k,))
+        rhs = lin_add(rhs, lin_scale(Fraction(1, factorial(r - 2 - 2 * k)), tail))
+    checks = [check_bool("sigma cap identity, r=%d k=%d" % (r, k), lhs == rhs)]
+    if k == 1 and r >= 4:
+        shorthand = lin_scale(
+            Fraction(1, factorial(r - 4)),
+            block_act(from_diagram(e_i(r - 2, r - 3)), -1,
+                      top=(r - 2,), bottom=(r - 2,)),
+        )
+        coeff = Poly((Fraction(4 * (r - 2)), Fraction(2)))
+        checks.append(
+            check_bool(
+                "sigma cap k=1 shorthand, r=%d" % r,
+                lhs == lin_add(lin_scale(coeff, sym_cups1), shorthand),
+            )
+        )
+    return checks
+
+
+def verify_afu(m, i, k):
+    """Exact check of the cap-through-bent-antisymmetrizer identity in
+    degree m+1 at delta = m (1 <= i <= m, 0 <= k <= min(i, m+1-i)).
+
+    Every product of Young antisymmetrizer blocks is applied by its orbit
+    action (:func:`block_act`)."""
+    if not 1 <= i <= m:
+        raise ElementError("need 1 <= i <= m")
+    if not 0 <= k <= min(i, m + 1 - i):
+        raise ElementError("need 0 <= k <= min(i, m+1-i)")
+    ring, delta = QQ, Fraction(m)
+    cap_left = _id_cap_id(i - 1, m - i, ring, delta)
+    cups = _id_cups_id(i - k, k, m + 1 - i - k, ring, delta)
+    lhs = lin_compose(cap_left, block_act(cups, 1, top=(i, m + 1 - i)))
+    blocks = (i - 1, m - i)
+    rhs = zero_morphism(m + 1 - 2 * k, m - 1, ring=ring, delta=delta)
+    if k >= 1:
+        cups1 = _id_cups_id(i - k, k - 1, m + 1 - i - k, ring, delta)
+        rhs = lin_add(rhs, lin_scale(k * k, block_act(cups1, 1, top=blocks)))
+    if i - k - 1 >= 0 and m - i - k >= 0:
+        zeta = Fraction(1, factorial(i - k - 1) * factorial(m - i - k))
+        cap_inner = _id_cap_id(i - k - 1, m - i - k, ring, delta)
+        cups_inner = _id_cups_id(i - k - 1, k, m - i - k, ring, delta)
+        tail = block_act(lin_compose(cups_inner, cap_inner), 1, top=blocks,
+                         bottom=(i - k, m + 1 - i - k))
+        rhs = lin_add(rhs, lin_scale(zeta, tail))
+    return [check_bool("bent-cap identity, m=%d i=%d k=%d" % (m, i, k), lhs == rhs)]
 
 
 def suite_sigma():
@@ -109,6 +365,61 @@ def _random_morphism(rng, k, l, ring, delta):
         if c:
             terms[d] = ring.from_int(c)
     return make_morphism(k, l, terms, ring=ring, delta=delta)
+
+
+def verify_pau(spec):
+    """Check the defining matrix relations of the generating pictures:
+    crossing square and braiding, crossing symmetry of the coevaluation
+    vector and of the pairing, pairing of the coevaluation, the two zigzag
+    straightenings, and the two crossing/arc slide rules."""
+    ring = spec.ring
+    m = spec.m
+    gens = generator_matrices(spec)
+    ident, x_mat, a_mat, u_mat = gens["I"], gens["X"], gens["A"], gens["U"]
+    id1 = ExactMatrix.identity(m, ring)
+    id2 = id1.tensor(id1)
+    eps_elt = ring.from_int(spec.eps)
+    checks = []
+
+    checks.append(check_bool("%s: crossing squares to the identity" % spec.label(),
+                             x_mat.mul(x_mat) == id2))
+    lhs = x_mat.tensor(id1).mul(id1.tensor(x_mat)).mul(x_mat.tensor(id1))
+    rhs = id1.tensor(x_mat).mul(x_mat.tensor(id1)).mul(id1.tensor(x_mat))
+    checks.append(check_bool("%s: crossings braid" % spec.label(), lhs == rhs))
+
+    # The crossing matrix is the plain swap scaled by the form sign, so the
+    # sign cancels against the swap's action on the (anti)symmetric
+    # coevaluation: the crossing fixes it exactly.
+    p_mat = x_mat.scale(eps_elt)
+    checks.append(check_bool("%s: swap scales the coevaluation by the form sign"
+                             % spec.label(),
+                             p_mat.mul(u_mat) == u_mat.scale(eps_elt)))
+    checks.append(check_bool("%s: swap scales the pairing by the form sign"
+                             % spec.label(),
+                             a_mat.mul(p_mat) == a_mat.scale(eps_elt)))
+    checks.append(check_bool("%s: crossing fixes the coevaluation" % spec.label(),
+                             x_mat.mul(u_mat) == u_mat))
+    checks.append(check_bool("%s: pairing absorbs the crossing" % spec.label(),
+                             a_mat.mul(x_mat) == a_mat))
+
+    pair_val = a_mat.mul(u_mat)
+    expected = ExactMatrix(1, 1, ring, {(0, 0): ring.from_int(spec.eps * m)})
+    checks.append(check_bool("%s: pairing of the coevaluation is eps*m" % spec.label(),
+                             pair_val == expected))
+    zig1 = a_mat.tensor(id1).mul(id1.tensor(u_mat))
+    zig2 = id1.tensor(a_mat).mul(u_mat.tensor(id1))
+    checks.append(check_bool("%s: left zigzag straightens" % spec.label(), zig1 == id1))
+    checks.append(check_bool("%s: right zigzag straightens" % spec.label(), zig2 == id1))
+
+    slide1l = a_mat.tensor(id1).mul(id1.tensor(x_mat))
+    slide1r = id1.tensor(a_mat).mul(x_mat.tensor(id1))
+    checks.append(check_bool("%s: pairing slides across the crossing" % spec.label(),
+                             slide1l == slide1r))
+    slide2l = x_mat.tensor(id1).mul(id1.tensor(u_mat))
+    slide2r = id1.tensor(x_mat).mul(u_mat.tensor(id1))
+    checks.append(check_bool("%s: coevaluation slides across the crossing"
+                             % spec.label(), slide2l == slide2r))
+    return checks
 
 
 def suite_pau(groups):

@@ -6,8 +6,9 @@ the empty layer sequence.  A word applies its layers bottom to top.
 Evaluation composes the layers, accumulating deleted loops into a formal
 delta power.
 
-Text format (CLI): semicolon-separated "a:Y:b" bottom to top, e.g.
-"0:A:1; 1:U:0"; the empty string is the identity word.
+Text format (CLI): semicolon-separated "a:Y:b" bottom to top, a and b in
+ASCII decimal digits, e.g. "0:A:1; 1:U:0"; the empty string is the
+identity word.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import NamedTuple
 
 from brauer.diagram import (_check_sizes, cap, compose, crossing, cup,
                             guard_cells, identity, tensor)
+from brauer.rings import parse_natural
 
 
 class Layer(NamedTuple):
@@ -166,7 +168,7 @@ def word_from_text(domain, text):
                 raise WordError("bad layer %r, expected a:Y:b" % (part.strip(),))
             a, g, b = fields
             try:
-                layers.append((int(a), g.strip(), int(b)))
+                layers.append((parse_natural(a), g.strip(), parse_natural(b)))
             except ValueError:
                 raise WordError("bad layer %r, expected integers a and b in "
                                 "a:Y:b" % (part.strip(),)) from None

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -10,7 +11,7 @@ import pytest
 
 import brauer
 from brauer import Check
-from brauer import verify
+from brauer import cli, verify
 from brauer.cli import run
 from brauer.diagram import max_cells
 
@@ -215,11 +216,10 @@ class TestElementCommands:
         assert invoke(capsys, "dpq", "--n", "1", "--p", "0", "--q", "1")[0] == 2
 
     @pytest.mark.parametrize("argv", [
-        ["ep", "--m", "-1", "--p", "0"],
         ["ep", "--m", "0", "--p", "0"],
-        ["ideal-span", "--family", "o", "--m", "2", "--gen", "ep:-1,0",
+        ["ideal-span", "--family", "o", "--m", "2", "--gen", "ep:0,0",
          "--r", "3"],
-    ], ids=["ep-m-1", "ep-m0", "gen-ep-m-1"])
+    ], ids=["ep-m0", "gen-ep-m0"])
     def test_bent_antisymmetrizer_below_degree_one_is_user_error(self, capsys,
                                                                  argv):
         rc = run(argv)
@@ -429,17 +429,25 @@ class TestFunctorCommands:
             "error: computation needs 21!! * 2^11 row nonzeros, above the "
             "limit %d; raise BRAUER_MAX_CELLS to allow it\n" % max_cells())
 
-    @pytest.mark.parametrize("argv", [
-        ["rank", "--family", "sp", "--m", "2", "--k", "-1", "--l", "3"],
-        ["kernel", "--family", "sp", "--m", "2", "--k", "-2", "--l", "2"],
-        ["ideal-span", "--family", "sp", "--m", "2", "--slice=-2,2"],
+    @pytest.mark.parametrize("argv,last_line", [
+        (["rank", "--family", "sp", "--m", "2", "--k", "-1", "--l", "3"],
+         "brauer rank: error: argument --k: malformed integer '-1': expected "
+         "ASCII decimal digits"),
+        (["kernel", "--family", "sp", "--m", "2", "--k", "-2", "--l", "2"],
+         "brauer kernel: error: argument --k: malformed integer '-2': "
+         "expected ASCII decimal digits"),
+        (["ideal-span", "--family", "sp", "--m", "2", "--slice=-2,2"],
+         "error: --slice expects K,L with two integers, got '-2,2'"),
     ], ids=["rank", "kernel", "ideal-span"])
-    def test_negative_valency_on_rank_path_is_user_error(self, capsys, argv):
+    def test_negative_valency_on_rank_path_is_user_error(self, capsys, argv,
+                                                         last_line):
+        # A valency is read as ASCII digits, so a sign never reaches the
+        # library.
         rc = run(argv)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.splitlines()[-1] == last_line
 
     def test_modulus_guard(self, capsys):
         rc, _ = invoke(capsys, "rank", "--family", "o", "--m", "3",
@@ -780,6 +788,71 @@ class TestGoldenOutput:
         rc, out = invoke(capsys, *argv)
         assert rc == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+class TestIntegerText:
+    """Every integer in command-line text is read as ASCII decimal digits:
+    no sign, space, underscore or digit of another script."""
+
+    MALFORMED = ["\u0663", "1_0", " 3", "+3", "3.0", "-1"]
+
+    def test_every_integer_flag_reads_ascii_digits_only(self, capsys):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        flags = []
+        for name, sub in commands.items():
+            for action in sub._actions:
+                # Every other flag takes text; its integers are read by
+                # the same reader (see test_integer_text_is_refused).
+                assert action.type in (None, cli._natural), (name, action.dest)
+                if action.type is None:
+                    continue
+                flag = action.option_strings[0]
+                flags.append((name, flag))
+                assert action.type("12") == 12
+                for text in self.MALFORMED:
+                    rc = run([name, "%s=%s" % (flag, text)])
+                    captured = capsys.readouterr()
+                    assert rc == 2
+                    assert captured.out == ""
+                    assert ("error: argument %s: malformed integer %r"
+                            % (flag, text)) in captured.err
+        assert {("rank", "--k"), ("kernel", "--m"), ("word-eval", "--domain"),
+                ("sigma", "--r"), ("ideal-span", "--r"), ("dpq", "--q"),
+                ("verify", "--n")} <= set(flags)
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--family", "o", "--m", "\u0663", "--k", "2", "--l", "2"],
+        ["rank", "--family", "o", "--m", "1_0", "--k", "2", "--l", "2"],
+        ["ep", "--m", "-1", "--p", "0"],
+        ["ideal-span", "--family", "sp", "--m", "2", "--slice", "\u0663,1"],
+        ["ideal-span", "--family", "o", "--m", "2", "--gen", "ep:-1,0",
+         "--r", "3"],
+        ["ideal-span", "--family", "sp", "--m", "2", "--gen", "phi:1_0",
+         "--r", "3"],
+        ["word-eval", "--domain", "2", "0_0:X:0"],
+        ["sigma", "--eps", "\u0661", "--r", "2"],
+        ["sigma", "--eps", "+1", "--r", "2"],
+    ], ids=["m-arabic-indic", "m-underscore", "ep-m-1", "slice-arabic-indic",
+            "gen-ep-m-1", "gen-phi-underscore", "word-underscore",
+            "eps-arabic-indic", "eps-plus"])
+    def test_integer_text_is_refused(self, capsys, argv):
+        rc = run(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_cell_budget_text_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "1_000_000_0")
+        rc = run(["sigma", "--eps", "1", "--r", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: BRAUER_MAX_CELLS must be an integer in "
+                                "ASCII decimal digits: '1_000_000_0'\n")
 
 
 class TestHarness:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from brauer.diagram import (
     Diagram,
     DiagramError,
-    a_nest,
     ast,
     cap,
     closure_loops,
@@ -183,8 +182,7 @@ def test_involution_examples():
 
 
 def test_constructors():
-    assert a_nest(2) == make_diagram(4, 0, [(0, 3), (1, 2)])
-    assert u_nest(2) == star(a_nest(2))
+    assert u_nest(2) == make_diagram(0, 4, [(0, 3), (1, 2)])
     assert x_block(1, 1) == X
     assert permutation_diagram([0, 1, 2]) == identity(3)
     assert e_pair(2, 0, 1) == e_i(2, 1)
@@ -244,7 +242,7 @@ def test_crossing_count_examples():
     assert crossing_count(e_i(2, 1)) == 0
     assert crossing_count(x_block(2, 1)) == 2
     assert crossing_count(identity(4)) == 0
-    assert crossing_count(a_nest(3)) == 0
+    assert crossing_count(u_nest(3)) == 0
 
 
 def test_closure_loops_examples():

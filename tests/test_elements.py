@@ -13,19 +13,15 @@ from brauer import (
     Morphism,
     Poly,
     antisymmetrizer_block,
-    brauer_presentation_report,
     d_pq,
     e_i_j,
     e_p_formula,
     e_p_rotation,
-    e_product,
     f_p,
     from_diagram,
     from_permutation,
-    identity,
     identity_morphism,
     integrality_check,
-    jones_trace_symbolic,
     lin_add,
     lin_ast,
     lin_compose,
@@ -34,15 +30,13 @@ from brauer import (
     phi,
     rotate_right,
     sigma,
-    tensor,
-    verify_afu,
     verify_relation_soundness,
-    verify_sigma_cap,
-    verify_sigma_identities,
     zero_morphism,
 )
-from brauer.diagram import cap, e_i, e_pair, s_i
+from brauer.diagram import e_i, e_pair, s_i
 from brauer.elements import inversions
+from brauer.verify import (brauer_presentation_report, verify_afu,
+                           verify_sigma_cap, verify_sigma_identities)
 
 
 def assert_all(checks):
@@ -185,10 +179,6 @@ class TestNestedCups:
                     factor = from_diagram(e_pair(r, i - 1 - x, i + x))
                     product = lin_compose(product, factor)
                 assert e_i_j(i, j, r) == product
-
-    def test_e_product_matches_manual(self):
-        manual = lin_compose(from_diagram(e_i(3, 1)), from_diagram(e_i(3, 2)))
-        assert e_product([1, 2], 3) == manual
 
     def test_out_of_range(self):
         with pytest.raises(ElementError):
@@ -430,32 +420,6 @@ class TestBentSymmetrizers:
             d_pq(1, 2, 0)
         with pytest.raises(ElementError):
             d_pq(-1, 0, 0)
-
-
-class TestTrace:
-    def test_identity_closure(self):
-        assert jones_trace_symbolic(identity_morphism(3)) == Poly.monomial(3)
-
-    def test_single_generators(self):
-        assert jones_trace_symbolic(from_diagram(e_i(2, 1))) == Poly.monomial(1)
-        assert jones_trace_symbolic(from_diagram(s_i(2, 1))) == Poly.monomial(1)
-
-    def test_negative_sign_on_odd_degree(self):
-        assert jones_trace_symbolic(identity_morphism(1), eps=-1) == -1 * Poly.monomial(1)
-        assert jones_trace_symbolic(identity_morphism(2), eps=-1) == Poly.monomial(2)
-
-    def test_trace_is_linear(self):
-        a = from_diagram(e_i(2, 1))
-        b = identity_morphism(2)
-        total = jones_trace_symbolic(lin_compose(a, b))
-        assert total == jones_trace_symbolic(a)
-
-    def test_requires_square_valency(self):
-        from brauer import MorphismError
-
-        bent = from_diagram(tensor(identity(1), cap()))
-        with pytest.raises(MorphismError):
-            jones_trace_symbolic(bent)
 
 
 class TestPresentation:

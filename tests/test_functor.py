@@ -28,19 +28,18 @@ from brauer import (
     lin_scale,
     lower_diagram,
     make_morphism,
-    matrix_from_json,
     matrix_to_json,
     phi,
     raise_diagram,
     reduce_mod_p,
     tensor,
     trace_check,
-    verify_pau,
 )
 from brauer.diagram import cap, cup, e_i, guard_cells, max_cells, s_i
 from brauer.functor import GroupSpec
 from brauer.invariants import hom_rank, kernel_basis
 from brauer.linear import lin_compose
+from brauer.verify import verify_pau
 from brauer.words import Layer, layer_diagram
 
 
@@ -208,10 +207,6 @@ class TestExactMatrix:
     def test_out_of_range_entries_rejected(self, index):
         with pytest.raises(FunctorError):
             ExactMatrix(2, 3, QQ, {index: Fraction(1)})
-        obj = {"rows": 2, "cols": 3, "ring": "Rationals",
-               "entries": [[index[0], index[1], "1"]]}
-        with pytest.raises(FunctorError):
-            matrix_from_json(obj)
 
     @pytest.mark.parametrize("index", [(2.9, 0), (0, 1.0), (True, 0),
                                        (0, False), ("1", 0), (None, 0)])
@@ -244,26 +239,10 @@ class TestExactMatrix:
         with pytest.raises(FunctorError):
             ExactMatrix(rows, cols, QQ, {})
 
-    @pytest.mark.parametrize("entry", [[2.9, 0, "1"], [2, 0.0, "1"],
-                                       [True, 0, "1"], [2, False, "1"],
-                                       ["1", 0, "1"], [-1, 0, "1"],
-                                       [1, 0], [1, 0, "1", 2], 5, [1, 0, 1]])
-    def test_malformed_json_entries_rejected(self, entry):
-        obj = {"rows": 3, "cols": 3, "ring": "Rationals", "entries": [entry]}
-        with pytest.raises(FunctorError):
-            matrix_from_json(obj)
-
-    def test_json_dimensions_are_not_truncated(self):
-        obj = {"rows": 2.9, "cols": 2, "ring": "Rationals", "entries": []}
-        with pytest.raises(FunctorError):
-            matrix_from_json(obj)
-
     def test_arithmetic(self):
         a = ExactMatrix.from_rows(QQ, [[1, 2], [3, 4]])
         b = ExactMatrix.from_rows(QQ, [[0, 1], [1, 0]])
         assert a.add(b) == ExactMatrix.from_rows(QQ, [[1, 3], [4, 4]])
-        assert a.sub(a).is_zero()
-        assert a.neg().add(a).is_zero()
         assert a.scale(Fraction(2)) == ExactMatrix.from_rows(QQ, [[2, 4], [6, 8]])
         assert a.mul(b) == ExactMatrix.from_rows(QQ, [[2, 1], [4, 3]])
         assert a.transpose() == ExactMatrix.from_rows(QQ, [[1, 3], [2, 4]])
@@ -293,15 +272,10 @@ class TestExactMatrix:
             ExactMatrix.zero(2, 3, QQ).trace()
         assert (a == c) is False
 
-    def test_json_round_trip(self):
+    def test_json_form(self):
         a = ExactMatrix.from_rows(QQ, [[Fraction(1, 2), 0], [0, -3]])
-        assert matrix_from_json(matrix_to_json(a)) == a
-        gf5 = PrimeField(5)
-        b = ExactMatrix.from_rows(gf5, [[gf5.from_int(2), gf5.from_int(0)],
-                                        [gf5.from_int(4), gf5.from_int(1)]])
-        assert matrix_from_json(matrix_to_json(b)) == b
-        with pytest.raises(FunctorError):
-            matrix_from_json({"rows": 2})
+        assert matrix_to_json(a) == {"rows": 2, "cols": 2, "ring": "Rationals",
+                                     "entries": [[0, 0, "1/2"], [1, 1, "-3"]]}
 
 
 class TestGenerators:
@@ -398,7 +372,7 @@ class TestFunctorMatrix:
     def test_layered_on_a_cancelling_morphism(self, spec):
         # a kernel vector: its terms' matrices cancel to zero cell by cell
         x = kernel_basis(2, 2, spec)[0]
-        assert x.term_count() > 1
+        assert len(x.terms) > 1
         assert functor_matrix_layered(x, spec).nnz() == 0
         assert functor_matrix(x, spec).nnz() == 0
 
@@ -509,7 +483,12 @@ class TestResourceGuard:
         monkeypatch.setenv("BRAUER_MAX_CELLS", "not a number")
         with pytest.raises(FunctorError, match="must be an integer"):
             guard_cells([1], "1 cell", FunctorError)
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "-3")
+        for raw in ("-3", "1_000", " 10", "\u0663"):
+            monkeypatch.setenv("BRAUER_MAX_CELLS", raw)
+            with pytest.raises(FunctorError, match="must be an integer in "
+                                                   "ASCII decimal digits"):
+                guard_cells([1], "1 cell", FunctorError)
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "0")
         with pytest.raises(FunctorError, match="must be positive"):
             guard_cells([1], "1 cell", FunctorError)
 
@@ -563,8 +542,9 @@ def test_hypothesis_trusted_results_match_public_constructor(data):
             for i1 in range(r) for i2 in range(s)]
     total = [[ring.add(a[i][j], a2[i][j]) for j in range(s)] for i in range(r)]
     cancelled = [[zero] * s for _ in range(r)]
+    minus_a = ma.scale(ring.from_int(-1))
     for result, reference in ((ma.mul(mb), product), (ma.tensor(mb), kron),
-                              (ma.add(ma2), total), (ma.add(ma.neg()), cancelled)):
+                              (ma.add(ma2), total), (ma.add(minus_a), cancelled)):
         assert result == ExactMatrix.from_rows(ring, reference)
         assert all(result.entries.values())
 

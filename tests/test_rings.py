@@ -19,6 +19,7 @@ from brauer.rings import (
     Rationals,
     RingError,
     TextError,
+    parse_natural,
     parse_poly,
     parse_rational,
     rational,
@@ -167,6 +168,17 @@ class TestTextGrammar:
     def test_rational_reader(self, text, pair):
         assert parse_rational(text) == pair
 
+    @pytest.mark.parametrize("text,value", [("0", 0), ("7", 7), ("007", 7),
+                                            ("1000000", 1000000)])
+    def test_integer_reader(self, text, value):
+        assert parse_natural(text) == value
+
+    @pytest.mark.parametrize("text", ["", "\u0663", "1_0", " 3", "3 ", "+3",
+                                      "-3", "3.0", "1e3", "0x10", "3\n"])
+    def test_integer_reader_takes_ascii_digits_only(self, text):
+        with pytest.raises(TextError, match="malformed integer"):
+            parse_natural(text)
+
     def test_digits_past_the_interpreter_limit_are_refused(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not limit:
@@ -175,6 +187,8 @@ class TestTextGrammar:
             QQ.parse("1" * (limit + 1))
         with pytest.raises(TextError):
             parse_poly("d^" + "1" * (limit + 1))
+        with pytest.raises(TextError):
+            parse_natural("1" * (limit + 1))
 
     def test_prime_field_divides_by_the_denominator(self):
         f7 = PrimeField(7)
@@ -204,7 +218,10 @@ class TestRingNames:
     def test_round_trip(self, ring):
         assert ring_from_name(ring.name) == ring
 
-    @pytest.mark.parametrize("name", ["Octonions", "Integers"])
+    @pytest.mark.parametrize("name", [
+        "Octonions", "Integers", "PrimeField(\u0667)", "PrimeField(007)",
+        "PrimeField(0)", "PrimeField(7)\n", "PrimeField(+7)", "PrimeField( 7)",
+        "PrimeField(7_1)"])
     def test_unknown_name(self, name):
         with pytest.raises(RingError, match="unknown ring"):
             ring_from_name(name)

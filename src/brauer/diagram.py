@@ -6,9 +6,12 @@ of another, gluing the middle boundary, deleting closed loops (their count is
 returned alongside the residual diagram), and tensor is juxtaposition.
 
 A diagram is stored in one canonical form, its partner tuple (partner[i] is
-the node joined to i); composition, relabelings, equality, hashing and order
-all read it.  The arc list ``pairs`` is derived at the boundary: for JSON,
-repr and the validating constructor ``Diagram(k, l, pairs)``.
+the node joined to i); composition, relabelings and order read it.  Every
+constructor returns the one live object for its (k, partner), so equal
+diagrams are identical and equality and hashing are identity, which makes
+every diagram-keyed dict and cache lookup a pointer test.  The arc list
+``pairs`` is derived at the boundary: for JSON, repr and the validating
+constructor ``Diagram(k, l, pairs)``.
 
 Node convention (the single 0-based/1-based bridge for the whole package):
 internally nodes are 0-based, bottom 0..k-1 left to right, then top k..k+l-1
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import weakref
 
 from brauer import ops
 
@@ -75,20 +79,27 @@ def guard_cells(factors, what, error):
                         "allow it" % (what, limit))
 
 
+# The live diagrams by (k, partner).  Weak values: a diagram leaves the
+# table once nothing else refers to it.
+_INTERNED = weakref.WeakValueDictionary()
+
+
 class Diagram:
-    """Immutable (k, l) perfect matching.
+    """Immutable (k, l) perfect matching, one object per matching.
 
     partner is the canonical form: the involution on the k + l nodes as a
-    flat tuple, partner[i] being the node joined to i.  Equality, hash and
-    order read it.  pairs, the arcs (i, partner[i]) with i < partner[i] in
+    flat tuple, partner[i] being the node joined to i.  Diagrams are
+    interned on (k, partner), so two equal diagrams are the same object:
+    equality and hashing are the object's identity, and order reads
+    partner.  pairs, the arcs (i, partner[i]) with i < partner[i] in
     increasing order, is derived from it for JSON, repr and outside readers.
     Ordering by partner equals ordering by pairs: at the first node where two
     partner tuples differ, that node is the smaller end of an arc in both.
     """
 
-    __slots__ = ("k", "l", "partner", "_hash")
+    __slots__ = ("k", "l", "partner", "__weakref__")
 
-    def __init__(self, k, l, pairs):
+    def __new__(cls, k, l, pairs):
         _check_sizes(DiagramError, "valency", k=k, l=l)
         n = k + l
         pairs = tuple(pairs)
@@ -109,24 +120,26 @@ class Diagram:
                 raise DiagramError("node repeated in arc %r" % (arc,))
             partner[a] = b
             partner[b] = a
-        _finish(self, k, l, partner)
+        return Diagram._from_partner(k, l, partner)
 
     @staticmethod
     def _from_partner(k, l, partner):
-        """Trusted constructor: partner must already be an involution."""
-        return _finish(object.__new__(Diagram), k, l, partner)
+        """Trusted constructor: partner must already be an involution.
+        Returns the live diagram with this matching if there is one."""
+        partner = tuple(partner)
+        key = (k, partner)
+        d = _INTERNED.get(key)
+        if d is None:
+            d = object.__new__(Diagram)
+            d.k = k
+            d.l = l
+            d.partner = partner
+            _INTERNED[key] = d
+        return d
 
     @property
     def pairs(self):
         return tuple((i, j) for i, j in enumerate(self.partner) if i < j)
-
-    def __eq__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return self.k == other.k and self.partner == other.partner
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return (self.k, self.l, self.partner) < (other.k, other.l, other.partner)
@@ -134,18 +147,16 @@ class Diagram:
     def __repr__(self):
         return "Diagram(%d, %d, %r)" % (self.k, self.l, list(self.pairs))
 
-    def through_count(self):
-        """Number of arcs joining the bottom boundary to the top."""
-        k = self.k
-        return sum(1 for j in self.partner[:k] if j >= k)
+    # A copy or an unpickled diagram is the interned one, never a second
+    # object with the same matching.
+    def __copy__(self):
+        return self
 
+    def __deepcopy__(self, memo):
+        return self
 
-def _finish(d, k, l, partner):
-    d.k = k
-    d.l = l
-    d.partner = partner = tuple(partner)
-    d._hash = hash((k, partner))
-    return d
+    def __reduce__(self):
+        return Diagram._from_partner, (self.k, self.l, self.partner)
 
 
 def make_diagram(k, l, pairs):

@@ -54,9 +54,6 @@ class EliminationBasis:
     def rank(self):
         return len(self.pivots)
 
-    def pivot_columns(self):
-        return sorted(self.pivots)
-
     def _prepare(self, row):
         """The row with zero entries dropped: a primitive integer vector
         over the rationals, residues in [0, p) over F_p.  Entries must be
@@ -154,11 +151,6 @@ class EliminationBasis:
                 row[c] = -v
         self.pivots[lead] = row
         return True
-
-    def contains(self, row):
-        """Whether the row lies in the current row space; neither the
-        basis nor the row changes."""
-        return self._reduce(self._prepare(row)) is None
 
     def reduced_rows(self):
         """Pivot rows in reduced row echelon form (leading ones, back-reduced),

@@ -72,10 +72,6 @@ class Poly:
     def variable(cls):
         return cls.monomial(1)
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __bool__(self):
         return bool(self.coeffs)
 

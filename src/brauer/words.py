@@ -7,8 +7,8 @@ Evaluation composes the layers, accumulating deleted loops into a formal
 delta power.
 
 Text format (CLI): semicolon-separated "a:Y:b" bottom to top, a and b in
-ASCII decimal digits, e.g. "0:A:1; 1:U:0"; the empty string is the
-identity word.
+ASCII decimal digits, e.g. "0:A:1; 1:U:0"; whitespace may surround a
+layer but not stand inside one; the empty string is the identity word.
 """
 
 from __future__ import annotations
@@ -163,13 +163,17 @@ def word_from_text(domain, text):
     text = text.strip()
     if text:
         for part in text.split(";"):
-            fields = part.strip().split(":")
+            part = part.strip()
+            if any(c.isspace() for c in part):
+                raise WordError("bad layer %r, no space is allowed inside "
+                                "a layer" % (part,))
+            fields = part.split(":")
             if len(fields) != 3:
-                raise WordError("bad layer %r, expected a:Y:b" % (part.strip(),))
+                raise WordError("bad layer %r, expected a:Y:b" % (part,))
             a, g, b = fields
             try:
-                layers.append((parse_natural(a), g.strip(), parse_natural(b)))
+                layers.append((parse_natural(a), g, parse_natural(b)))
             except ValueError:
                 raise WordError("bad layer %r, expected integers a and b in "
-                                "a:Y:b" % (part.strip(),)) from None
+                                "a:Y:b" % (part,)) from None
     return make_word(domain, layers)

@@ -121,6 +121,15 @@ class TestWordCommands:
             "error: a word of width 1000000000, above the limit %d; raise "
             "BRAUER_MAX_CELLS to allow it\n" % max_cells())
 
+    @pytest.mark.parametrize("text", ["0: X :0", "0 :X:0"])
+    def test_space_inside_a_layer_is_user_error(self, capsys, text):
+        rc = run(["word-eval", "--domain", "2", text])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: bad layer %r, no space is allowed "
+                                "inside a layer\n" % text)
+
     def test_non_integer_layer_position_is_user_error(self, capsys):
         rc = run(["word-eval", "--domain", "2", "0:X:x"])
         captured = capsys.readouterr()

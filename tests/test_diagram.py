@@ -3,7 +3,10 @@ tensor, involutions, constructors, raising/lowering, rotation, enumeration."""
 
 from __future__ import annotations
 
+import copy
+import gc
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauer import diagram as diagram_module
 from brauer.diagram import (
     Diagram,
     DiagramError,
@@ -251,13 +255,6 @@ def test_closure_loops_examples():
     assert closure_loops(s_i(2, 1)) == 1
 
 
-def test_through_count():
-    assert identity(3).through_count() == 3
-    assert e_i(2, 1).through_count() == 0
-    assert tensor(A, U).through_count() == 0
-    assert s_i(3, 1).through_count() == 3
-
-
 def test_json_round_trip():
     d = e_pair(4, 1, 3)
     assert diagram_from_json(diagram_to_json(d)) == d
@@ -285,12 +282,74 @@ def test_partner_order_equals_pairs_order(k, l):
 def test_pairs_rebuild_the_same_diagram(k, l):
     for d in enumerate_diagrams(k, l):
         rebuilt = Diagram(k, l, d.pairs)
-        assert rebuilt == d
-        assert hash(rebuilt) == hash(d)
+        assert rebuilt is d
         assert rebuilt.partner == d.partner
         obj = json.loads(json.dumps(diagram_to_json(d)))
-        assert diagram_from_json(obj) == d
+        assert diagram_from_json(obj) is d
         assert [tuple(arc) for arc in obj["pairs"]] == list(d.pairs)
+
+
+# --- interning: one object per matching --------------------------------------
+
+
+def _enumerated(k, l):
+    return {d.partner: d for d in enumerate_diagrams(k, l)}
+
+
+@pytest.mark.parametrize("k,l", [(k, l) for k, l in SMALL_VALENCIES if k + l <= 6])
+def test_operations_return_the_enumerated_object(k, l):
+    ds = enumerate_diagrams(k, l)
+    stars = _enumerated(l, k)
+    for d in ds:
+        assert Diagram(k, l, list(reversed(d.pairs))) is d
+        assert star(d) is stars[star(d).partner]
+        assert sharp(d) in ds and ast(d) in stars.values()
+    for p in range(0, 4):
+        if (l + p) % 2:
+            continue
+        composites = _enumerated(k, p)
+        for top in enumerate_diagrams(l, p)[:6]:
+            for bottom in ds[:6]:
+                residual = compose(top, bottom)[1]
+                assert residual is composites[residual.partner]
+    tensors = _enumerated(k + 1, l + 1)
+    for d in ds:
+        wide = tensor(d, I)
+        assert wide is tensors[wide.partner]
+
+
+def test_equal_diagrams_are_one_object():
+    assert Diagram(2, 2, [(0, 3), (1, 2)]) is X
+    assert make_diagram(2, 2, [(2, 1), (3, 0)]) is X
+    assert compose(X, X)[1] is identity(2)
+    assert tensor(I, I) is identity(2)
+    assert star(U) is A
+    assert e_i(2, 1) is compose(U, A)[1]
+
+
+@pytest.mark.parametrize("d", [X, A, identity(0), e_pair(4, 1, 3)],
+                         ids=["crossing", "cap", "empty", "e_pair"])
+def test_copies_and_pickles_are_the_same_object(d):
+    assert copy.copy(d) is d
+    assert copy.deepcopy(d) is d
+    assert copy.deepcopy([d, d])[0] is d
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(d, protocol)) is d
+
+
+def test_unreferenced_diagrams_leave_the_table():
+    # A (0, 40) diagram: no cache of the package ever holds one, since
+    # enumerating B(0, 40) is over the budget.
+    pairs = [(i, 39 - i) for i in range(20)]
+    d = Diagram(0, 40, pairs)
+    key = (0, d.partner)
+    assert diagram_module._INTERNED[key] is d
+    assert Diagram(0, 40, pairs) is d
+    del d
+    gc.collect()
+    assert key not in diagram_module._INTERNED
+    again = Diagram(0, 40, pairs)
+    assert diagram_module._INTERNED[key] is again
 
 
 def _map_arcs(k, l, arcs, node_map):

@@ -1,6 +1,6 @@
 """Every name a library module imports is used there, every private
-helper it defines is used somewhere, every public definition has a caller
-in the library or the benchmark, its ``__all__`` lists only what it
+helper it defines is used somewhere, every public definition and public
+method has a caller in the library or the benchmark, its ``__all__`` lists only what it
 defines, and only the modules that report checks import ``report``.
 
 Stdlib-only static checks over ``src/brauer/*.py``: an imported name must
@@ -8,9 +8,10 @@ appear as a name somewhere else in the module.  Names listed in the
 module's ``__all__`` and the re-exports of ``__init__.py`` are exempt.  A
 module-level function or class named ``_name`` must be named, outside its
 own definition, somewhere in the library, the tests or the benchmark
-(which is read, never changed).  A public one must be named, outside its
-own definition and ``__all__``, somewhere in the library (not
-``__init__.py``) or the benchmark: a name only tests call is dead code.  A
+(which is read, never changed).  A public one, and every public method
+or property of a public class, must be named, outside its own definition
+and ``__all__``, somewhere in the library (not ``__init__.py``) or the
+benchmark: a name only tests call is dead code.  A
 name in ``__all__`` must be bound in the module by a definition or an
 assignment, not by an import: the package re-exports in ``__init__.py``
 alone.
@@ -96,12 +97,14 @@ def _assigns_all(stmt):
         isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
 
 
-def _unnamed_definitions(modules, readers, wanted):
+def _unnamed_definitions(modules, readers, wanted, in_classes=False):
     """(module name, line, name) for each module-level function or class of
     modules whose name passes wanted and that nothing names outside its own
     definition and ``__all__``; the other top-level statements of modules
     and every statement of readers other than the module itself count as
-    uses."""
+    uses.  With in_classes, the definitions are instead the methods and
+    properties of the module-level classes whose names pass wanted, named
+    ``Class.method``; the class's other statements count as uses too."""
     read = {path: _names(ast.parse(path.read_text(encoding="utf-8")))
             for path in readers}
     hits = []
@@ -111,15 +114,25 @@ def _unnamed_definitions(modules, readers, wanted):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         per_stmt = [set() if _assigns_all(stmt) else _names(stmt)
                     for stmt in tree.body]
-        for idx, stmt in enumerate(tree.body):
-            if not (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef))
-                    and wanted(stmt.name)):
+        for top, stmt in enumerate(tree.body):
+            if not in_classes:
+                body, prefix = [stmt], ""
+            elif isinstance(stmt, ast.ClassDef) and wanted(stmt.name):
+                body, prefix = stmt.body, stmt.name + "."
+            else:
                 continue
-            if stmt.name in uses or any(stmt.name in names for j, names
-                                        in enumerate(per_stmt) if j != idx):
-                continue
-            hits.append((path.name, stmt.lineno, stmt.name))
+            outside = uses.union(*(names for j, names in enumerate(per_stmt)
+                                   if j != top))
+            for idx, node in enumerate(body):
+                if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                          ast.ClassDef))
+                        and wanted(node.name)):
+                    continue
+                if node.name in outside or any(
+                        node.name in _names(other)
+                        for j, other in enumerate(body) if j != idx):
+                    continue
+                hits.append((path.name, node.lineno, prefix + node.name))
     return hits
 
 
@@ -136,6 +149,14 @@ def unused_public_names(modules, readers):
     nothing names outside their own definitions and ``__all__``."""
     return _unnamed_definitions(modules, readers,
                                 lambda name: not name.startswith("_"))
+
+
+def unused_public_methods(modules, readers):
+    """The public methods and properties of the module-level public classes
+    of modules that nothing names outside their own definitions."""
+    return _unnamed_definitions(modules, readers,
+                                lambda name: not name.startswith("_"),
+                                in_classes=True)
 
 
 def test_checker_sees_an_unused_private_helper(tmp_path):
@@ -161,9 +182,12 @@ def test_no_unused_private_helpers():
 
 
 # Public names only the tests call, kept as oracles: the E_p bend is
-# checked against rotate_right, and the functor's bending of a strand
-# against raise_diagram.
-TEST_ORACLES = {"raise_diagram", "rotate_right"}
+# checked against rotate_right, the functor's bending of a strand against
+# raise_diagram, and the invariance of a form, X^T G + G X = 0 and
+# R^T G R = G, through ExactMatrix.transpose on matrices that
+# ExactMatrix.from_rows writes out entry by entry.
+TEST_ORACLES = {"raise_diagram", "rotate_right", "ExactMatrix.from_rows",
+                "ExactMatrix.transpose"}
 
 
 def test_checker_sees_an_unused_public_name(tmp_path):
@@ -179,11 +203,29 @@ def test_checker_sees_an_unused_public_name(tmp_path):
         ("sample.py", 3, "dead"), ("sample.py", 6, "Exported")]
 
 
+def test_checker_sees_an_unused_public_method(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("class Public:\n"
+                      "    def dead(self):\n        return self.dead()\n\n"
+                      "    @property\n    def size(self):\n        return 0\n\n"
+                      "    def by_sibling(self):\n        pass\n\n"
+                      "    def by_reader(self):\n        pass\n\n"
+                      "    def by_module(self):\n        return self.by_sibling()\n\n"
+                      "    def _private(self):\n        pass\n\n"
+                      "class _Hidden:\n    def dead(self):\n        pass\n\n"
+                      "def caller(x):\n    return x.by_module()\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from sample import Public\nPublic().by_reader()\n")
+    assert unused_public_methods([module, reader], [module, reader]) == [
+        ("sample.py", 2, "Public.dead"), ("sample.py", 6, "Public.size")]
+
+
 def test_every_public_name_has_a_caller():
     modules = [path for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"]
     readers = modules + sorted((REPO / "perfbench").glob("**/*.py"))
-    hits = [hit for hit in unused_public_names(modules, readers)
+    hits = [hit for hit in (unused_public_names(modules, readers)
+                            + unused_public_methods(modules, readers))
             if hit[2] not in TEST_ORACLES]
     assert hits == []
 

@@ -26,6 +26,13 @@ def dot(row, vec, ring=None):
     return acc
 
 
+def in_span(basis, row):
+    """Whether row lies in the basis's row space, the basis left unchanged."""
+    probe = EliminationBasis(basis.ring)
+    probe.pivots = {q: dict(piv) for q, piv in basis.pivots.items()}
+    return not probe.add_row(row)
+
+
 class TestRationalMode:
     def test_rank_counts_independent_rows(self):
         basis = EliminationBasis(QQ)
@@ -33,7 +40,7 @@ class TestRationalMode:
         assert basis.add_row({1: 1, 2: 1})
         assert not basis.add_row({0: 1, 1: 3, 2: 1})
         assert basis.rank == 2
-        assert basis.pivot_columns() == [0, 1]
+        assert sorted(basis.pivots) == [0, 1]
 
     def test_zero_row_is_dependent(self):
         basis = EliminationBasis(QQ)
@@ -46,15 +53,6 @@ class TestRationalMode:
         assert basis.add_row({0: Fraction(1, 2), 1: Fraction(1, 3)})
         (row,) = basis.pivots.values()
         assert row == {0: 3, 1: 2}
-
-    def test_contains(self):
-        basis = EliminationBasis(QQ)
-        basis.add_row({0: 1, 1: 1})
-        basis.add_row({1: 1, 2: -1})
-        assert basis.contains({0: 2, 1: 2})
-        assert basis.contains({0: 1, 2: 1})
-        assert basis.contains({})
-        assert not basis.contains({2: 1})
 
     def test_reduced_rows_are_rref(self):
         basis = EliminationBasis(QQ)
@@ -97,7 +95,7 @@ class TestRationalMode:
         basis.add_row({0: 3, 1: 1})
         basis.add_row({0: 2, 1: 5})
         assert basis.rank == 2
-        assert basis.contains({0: 1, 1: -4})  # difference of the two rows
+        assert in_span(basis, {0: 1, 1: -4})  # difference of the two rows
 
 
 class TestPrimeFieldMode:
@@ -126,8 +124,8 @@ class TestPrimeFieldMode:
         assert basis.pivots == {0: {0: 3, 1: 1, 2: 5}, 1: {1: 3}}
         assert basis.reduced_rows() == {0: {0: 1, 2: 4}, 1: {1: 1}}
         assert basis.nullspace(range(3)) == [{2: 1, 0: 3}]
-        assert basis.contains({0: 1, 2: 4})
-        assert not basis.contains({2: 1})
+        assert in_span(basis, {0: 1, 2: 4})
+        assert not in_span(basis, {2: 1})
         assert not basis.add_row({0: 5, 1: 7, 2: 6})  # r1 + r2, entries mod 7
 
     def test_entries_are_reduced_mod_p(self):
@@ -175,11 +173,6 @@ class TestInPlaceReduction:
         assert basis.pivots == stored
         for row in rows:
             before = dict(row)
-            basis.contains(row)
-            assert row == before
-            assert basis.pivots == stored
-        for row in rows:
-            before = dict(row)
             basis.add_row(row)
             assert row == before
             assert all(basis.pivots[q] == piv for q, piv in stored.items())
@@ -205,7 +198,6 @@ class TestInPlaceReduction:
         for row in rows:
             before = dict(row)
             stored = {q: dict(piv) for q, piv in basis.pivots.items()}
-            basis.contains(row)
             basis.add_row(row)
             assert row == before
             assert all(basis.pivots[q] == piv for q, piv in stored.items())
@@ -233,8 +225,6 @@ class TestGuards:
         basis.add_row({0: 1})
         with pytest.raises(LinAlgError):
             basis.add_row({1: 0.5})
-        with pytest.raises(LinAlgError):
-            basis.contains({1: 0.5})
         assert basis.pivots == {0: {0: 1}}
 
     def test_fractions_and_ints_are_accepted(self):
@@ -262,7 +252,7 @@ def test_hypothesis_rank_nullity(dense_rows):
         for row in rows:
             assert dot(row, vec) == 0
     for row in rows:
-        assert basis.contains(row)
+        assert in_span(basis, row)
 
 
 @settings(max_examples=30, deadline=None)

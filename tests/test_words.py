@@ -113,6 +113,19 @@ def test_text_with_non_integer_position_names_the_layer(text):
         word_from_text(2, text)
 
 
+@pytest.mark.parametrize("text", ["0: X :0", "0 :X:0", "0:X: 0", "0:\tX:0",
+                                  "0:X:0; 1 :A:0"])
+def test_text_with_space_inside_a_layer_is_refused(text):
+    with pytest.raises(WordError, match="no space is allowed inside a layer"):
+        word_from_text(2, text)
+
+
+def test_text_allows_space_around_layers():
+    w = make_word(2, [(0, "A", 0), (0, "U", 0)])
+    assert word_from_text(2, " 0:A:0 ;0:U:0 ") == w
+    assert word_from_text(2, "0:A:0;0:U:0") == w
+
+
 def test_relation_soundness_report():
     checks = verify_relation_soundness()
     assert len(checks) == len(RULES) * 4

@@ -135,8 +135,18 @@ def _add_group_flags(sub, with_kl=False):
         sub.add_argument("--l", type=_natural, required=True, help="top valency")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one stderr line, ``error: ...``,
+    like every other input error, and exits 2.  Subcommand parsers inherit
+    the class."""
+
+    def error(self, message):
+        sys.stderr.write("error: %s\n" % message)
+        sys.exit(2)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brauer",
         description="Exact diagram-category calculator: composition, "
                     "quasi-idempotents, tensor-representation matrices, "

@@ -4,7 +4,8 @@ A group spec fixes a family (orthogonal ``O(m)`` with a symmetric bilinear
 form, or symplectic ``Sp(m)`` with an alternating one, ``m`` even), the
 dimension ``m``, the coefficient field, and the form as m signed partner
 pairs: form[i] = (j, s) is the one nonzero cell G[i][j] = s = +-1 of row i.
-Every diagram ``(k, l)`` then maps to an exact ``m^l x m^k`` matrix:
+Every diagram ``(k, l)`` then maps to an exact ``m^l x m^k`` matrix,
+whose nonzero cells (i, j) are keyed by the row-major index i * m^k + j:
 through strands contract to Kronecker deltas, bottom arcs to the form's
 cells, top arcs to the cells of its inverse eps * G, the whole weighted by
 the form's sign raised to the diagram's crossing count.  The map is
@@ -147,7 +148,11 @@ def group_spec(family, m, modulus=None, allow_small_modulus=False):
 
 
 class ExactMatrix:
-    """Immutable sparse matrix over an exact coefficient ring."""
+    """Immutable sparse matrix over an exact coefficient ring.
+
+    ``entries`` maps the row-major index ``i * cols + j`` of each nonzero
+    cell (i, j) to its value: one int per cell, in the order of the pairs.
+    The public constructor takes ``{(i, j): value}`` and stores flat keys."""
 
     __slots__ = ("rows", "cols", "ring", "entries")
 
@@ -157,22 +162,26 @@ class ExactMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "ring", ring)
         clean = {}
-        for (i, j), v in entries.items():
+        for key, v in entries.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                i = j = None
             if i.__class__ is not int or j.__class__ is not int:
-                raise FunctorError("entry index (%r, %r) is not a pair of ints"
-                                   % (i, j))
+                raise FunctorError("entry index %r is not a pair of ints"
+                                   % (key,))
             if not (0 <= i < rows and 0 <= j < cols):
                 raise FunctorError("entry (%d, %d) outside %dx%d" % (i, j, rows, cols))
             v = _coerce_coeff(ring, v, FunctorError)
             if v:
-                clean[(i, j)] = v
+                clean[i * cols + j] = v
         object.__setattr__(self, "entries", clean)
 
     @classmethod
     def _trusted(cls, rows, cols, ring, entries):
         """Wrap a result computed here from valid matrices: entries maps
-        in-range int pairs to nonzero elements of ring and is kept as is,
-        without the checks of the public constructor."""
+        in-range row-major indices i * cols + j to nonzero elements of ring
+        and is kept as is, without the checks of the public constructor."""
         self = object.__new__(cls)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -191,7 +200,7 @@ class ExactMatrix:
     def identity(cls, n, ring):
         _check_sizes(FunctorError, "matrix", rows=n)
         one = ring.one()
-        return cls._trusted(n, n, ring, {(i, i): one for i in range(n)})
+        return cls._trusted(n, n, ring, {i * (n + 1): one for i in range(n)})
 
     @classmethod
     def from_rows(cls, ring, data):
@@ -206,7 +215,10 @@ class ExactMatrix:
         return cls(rows, cols, ring, entries)
 
     def get(self, i, j):
-        return self.entries.get((i, j), self.ring.zero())
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise FunctorError("entry (%r, %r) outside %dx%d"
+                               % (i, j, self.rows, self.cols))
+        return self.entries.get(i * self.cols + j, self.ring.zero())
 
     def nnz(self):
         return len(self.entries)
@@ -259,16 +271,20 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise FunctorError("inner dimension mismatch: %d vs %d" % (self.cols, other.rows))
         ring = self.ring
+        inner, cols = self.cols, other.cols
         by_row = {}
-        for (j, k), v in other.entries.items():
+        for key, v in other.entries.items():
+            j, k = divmod(key, cols)
             by_row.setdefault(j, []).append((k, v))
         entries = {}
-        for (i, j), a in self.entries.items():
+        for key, a in self.entries.items():
+            i, j = divmod(key, inner)
+            base = i * cols
             for k, b in by_row.get(j, ()):
-                key = (i, k)
-                cur = entries.get(key)
+                cell = base + k
+                cur = entries.get(cell)
                 term = ring.mul(a, b)
-                entries[key] = term if cur is None else ring.add(cur, term)
+                entries[cell] = term if cur is None else ring.add(cur, term)
         return ExactMatrix._trusted(self.rows, other.cols, ring,
                                     _drop_zeros(entries))
 
@@ -277,16 +293,28 @@ class ExactMatrix:
         if self.ring != other.ring:
             raise FunctorError("ring mismatch: %s vs %s" % (self.ring.name, other.ring.name))
         ring = self.ring
+        c1, r2, c2 = self.cols, other.rows, other.cols
+        cols = c1 * c2
+        # Cell (i1 r2 + i2, j1 c2 + j2) splits into a part from each factor.
+        right = []
+        for key, b in other.entries.items():
+            i2, j2 = divmod(key, c2)
+            right.append((i2 * cols + j2, b))
         entries = {}
-        r2, c2 = other.rows, other.cols
-        for (i1, j1), a in self.entries.items():
-            for (i2, j2), b in other.entries.items():
-                entries[(i1 * r2 + i2, j1 * c2 + j2)] = ring.mul(a, b)
+        for key, a in self.entries.items():
+            i1, j1 = divmod(key, c1)
+            base = i1 * r2 * cols + j1 * c2
+            for off, b in right:
+                entries[base + off] = ring.mul(a, b)
         return ExactMatrix._trusted(self.rows * other.rows, self.cols * other.cols,
                                     ring, entries)
 
     def transpose(self):
-        entries = {(j, i): v for (i, j), v in self.entries.items()}
+        rows, cols = self.rows, self.cols
+        entries = {}
+        for key, v in self.entries.items():
+            i, j = divmod(key, cols)
+            entries[j * rows + i] = v
         return ExactMatrix._trusted(self.cols, self.rows, self.ring, entries)
 
     def trace(self):
@@ -294,14 +322,19 @@ class ExactMatrix:
             raise FunctorError("trace of a non-square %dx%d matrix" % (self.rows, self.cols))
         ring = self.ring
         total = ring.zero()
-        for (i, j), v in self.entries.items():
-            if i == j:
+        # i * n + j with |j - i| < n + 1 is a multiple of n + 1 iff i == j.
+        step = self.rows + 1
+        for key, v in self.entries.items():
+            if not key % step:
                 total = ring.add(total, v)
         return total
 
 
 def matrix_to_json(mat):
-    entries = [[i, j, str(v)] for (i, j), v in sorted(mat.entries.items())]
+    # Flat keys sort in the order of their (i, j) pairs.
+    cols = mat.cols
+    entries = [[key // cols, key % cols, str(v)]
+               for key, v in sorted(mat.entries.items())]
     return {"rows": mat.rows, "cols": mat.cols, "ring": mat.ring.name, "entries": entries}
 
 
@@ -315,14 +348,14 @@ def generator_matrices(spec):
     swap = {}
     for a in range(m):
         for b in range(m):
-            swap[(b * m + a, a * m + b)] = eps_elt
+            swap[(b * m + a) * m * m + a * m + b] = eps_elt
     # Built here from the spec's own ring elements, so trusted.
     x_mat = ExactMatrix._trusted(m * m, m * m, ring, swap)
     a_mat = ExactMatrix._trusted(1, m * m, ring,
-                                 {(0, a * m + b): ring.from_int(s)
+                                 {a * m + b: ring.from_int(s)
                                   for a, (b, s) in enumerate(spec.form)})
     u_mat = ExactMatrix._trusted(m * m, 1, ring,
-                                 {(a * m + b, 0): ring.from_int(eps * s)
+                                 {a * m + b: ring.from_int(eps * s)
                                   for a, (b, s) in enumerate(spec.form)})
     return {"I": ident, "X": x_mat, "A": a_mat, "U": u_mat}
 
@@ -335,7 +368,8 @@ def _generators_by_column(spec):
     gens = {}
     for gen, mat in generator_matrices(spec).items():
         by_col = {}
-        for (r, c), v in mat.entries.items():
+        for key, v in mat.entries.items():
+            r, c = divmod(key, mat.cols)
             by_col.setdefault(c, []).append((r, v))
         gens[gen] = (mat.rows, mat.cols, by_col)
     return gens
@@ -343,37 +377,51 @@ def _generators_by_column(spec):
 
 @lru_cache(maxsize=1 << 14)
 def _diagram_matrix(d, spec):
-    """Direct contraction.  Each arc contributes m choices of (row offset,
-    column offset, sign): a through strand an index t on both sides, a
-    bottom arc a pair (i, j, s) of the form, a top arc the same pair with
-    sign eps * s.  Every cell of the product of choices is nonzero with
-    value eps^crossings times the product of the +-1 signs, so cells are
-    built as integer signs and mapped to one of the two field elements +-1
-    at the end."""
+    """Direct contraction.  Each arc contributes m choices of an offset
+    dr * m^k + dc to the row-major cell index and a sign: a through strand
+    an index t on both sides, a bottom arc a pair (i, j, s) of the form, a
+    top arc the same pair with sign eps * s.  Every cell of the product of
+    choices is nonzero with value eps^crossings times the product of the
+    +-1 signs, so cells are built as an index list and a parallel list of
+    integer signs, mapped to one of the two field elements +-1 at the
+    end.  The sign list is started at the first arc with a sign -1 among
+    its choices; under an all-positive form (the identity form of O(m))
+    it is never built."""
     m, ring, eps = spec.m, spec.ring, spec.eps
     k, l = d.k, d.l
     guard_cells(repeat(m, k + l), "computation needs %d^%d matrix cells"
                 % (m, k + l), FunctorError)
+    cols = m ** k
     pow_k = [m ** (k - 1 - a) for a in range(k)]
-    pow_l = [m ** (l - 1 - b) for b in range(l)]
+    pow_l = [cols * m ** (l - 1 - b) for b in range(l)]
     form = spec.form
     sign = -1 if eps == -1 and crossing_count(d) % 2 else 1
-    cells = [(0, 0, sign)]
+    keys = [0]
+    signs = None  # every cell has the sign `sign` so far
     for a, b in d.pairs:
         if b < k:
-            choices = [(0, i * pow_k[a] + j * pow_k[b], s)
-                       for i, (j, s) in enumerate(form)]
+            offsets = [i * pow_k[a] + j * pow_k[b]
+                       for i, (j, _) in enumerate(form)]
+            factors = [s for _, s in form]
         elif a >= k:
-            choices = [(i * pow_l[a - k] + j * pow_l[b - k], 0, eps * s)
-                       for i, (j, s) in enumerate(form)]
+            offsets = [i * pow_l[a - k] + j * pow_l[b - k]
+                       for i, (j, _) in enumerate(form)]
+            factors = [eps * s for _, s in form]
         else:
-            choices = [(t * pow_l[b - k], t * pow_k[a], 1) for t in range(m)]
-        cells = [(row + dr, col + dc, s * ds)
-                 for row, col, s in cells for dr, dc, ds in choices]
+            offsets = [t * (pow_l[b - k] + pow_k[a]) for t in range(m)]
+            factors = [1] * m
+        if signs is None and -1 in factors:
+            signs = [sign] * len(keys)
+        if signs is not None:
+            signs = [s * ds for s in signs for ds in factors]
+        keys = [key + dk for key in keys for dk in offsets]
     one = ring.one()
-    minus = ring.neg(one)
-    entries = {(row, col): one if s > 0 else minus for row, col, s in cells}
-    return ExactMatrix._trusted(m ** l, m ** k, ring, entries)
+    value = {1: one, -1: ring.neg(one)}
+    if signs is None:
+        entries = dict.fromkeys(keys, value[sign])
+    else:
+        entries = dict(zip(keys, map(value.__getitem__, signs)))
+    return ExactMatrix._trusted(m ** l, cols, ring, entries)
 
 
 def _morphism_to_spec_field(x, spec):
@@ -443,21 +491,24 @@ def functor_matrix_layered(x, spec):
     gens = _generators_by_column(spec)
     add, mul = ring.add, ring.mul
     one = ring.one()
-    entries = {(i, i): one for i in range(m ** word.domain)}
+    cols = m ** word.domain
+    entries = {i * (cols + 1): one for i in range(cols)}
     for lay in word.layers:
         g_rows, g_cols, by_col = gens[lay.gen]
-        low = m ** lay.right
+        # Row digits below the layer travel with the column: a flat key
+        # (hi, mid, lo) * cols + j splits as hi, mid and lo * cols + j.
+        low = m ** lay.right * cols
         high_in, high_out = low * g_cols, low * g_rows
         out = {}
-        for (i, j), v in entries.items():
-            hi, rest = divmod(i, high_in)
+        for key, v in entries.items():
+            hi, rest = divmod(key, high_in)
             mid, lo = divmod(rest, low)
             base = hi * high_out + lo
             for r, w in by_col.get(mid, ()):
-                key = (base + r * low, j)
+                cell = base + r * low
                 term = mul(w, v)
-                cur = out.get(key)
-                out[key] = term if cur is None else add(cur, term)
+                cur = out.get(cell)
+                out[cell] = term if cur is None else add(cur, term)
         entries = out
     return ExactMatrix._trusted(m ** x.l, m ** x.k, ring,
                                 _drop_zeros(entries))

@@ -9,7 +9,7 @@ the r-cycle and e_1.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import replace
 from itertools import chain, repeat
 from math import factorial
@@ -31,8 +31,9 @@ __all__ = [
 
 
 def _vectorized_rows(k, l, spec):
-    """One sparse row per (k, l) diagram: its matrix flattened row-major,
-    kept on one column per class of proportional columns.
+    """One sparse row per (k, l) diagram: its matrix flattened row-major
+    (the keys of its entries), kept on one column per class of
+    proportional columns.
 
     Every cell is +-1, a product of the form's signs (see
     :class:`brauer.functor.GroupSpec`), so a column is its list of signed
@@ -66,13 +67,12 @@ def _vectorized_rows(k, l, spec):
                 "computation needs %d!! * %d^%d row nonzeros"
                 % (n - 1, spec.m, n // 2), FunctorError)
     diagrams = enumerate_diagrams(k, l)
-    cols = spec.m ** k
     one = spec.ring.one()
-    columns = {}
+    columns = defaultdict(list)
     for idx, d in enumerate(diagrams, 1):
-        for (i, j), v in functor_matrix(d, spec).entries.items():
-            columns.setdefault(i * cols + j, []).append(idx if v == one
-                                                       else -idx)
+        neg = -idx
+        for cell, v in functor_matrix(d, spec).entries.items():
+            columns[cell].append(idx if v == one else neg)
     classes = {}
     for cell in sorted(columns):
         col = columns[cell]
@@ -146,11 +146,10 @@ def lie_generators(spec):
             key = d * m + b
             row[key] = row.get(key, 0) + s_a
             basis.add_row(row)
-    out = []
-    for vec in basis.nullspace(range(m * m)):
-        entries = {(key // m, key % m): v for key, v in vec.items()}
-        out.append(ExactMatrix(m, m, ring, entries))
-    return out
+    # Unknown X[c][a] is column c * m + a, the row-major key of its cell;
+    # nullspace vectors hold nonzero elements of the field.
+    return [ExactMatrix._trusted(m, m, ring, vec)
+            for vec in basis.nullspace(range(m * m))]
 
 
 def _reflection(group):
@@ -224,7 +223,7 @@ def _word_classes(group, refl, r):
     cartan = nullspace_of_rows(rows, range(m), ring)
     letters = [[h.get(a, 0) for h in cartan] for a in range(m)]
     mods = [ring.p if isinstance(ring, PrimeField) else 0] * len(cartan)
-    if refl is not None and all(i == j for i, j in refl.entries):
+    if refl is not None and all(not key % (m + 1) for key in refl.entries):
         for a in range(m):
             letters[a].append(0 if refl.get(a, a) == ring.one() else 1)
         mods.append(2)
@@ -246,7 +245,8 @@ def _commutator_rows(rho, kept, n):
     Only rows with a nonzero entry on a kept unknown are returned."""
     by_row = {}
     by_col = {}
-    for (a, c), v in rho.entries.items():
+    for key, v in rho.entries.items():
+        a, c = divmod(key, n)
         by_row.setdefault(a, []).append((c, v))
         by_col.setdefault(c, []).append((a, v))
     rows = {}

@@ -438,25 +438,25 @@ class TestFunctorCommands:
             "error: computation needs 21!! * 2^11 row nonzeros, above the "
             "limit %d; raise BRAUER_MAX_CELLS to allow it\n" % max_cells())
 
-    @pytest.mark.parametrize("argv,last_line", [
+    @pytest.mark.parametrize("argv,line", [
         (["rank", "--family", "sp", "--m", "2", "--k", "-1", "--l", "3"],
-         "brauer rank: error: argument --k: malformed integer '-1': expected "
+         "error: argument --k: malformed integer '-1': expected "
          "ASCII decimal digits"),
         (["kernel", "--family", "sp", "--m", "2", "--k", "-2", "--l", "2"],
-         "brauer kernel: error: argument --k: malformed integer '-2': "
+         "error: argument --k: malformed integer '-2': "
          "expected ASCII decimal digits"),
         (["ideal-span", "--family", "sp", "--m", "2", "--slice=-2,2"],
          "error: --slice expects K,L with two integers, got '-2,2'"),
     ], ids=["rank", "kernel", "ideal-span"])
     def test_negative_valency_on_rank_path_is_user_error(self, capsys, argv,
-                                                         last_line):
+                                                         line):
         # A valency is read as ASCII digits, so a sign never reaches the
-        # library.
+        # library; the parser's refusal and the library's share one shape.
         rc = run(argv)
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == last_line
+        assert captured.err == line + "\n"
 
     def test_modulus_guard(self, capsys):
         rc, _ = invoke(capsys, "rank", "--family", "o", "--m", "3",
@@ -630,6 +630,34 @@ class TestIgnoredFlagsAreRefused:
         assert payload == {"rank": 3, "kernel_dim": 0}
 
 
+class TestParserErrors:
+    """A command line the parser refuses gives one stderr line, the same
+    shape as every other input error, and exit 2; --help is unchanged."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rank", "--family", "sp", "--m", "2", "--k", "-1", "--l", "3"],
+         "argument --k: malformed integer '-1': expected ASCII decimal digits"),
+        (["rank", "--family", "sp", "--m", "2", "--bogus", "--k", "1",
+          "--l", "3"],
+         "unrecognized arguments: --bogus"),
+        (["rank", "--family", "sp", "--m", "2", "--l", "3"],
+         "the following arguments are required: --k"),
+    ], ids=["negative-k", "unknown-flag", "missing-k"])
+    def test_one_error_line(self, capsys, argv, message):
+        rc = run(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+    def test_help_is_unchanged(self, capsys):
+        rc = run(["rank", "--help"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out.startswith("usage: brauer rank ")
+        assert captured.err == ""
+
+
 class TestVerify:
     def test_relations_suite_passes(self, capsys):
         rc, payload = invoke_json(capsys, "verify", "--suite", "relations")
@@ -778,8 +806,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 class TestGoldenOutput:
-    """JSON output of integer-coefficient commands and of the full
-    verification report, pinned byte for byte."""
+    """JSON output of integer-coefficient commands, of functor matrices
+    and of the full verification report, pinned byte for byte."""
 
     @pytest.mark.parametrize("name,argv", [
         ("phi_n3.json", ["phi", "--n", "3"]),
@@ -792,6 +820,11 @@ class TestGoldenOutput:
          ["kernel", "--family", "sp", "--m", "4", "--k", "4", "--l", "4",
           "--modulus", "101"]),
         ("verify_all.json", ["verify", "--suite", "all"]),
+        ("functor_sp4_k2_l2.json",
+         ["functor-matrix", "--family", "sp", "--m", "4", CROSS]),
+        ("functor_o3_k1_l3_p7.json",
+         ["functor-matrix", "--family", "o", "--m", "3", "--modulus", "7",
+          '{"k": 1, "l": 3, "pairs": [[0, 2], [1, 3]]}']),
     ])
     def test_output_matches_golden_file(self, capsys, name, argv):
         rc, out = invoke(capsys, *argv)

@@ -1,6 +1,8 @@
 """Tests for the exact tensor-representation functor and its matrix backend."""
 
+import functools
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -192,6 +194,17 @@ class TestExactMatrix:
         built = ExactMatrix.from_rows(QQ, [[1, 2], [3, 4]])
         assert built.get(1, 0) == Fraction(3)
         assert built.nnz() == 4
+        # cell (i, j) of a 2 x 3 matrix is keyed i * 3 + j
+        wide = ExactMatrix(2, 3, QQ, {(1, 2): 7, (0, 1): 1})
+        assert wide.entries == {5: 7, 1: 1}
+        assert wide.get(1, 2) == 7 and wide.get(0, 1) == 1
+
+    @pytest.mark.parametrize("i,j", [(2, 0), (0, 3), (-1, 0), (0, -1), (1, 3)])
+    def test_get_outside_the_shape_is_refused(self, i, j):
+        # (1, 3) would alias cell (2, 0) of the row-major keys
+        mat = ExactMatrix(2, 3, QQ, {(1, 2): 1})
+        with pytest.raises(FunctorError, match="outside 2x3"):
+            mat.get(i, j)
 
     def test_zero_entries_are_dropped(self):
         mat = ExactMatrix(2, 2, QQ, {(0, 0): Fraction(0), (0, 1): Fraction(5)})
@@ -209,9 +222,11 @@ class TestExactMatrix:
             ExactMatrix(2, 3, QQ, {index: Fraction(1)})
 
     @pytest.mark.parametrize("index", [(2.9, 0), (0, 1.0), (True, 0),
-                                       (0, False), ("1", 0), (None, 0)])
+                                       (0, False), ("1", 0), (None, 0),
+                                       5, (0, 0, 0), (0,)])
     def test_non_int_entry_indices_rejected(self, index):
-        with pytest.raises(FunctorError):
+        # A flat key, as a matrix's own entries hold, is no (i, j) pair.
+        with pytest.raises(FunctorError, match=re.escape(repr(index))):
             ExactMatrix(3, 3, QQ, {index: 1})
 
     @pytest.mark.parametrize("ring,value", [
@@ -227,10 +242,10 @@ class TestExactMatrix:
     def test_entry_values_are_coerced_into_the_ring(self):
         gf5 = PrimeField(5)
         seven = ExactMatrix(1, 2, gf5, {(0, 0): 7, (0, 1): -5})
-        assert seven.entries == {(0, 0): 2}
+        assert seven.entries == {0: 2}
         assert seven == ExactMatrix(1, 2, gf5, {(0, 0): 2})
         half = ExactMatrix.from_rows(QQ, [[Fraction(4, 2), Fraction(1, 2)]])
-        assert half.entries == {(0, 0): 2, (0, 1): Fraction(1, 2)}
+        assert half.entries == {0: 2, 1: Fraction(1, 2)}
         assert type(half.get(0, 0)) is int
 
     @pytest.mark.parametrize("rows,cols", [(-1, 2), (2, -3), (True, 2),
@@ -366,6 +381,23 @@ class TestFunctorMatrix:
             for l in range(7 - k):
                 for d in enumerate_diagrams(k, l):
                     assert functor_matrix_layered(d, spec) == functor_matrix(d, spec)
+
+    @pytest.mark.parametrize("spec", DESK_SPECS + [group_spec("o", 3, modulus=7)],
+                             ids=lambda s: s.label())
+    def test_entries_are_keyed_by_ints(self, spec):
+        # both evaluators, on diagrams and on a morphism, key every cell by
+        # one int in [0, rows * cols)
+        for k, l in ((2, 2), (3, 1), (0, 2), (1, 3)):
+            diagrams = enumerate_diagrams(k, l)
+            x = make_morphism(k, l, {d: 1 for d in diagrams}, ring=spec.ring,
+                              delta=spec.delta_value())
+            for y in diagrams + [x]:
+                for mat in (functor_matrix(y, spec),
+                            functor_matrix_layered(y, spec)):
+                    assert mat.entries or y is x
+                    assert all(key.__class__ is int
+                               and 0 <= key < mat.rows * mat.cols
+                               for key in mat.entries)
 
     @pytest.mark.parametrize("spec", [group_spec("sp", 2), group_spec("o", 1)],
                              ids=lambda s: s.label())
@@ -522,7 +554,8 @@ def test_hypothesis_tensor_of_matrices(d1, d2):
 def test_hypothesis_trusted_results_match_public_constructor(data):
     # Small entries over QQ and F_5 make sums cancel often; each result of
     # the trusted constructor must equal its dense reference built through
-    # the public one and hold no zero entry.
+    # the public one and hold no zero entry.  A is never square (s != r),
+    # so a rows/cols mix-up in splitting a row-major key shows.
     ring = data.draw(st.sampled_from([QQ, PrimeField(5)]))
     small = st.integers(-2, 2).map(ring.from_int)
     zero = ring.zero()
@@ -530,23 +563,40 @@ def test_hypothesis_trusted_results_match_public_constructor(data):
     def dense(rows, cols):
         return [[data.draw(small) for _ in range(cols)] for _ in range(rows)]
 
-    r, s, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    def times(x, y):
+        return [[functools.reduce(ring.add, (ring.mul(x[i][j], y[j][k])
+                                             for j in range(len(y))), zero)
+                 for k in range(len(y[0]))] for i in range(len(x))]
+
+    r = data.draw(st.integers(1, 3))
+    s = data.draw(st.integers(1, 3).filter(lambda s: s != r))
+    c = data.draw(st.integers(1, 3))
     a, a2, b = dense(r, s), dense(r, s), dense(s, c)
     ma, ma2, mb = (ExactMatrix.from_rows(ring, x) for x in (a, a2, b))
-    product = [[zero] * c for _ in range(r)]
-    for i in range(r):
-        for k in range(c):
-            for j in range(s):
-                product[i][k] = ring.add(product[i][k], ring.mul(a[i][j], b[j][k]))
+    a_t = [list(col) for col in zip(*a)]
     kron = [[ring.mul(a[i1][j1], b[i2][j2]) for j1 in range(s) for j2 in range(c)]
             for i1 in range(r) for i2 in range(s)]
     total = [[ring.add(a[i][j], a2[i][j]) for j in range(s)] for i in range(r)]
     cancelled = [[zero] * s for _ in range(r)]
     minus_a = ma.scale(ring.from_int(-1))
-    for result, reference in ((ma.mul(mb), product), (ma.tensor(mb), kron),
+    for result, reference in ((ma, a), (mb, b), (ma.transpose(), a_t),
+                              (ma.mul(mb), times(a, b)), (ma.tensor(mb), kron),
+                              (ma.mul(ma.transpose()), times(a, a_t)),
                               (ma.add(ma2), total), (ma.add(minus_a), cancelled)):
+        rows, cols = len(reference), len(reference[0])
+        assert (result.rows, result.cols) == (rows, cols)
         assert result == ExactMatrix.from_rows(ring, reference)
         assert all(result.entries.values())
+        assert [[result.get(i, j) for j in range(cols)]
+                for i in range(rows)] == reference
+        assert matrix_to_json(result)["entries"] == [
+            [i, j, str(v)] for i, row in enumerate(reference)
+            for j, v in enumerate(row) if v]
+        assert result.transpose() == ExactMatrix.from_rows(
+            ring, [list(col) for col in zip(*reference)])
+        if rows == cols:
+            assert result.trace() == functools.reduce(
+                ring.add, (reference[i][i] for i in range(rows)), zero)
 
     delta = data.draw(small)
     diagrams = enumerate_diagrams(2, 2)

@@ -92,6 +92,16 @@ def _names(node):
     return out
 
 
+def _attribute_names(node):
+    """Every attribute node reads, and string constants: the only ways to
+    reach a method.  A bare name, such as a local variable, is a binding
+    of its own and never reaches one."""
+    return {sub.attr if isinstance(sub, ast.Attribute) else sub.value
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) or (
+                isinstance(sub, ast.Constant) and isinstance(sub.value, str))}
+
+
 def _assigns_all(stmt):
     return isinstance(stmt, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
@@ -104,15 +114,17 @@ def _unnamed_definitions(modules, readers, wanted, in_classes=False):
     and every statement of readers other than the module itself count as
     uses.  With in_classes, the definitions are instead the methods and
     properties of the module-level classes whose names pass wanted, named
-    ``Class.method``; the class's other statements count as uses too."""
-    read = {path: _names(ast.parse(path.read_text(encoding="utf-8")))
+    ``Class.method``; the class's other statements count as uses too, and
+    only attribute reads and string constants count (:func:`_attribute_names`)."""
+    names = _attribute_names if in_classes else _names
+    read = {path: names(ast.parse(path.read_text(encoding="utf-8")))
             for path in readers}
     hits = []
     for path in modules:
         uses = set().union(*(names for reader, names in read.items()
                              if reader != path))
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        per_stmt = [set() if _assigns_all(stmt) else _names(stmt)
+        per_stmt = [set() if _assigns_all(stmt) else names(stmt)
                     for stmt in tree.body]
         for top, stmt in enumerate(tree.body):
             if not in_classes:
@@ -129,7 +141,7 @@ def _unnamed_definitions(modules, readers, wanted, in_classes=False):
                         and wanted(node.name)):
                     continue
                 if node.name in outside or any(
-                        node.name in _names(other)
+                        node.name in names(other)
                         for j, other in enumerate(body) if j != idx):
                     continue
                 hits.append((path.name, node.lineno, prefix + node.name))
@@ -218,6 +230,22 @@ def test_checker_sees_an_unused_public_method(tmp_path):
     reader.write_text("from sample import Public\nPublic().by_reader()\n")
     assert unused_public_methods([module, reader], [module, reader]) == [
         ("sample.py", 2, "Public.dead"), ("sample.py", 6, "Public.size")]
+
+
+def test_checker_sees_a_method_behind_a_same_named_variable(tmp_path):
+    # A local variable, a parameter or an imported name that spells a
+    # method is not a call of it.
+    module = tmp_path / "sample.py"
+    module.write_text("from math import floor\n\n"
+                      "class Public:\n"
+                      "    def degree(self):\n        return 0\n\n"
+                      "    def floor(self):\n        return 0\n\n"
+                      "    def used(self):\n        return 0\n\n"
+                      "def caller(x, used=None):\n"
+                      "    degree = floor(2.5)\n"
+                      "    return degree + x.used()\n")
+    assert unused_public_methods([module], [module]) == [
+        ("sample.py", 4, "Public.degree"), ("sample.py", 7, "Public.floor")]
 
 
 def test_every_public_name_has_a_caller():

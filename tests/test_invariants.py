@@ -126,11 +126,10 @@ def _oracle_tensor_span(k, l, spec):
 
 def _oracle_kernel_basis(k, l, spec):
     diagrams = enumerate_diagrams(k, l)
-    cols = spec.m ** k
     by_cell = {}
     for idx, d in enumerate(diagrams):
-        for (i, j), v in functor_matrix(d, spec).entries.items():
-            by_cell.setdefault(i * cols + j, {})[idx] = v
+        for cell, v in functor_matrix(d, spec).entries.items():
+            by_cell.setdefault(cell, {})[idx] = v
     basis = EliminationBasis(spec.ring)
     for cell in sorted(by_cell):
         basis.add_row(by_cell[cell])
@@ -148,11 +147,7 @@ def _oracle_kernel_basis(k, l, spec):
 
 def _oracle_vectorized_rows(k, l, spec):
     diagrams = enumerate_diagrams(k, l)
-    cols = spec.m ** k
-    rows = []
-    for d in diagrams:
-        mat = functor_matrix(d, spec)
-        rows.append({i * cols + j: v for (i, j), v in mat.entries.items()})
+    rows = [dict(functor_matrix(d, spec).entries) for d in diagrams]
     return diagrams, rows
 
 
@@ -270,7 +265,8 @@ def _commuting_rows(rho, n):
     ring = rho.ring
     by_row = {}
     by_col = {}
-    for (a, c), v in rho.entries.items():
+    for key, v in rho.entries.items():
+        a, c = divmod(key, n)
         by_row.setdefault(a, []).append((c, v))
         by_col.setdefault(c, []).append((a, v))
     for a in range(n):
@@ -489,7 +485,8 @@ class TestCommutant:
         assert refl.transpose().mul(form).mul(refl) == form
         assert refl.mul(refl) == ExactMatrix.identity(spec.m, spec.ring)
         assert refl != ExactMatrix.identity(spec.m, spec.ring)
-        assert all(i + j == spec.m - 1 for i, j in form.entries)
+        assert all(sum(divmod(key, spec.m)) == spec.m - 1
+                   for key in form.entries)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_reflection_is_the_hand_built_one(self, m):
@@ -498,13 +495,13 @@ class TestCommutant:
         spec = group_spec("o", m)
         one, minus = Fraction(1), Fraction(-1)
         assert _reflection(spec).entries == {
-            (i, i): minus if i == 0 else one for i in range(m)}
+            i * (m + 1): minus if i == 0 else one for i in range(m)}
         h = m // 2
         if m % 2:
-            want = {(i, i): minus if i == h else one for i in range(m)}
+            want = {i * (m + 1): minus if i == h else one for i in range(m)}
         else:
-            want = {(i, i): one for i in range(m) if i not in (h - 1, h)}
-            want[(h - 1, h)] = want[(h, h - 1)] = one
+            want = {i * (m + 1): one for i in range(m) if i not in (h - 1, h)}
+            want[(h - 1) * m + h] = want[h * m + h - 1] = one
         assert _reflection(_commutant_group(spec)).entries == want
 
     @pytest.mark.parametrize("form", [((1, -1), (0, -1)),

@@ -14,23 +14,18 @@ import argparse
 import json
 import sys
 
-from .diagram import (DiagramError, compose, diagram_count, diagram_from_json,
+from .diagram import (compose, diagram_count, diagram_from_json,
                       diagram_to_json, star, tensor)
-from .elements import ElementError, d_pq, e_p_formula, phi, sigma
-from .functor import (FunctorError, closure_trace, functor_matrix, group_spec,
+from .elements import d_pq, e_p_formula, phi, sigma
+from .functor import (closure_trace, functor_matrix, group_spec,
                       matrix_to_json, trace_check)
 from .invariants import (hom_rank, ideal_span_dimension, kernel_basis,
                          kernel_dimension, tensor_ideal_span_dimension)
-from .linalg import LinAlgError
-from .linear import MorphismError, morphism_from_json, morphism_to_json
+from .linear import morphism_from_json, morphism_to_json
 from .report import all_passed, report_json
-from .rings import (QQ, QQ_DELTA, PrimeField, RingError, TextError,
-                    parse_natural)
+from .rings import QQ, QQ_DELTA, PrimeField, TextError, parse_natural
 from .verify import SUITE_NAMES, run_suite
-from .words import WordError, evaluate_word, synthesize_word, word_from_text, word_to_text
-
-_USER_ERRORS = (DiagramError, ElementError, FunctorError, LinAlgError,
-                MorphismError, RingError, WordError, ValueError)
+from .words import evaluate_word, synthesize_word, word_from_text, word_to_text
 
 
 def _emit(payload, fmt):
@@ -64,11 +59,16 @@ def _render_text(payload, indent=""):
 
 
 def _load_json_arg(text):
-    """Inline JSON, or the contents of a file when prefixed with '@'."""
+    """Inline JSON, or the contents of a file when prefixed with '@'.
+    Nesting deeper than the interpreter's recursion limit is an input
+    error, like any other malformed JSON."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _ring_and_delta(args):
@@ -261,10 +261,7 @@ def run(argv=None):
     fmt = args.format
     try:
         return _dispatch(args, fmt)
-    except _USER_ERRORS as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -68,7 +68,8 @@ def sigma(eps, r, ring=QQ_DELTA, delta=None):
     """Sum over Sym_r of (-eps)^length; symmetrizer for eps=-1, antisymmetrizer for +1."""
     _check_eps(ElementError, eps)
     _check_sizes(ElementError, "sigma", r=r)
-    guard_cells(range(2, r + 1), "a sum over Sym_%d needs %d! terms" % (r, r),
+    guard_cells(chain((2 * r,), range(2, r + 1)),
+                "a sum over Sym_%d has %d! terms of %d nodes" % (r, r, 2 * r),
                 ElementError)
     terms = {}
     for pi in permutations(range(r)):
@@ -127,8 +128,9 @@ def phi(n):
     if n < 1:
         raise ElementError("phi requires n >= 1")
     r = n + 1
-    guard_cells(range(3, 2 * r, 2), "phi(%d) sums the %d!! diagrams of B_%d"
-                % (n, 2 * n + 1, r), ElementError)
+    guard_cells(chain((2 * r,), range(3, 2 * r, 2)),
+                "phi(%d) sums the %d!! diagrams of B_%d, of %d nodes each"
+                % (n, 2 * n + 1, r, 2 * r), ElementError)
     return make_morphism(r, r, {d: 1 for d in dg.enumerate_diagrams(r, r)},
                          ring=QQ, delta=Fraction(-2 * n))
 

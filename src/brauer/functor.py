@@ -453,8 +453,7 @@ def _sum_of_terms(x, spec, diagram_matrix):
     ring = spec.ring
     zero = ring.zero()
     entries = {}
-    for d in x.support():
-        c = x.coeff(d)
+    for d, c in x.terms.items():
         for key, v in diagram_matrix(d, spec).entries.items():
             entries[key] = ring.add(entries.get(key, zero), ring.mul(c, v))
     return ExactMatrix._trusted(spec.m ** x.l, spec.m ** x.k, ring,

@@ -108,9 +108,10 @@ def kernel_basis(k, l, spec):
     on earlier ones reduces to a row with no cells left, whose lead is its
     own tag and whose other tags are earlier independent diagrams; that row
     is the reduced echelon nullspace vector of free column f.  Vectors come
-    out in diagram order, as primitive integers with a positive f entry
-    over the rationals, scaled to f entry 1 over F_p, and are converted to
-    morphisms over the group's field at the loop value eps * m."""
+    out in diagram order as the basis stores them: primitive integers with
+    a positive f entry over the rationals, f entry 1 over F_p (see
+    :meth:`brauer.linalg.EliminationBasis.add_row`).  Each becomes a
+    morphism over the group's field at the loop value eps * m."""
     diagrams, rows, width = _vectorized_rows(k, l, spec)
     n = len(diagrams)
     top = width + n - 1
@@ -122,11 +123,7 @@ def kernel_basis(k, l, spec):
     delta = spec.delta_value()
     out = []
     for lead in sorted((c for c in basis.pivots if c > top - n), reverse=True):
-        vec = basis.pivots[lead]
-        if isinstance(ring, PrimeField):
-            inv = pow(vec[lead], -1, ring.p)
-            vec = {c: v * inv % ring.p for c, v in vec.items()}
-        terms = {diagrams[top - c]: v for c, v in vec.items()}
+        terms = {diagrams[top - c]: v for c, v in basis.pivots[lead].items()}
         out.append(make_morphism(k, l, terms, ring=ring, delta=delta))
     return out
 

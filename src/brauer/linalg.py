@@ -8,8 +8,9 @@ rows are rescaled to primitive integer vectors and combined fraction-free
 arithmetic happens during elimination; integer entries and fractions with
 denominator 1 enter as plain ints, and only a row with a real denominator is
 scaled.  Over a prime field F_p, entries are ints in [0, p) combined inline
-modulo p, with one modular inverse per row combination.  Ranks, reduced row
-echelon forms, and nullspace bases are exact.
+modulo p, and a row is stored monic (lead 1), so the one modular inverse is
+taken per stored row, not per combination.  Ranks, reduced row echelon
+forms, and nullspace bases are exact.
 
 A row is reduced in place, on the copy the engine makes of it on entry,
 and always at its smallest column, so the caller's column numbering is the
@@ -97,7 +98,7 @@ class EliminationBasis:
         rationals the row becomes ra * row - pa * pivot with pa / ra the
         lead ratio in lowest terms (ra > 0, as stored leads are positive),
         then loses its content; over F_p it becomes row - f * pivot with
-        f = lead / pivot lead, one inverse per step.  The row is the one
+        f the row's lead, as stored leads are 1.  The row is the one
         :meth:`_prepare` built, never the caller's.
 
         Returns the lead, or None (the row then empty) when the row lies
@@ -128,7 +129,7 @@ class EliminationBasis:
                     for c, v in row.items():
                         row[c] = v // g
             else:
-                f = row[lead] * pow(piv[lead], -1, p) % p
+                f = row[lead]
                 for c, v in piv.items():
                     nv = (get(c, 0) - f * v) % p
                     if nv:
@@ -138,7 +139,9 @@ class EliminationBasis:
         return None
 
     def add_row(self, row):
-        """Reduce a row against the basis; store it if independent.
+        """Reduce a row against the basis; store it if independent, in
+        normal form: primitive with a positive lead over the rationals,
+        with lead 1 over F_p.
 
         Returns True when the row increased the rank.
         """
@@ -146,9 +149,15 @@ class EliminationBasis:
         lead = self._reduce(row)
         if lead is None:
             return False
-        if self._p is None and row[lead] < 0:
+        p = self._p
+        if p is None:
+            if row[lead] < 0:
+                for c, v in row.items():
+                    row[c] = -v
+        elif row[lead] != 1:
+            inv = pow(row[lead], -1, p)
             for c, v in row.items():
-                row[c] = -v
+                row[c] = v * inv % p
         self.pivots[lead] = row
         return True
 
@@ -159,12 +168,11 @@ class EliminationBasis:
         rows = {}
         for q in sorted(self.pivots, reverse=True):
             raw = self.pivots[q]
-            lead = raw[q]
             if p is None:
+                lead = raw[q]
                 row = {c: Fraction(v, lead) for c, v in raw.items()}
             else:
-                inv = pow(lead, -1, p)
-                row = {c: v * inv % p for c, v in raw.items()}
+                row = dict(raw)
             for r in [c for c in row if c != q and c in rows]:
                 factor = row.pop(r)
                 for c, v in rows[r].items():

@@ -122,9 +122,6 @@ class Morphism:
         self.terms = terms
         return self
 
-    def coeff(self, diagram):
-        return self.terms.get(diagram, self.ring.zero())
-
     def support(self):
         return sorted(self.terms)
 
@@ -171,8 +168,8 @@ def zero_morphism(k, l, ring=QQ_DELTA, delta=None):
     return Morphism(k, l, ring, delta, {})
 
 
-def from_diagram(d, ring=QQ_DELTA, delta=None, coeff=1):
-    return Morphism(d.k, d.l, ring, delta, {d: coeff})
+def from_diagram(d, ring=QQ_DELTA, delta=None):
+    return Morphism(d.k, d.l, ring, delta, {d: 1})
 
 
 def identity_morphism(r, ring=QQ_DELTA, delta=None):

@@ -47,7 +47,8 @@ class Poly:
     Coefficients are stored densely, lowest degree first, with no trailing
     zeros, each in the canonical form of :func:`rational`; the zero
     polynomial has an empty coefficient tuple.  Instances are immutable
-    value objects.
+    value objects; ``+``, unary ``-`` and ``*`` act between polynomials
+    only.
     """
 
     __slots__ = ("coeffs",)
@@ -63,10 +64,10 @@ class Poly:
         return cls((value,))
 
     @classmethod
-    def monomial(cls, power, coeff=1):
+    def monomial(cls, power):
         if power < 0:
             raise RingError("monomial power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        return cls((0,) * power + (1,))
 
     @classmethod
     def variable(cls):
@@ -89,16 +90,7 @@ class Poly:
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -110,23 +102,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise RingError("polynomial powers must be nonnegative integers")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, value):
         value = rational(value)
@@ -247,7 +222,9 @@ class CoefficientRing:
     ``neg``, ``mul``, ``parse(text)`` (the inverse of ``str``) and
     ``is_integral(a)`` (whether a lies in the image of the integers);
     ``one`` and ``power`` follow from them.  Prime fields add ``inv`` and
-    the polynomials ``delta_power``.
+    the polynomials ``delta_power(n)``, delta^n.  That is the whole
+    protocol: ``add(a, neg(b))`` subtracts, and ``mul`` of a polynomial
+    takes a polynomial (``from_int`` lifts an integer).
 
     ``parse`` reads ``N`` or ``N/D`` (:func:`parse_rational`; over F_p
     that is N times the inverse of D) or, for QQ[δ], terms in ``d`` with
@@ -397,9 +374,6 @@ class PolynomialsInDelta(CoefficientRing):
 
     def from_int(self, n):
         return Poly.const(n)
-
-    def delta(self):
-        return Poly.variable()
 
     def delta_power(self, n):
         return Poly.monomial(n)

@@ -77,6 +77,25 @@ class TestDiagramCommands:
         rc, _ = invoke(capsys, "compose", IDENT1, EBAR)
         assert rc == 2
 
+    @pytest.mark.parametrize("command", [["star"],
+                                         ["functor-matrix", "--family", "o",
+                                          "--m", "2"]])
+    def test_deeply_nested_inline_json_is_user_error(self, capsys, command):
+        rc = run(command + ["[" * 5000 + "]" * 5000])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: JSON nested too deeply\n"
+
+    def test_deeply_nested_json_file_is_user_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        rc = run(["star", "@%s" % path])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: JSON nested too deeply\n"
+
     def test_node_count_without_arcs_is_user_error(self, capsys):
         rc = run(["compose", '{"k": 20000000, "l": 0, "pairs": []}', CUP])
         captured = capsys.readouterr()
@@ -218,6 +237,24 @@ class TestElementCommands:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,count", [
+        (["sigma", "--eps", "1", "--r", "10"],
+         "a sum over Sym_10 has 10! terms of 20 nodes"),
+        (["phi", "--n", "7"],
+         "phi(7) sums the 15!! diagrams of B_8, of 16 nodes each"),
+    ], ids=["sigma-r10", "phi-n7"])
+    def test_terms_times_nodes_over_budget_is_user_error(self, capsys, argv,
+                                                          count):
+        # 10! * 20 = 72576000 and 15!! * 16 = 32432400 node cells, above the
+        # default 10^7 budget; r = 9 and n = 6 fit
+        rc = run(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: %s, above the limit %d; raise BRAUER_MAX_CELLS to allow "
+            "it\n" % (count, max_cells()))
 
     def test_bad_parameters_are_user_errors(self, capsys):
         assert invoke(capsys, "phi", "--n", "0")[0] == 2

@@ -118,11 +118,12 @@ class TestSigma:
         assert_all(verify_sigma_cap(r, k))
 
     def test_term_budget_boundary(self, monkeypatch):
-        # 4! = 24 terms: allowed at a budget of 24, refused at 23
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "24")
+        # 4! = 24 terms of 8 nodes: allowed at a budget of 192, refused
+        # at 191
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "192")
         assert len(sigma(1, 4).terms) == 24
         assert len(antisymmetrizer_block(2, 5, 6).terms) == 24
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "23")
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "191")
         with pytest.raises(ElementError):
             sigma(1, 4)
         with pytest.raises(ElementError):
@@ -213,11 +214,12 @@ class TestPhi:
         assert phi(n) == _phi_sandwich(n)
 
     def test_term_budget_counts_all_diagrams(self, monkeypatch):
-        # |B_3| = 5!! = 15 terms: allowed at a budget of 15, refused at 14
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "15")
+        # |B_3| = 5!! = 15 terms of 6 nodes: allowed at a budget of 90,
+        # refused at 89
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "90")
         assert len(phi(2).terms) == 15
-        monkeypatch.setenv("BRAUER_MAX_CELLS", "14")
-        with pytest.raises(ElementError, match="limit 14"):
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "89")
+        with pytest.raises(ElementError, match="limit 89"):
             phi(2)
 
     def test_huge_degree_refused_without_forming_the_count(self):

@@ -1,6 +1,7 @@
 """Tests for exact sparse Gaussian elimination over the rationals and prime fields."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -120,8 +121,9 @@ class TestPrimeFieldMode:
         basis = EliminationBasis(gf7)
         assert basis.add_row({0: 3, 1: 1, 2: 5})
         assert basis.add_row({0: 2, 1: 6, 2: 1})
-        # (2, 6, 1) - (2 * 3^-1) (3, 1, 5) = (0, 3, 0)
-        assert basis.pivots == {0: {0: 3, 1: 1, 2: 5}, 1: {1: 3}}
+        # stored monic: 3^-1 (3, 1, 5) = (1, 5, 4); then
+        # (2, 6, 1) - 2 (1, 5, 4) = (0, 3, 0), stored as (0, 1, 0)
+        assert basis.pivots == {0: {0: 1, 1: 5, 2: 4}, 1: {1: 1}}
         assert basis.reduced_rows() == {0: {0: 1, 2: 4}, 1: {1: 1}}
         assert basis.nullspace(range(3)) == [{2: 1, 0: 3}]
         assert in_span(basis, {0: 1, 2: 4})
@@ -132,7 +134,7 @@ class TestPrimeFieldMode:
         gf7 = PrimeField(7)
         basis = EliminationBasis(gf7)
         assert basis.add_row({0: -4, 1: 8, 2: 14})
-        assert basis.pivots == {0: {0: 3, 1: 1}}
+        assert basis.pivots == {0: {0: 1, 1: 5}}
         assert not basis.add_row({0: 7, 1: -7})
 
     def test_reduced_rows_leading_one(self):
@@ -201,6 +203,17 @@ class TestInPlaceReduction:
             basis.add_row(row)
             assert row == before
             assert all(basis.pivots[q] == piv for q, piv in stored.items())
+        # The stored normal form: lead 1 over F_p; over QQ primitive
+        # integers with a positive lead.
+        for q, piv in basis.pivots.items():
+            assert q == min(piv)
+            if p is None:
+                assert all(v.__class__ is int for v in piv.values())
+                assert piv[q] > 0
+                assert gcd(*piv.values()) == 1
+            else:
+                assert piv[q] == 1
+                assert all(0 < v < p for v in piv.values())
 
 
 class TestGuards:

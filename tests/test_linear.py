@@ -154,7 +154,7 @@ class TestSpecialization:
         y = reduce_mod_p(x, 5)
         assert y.ring == PrimeField(5)
         assert y.delta == 3
-        assert y.coeff(e_i(2, 1)) == 2
+        assert y.terms[e_i(2, 1)] == 2
 
     def test_reduce_mod_p_needs_integral(self):
         x = lin_scale(Fraction(1, 5), from_diagram(e_i(2, 1), ring=QQ, delta=Fraction(2)))
@@ -170,7 +170,7 @@ class TestSpecialization:
         # mod 5, not -1
         x = reduce_mod_p(lin_scale(-1, from_diagram(e_i(2, 1), ring=QQ,
                                                     delta=Fraction(-2))), 7)
-        assert x.coeff(e_i(2, 1)) == 6
+        assert x.terms[e_i(2, 1)] == 6
         with pytest.raises(MorphismError, match=r"over PrimeField\(7\)"):
             reduce_mod_p(x, p)
 
@@ -190,7 +190,7 @@ class TestJson:
         assert morphism_from_json(morphism_to_json(x)) == x
 
     def test_round_trip_prime_field(self):
-        x = from_diagram(e_i(2, 1), ring=PrimeField(7), delta=3, coeff=4)
+        x = make_morphism(2, 2, {e_i(2, 1): 4}, ring=PrimeField(7), delta=3)
         assert morphism_from_json(morphism_to_json(x)) == x
 
     def test_terms_sorted_deterministically(self):

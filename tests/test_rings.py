@@ -35,27 +35,23 @@ class TestPoly:
 
     def test_arithmetic(self):
         d = Poly.variable()
-        p = d * d - Poly.const(Fraction(1))
+        p = d * d + Poly.const(Fraction(-1))
         q = d + Poly.const(Fraction(1))
-        assert (d - Poly.const(Fraction(1))) * q == p
-        assert p - q == d * d - d - Poly.const(Fraction(2))
+        assert (d + Poly.const(Fraction(-1))) * q == p
+        assert p + (-q) == d * d + (-d) + Poly.const(Fraction(-2))
 
     def test_evaluate_horner(self):
         d = Poly.variable()
-        p = Poly.const(Fraction(2)) * d ** 3 - d + Poly.const(Fraction(5))
+        p = Poly.const(Fraction(2)) * d * d * d + (-d) + Poly.const(Fraction(5))
         assert p.evaluate(Fraction(3)) == 2 * 27 - 3 + 5
-
-    def test_power(self):
-        d = Poly.variable()
-        assert (d + Poly.const(Fraction(1))) ** 2 == d * d + Poly.const(Fraction(2)) * d + Poly.const(Fraction(1))
 
     def test_str_forms(self):
         d = Poly.variable()
         assert str(Poly.const(Fraction(0))) == "0"
         assert str(d) == "d"
         assert str(Poly.const(Fraction(-3, 4))) == "-3/4"
-        assert str(Poly.const(Fraction(2)) * d ** 2 - Poly.const(Fraction(1))) == "2*d^2-1"
-        assert str(d ** 2 + Poly.const(Fraction(5)) * d + Poly.const(Fraction(6))) == "d^2+5*d+6"
+        assert str(Poly((-1, 0, 2))) == "2*d^2-1"
+        assert str(d * d + Poly.const(Fraction(5)) * d + Poly.const(Fraction(6))) == "d^2+5*d+6"
 
     @given(st.lists(st.fractions(max_denominator=40), max_size=5))
     def test_format_parse_round_trip(self, coeffs):
@@ -227,8 +223,8 @@ class TestRingNames:
             ring_from_name(name)
 
     def test_delta_helpers(self):
-        assert QQ_DELTA.delta() == Poly.variable()
-        assert QQ_DELTA.delta_power(3) == Poly.variable() ** 3
+        d = Poly.variable()
+        assert QQ_DELTA.delta_power(3) == d * d * d
 
 
 def _is_canonical(c):
@@ -260,7 +256,7 @@ class TestCanonicalForm:
     def test_poly_constructors_and_evaluate(self):
         assert Poly((Fraction(4, 2), 0.5)).coeffs == (2, Fraction(1, 2))
         assert Poly.const(Fraction(3)).coeffs[0].__class__ is int
-        assert Poly.monomial(2, Fraction(-4, 2)).coeffs == (0, 0, -2)
+        assert Poly((0, 0, Fraction(-4, 2))).coeffs == (0, 0, -2)
         assert all(_is_canonical(c) for c in Poly.monomial(2).coeffs)
         assert Poly((1, Fraction(1, 2))).evaluate(2).__class__ is int
         assert Poly((1, 1)).evaluate(Fraction(1, 2)) == Fraction(3, 2)
@@ -269,7 +265,7 @@ class TestCanonicalForm:
            st.lists(_small_fractions, min_size=1, max_size=4))
     def test_arithmetic_keeps_canonical_coefficients(self, a, b):
         a, b = Poly(tuple(a)), Poly(tuple(b))
-        for p in (a, b, a * b, a + b, a - b, -a):
+        for p in (a, b, a * b, a + b, a + (-b), -a):
             assert all(_is_canonical(c) for c in p.coeffs)
 
     @pytest.mark.parametrize("bad", [7.0, 7.5, "7", True])

@@ -388,10 +388,15 @@ def crossing_count(d):
 
 
 def closure_loops(d):
-    """Loop count of the full right closure cap_r o (D (x) I_r) o cup_r."""
+    """Loop count of the full right closure cap_r o (D (x) I_r) o cup_r.
+
+    Read as a (0, 2r) matching, D is glued under the (2r, 0) matching
+    that joins node i to node r + i, bottom i to top i; the composition
+    kernel counts the loops."""
     if d.k != d.l:
         raise DiagramError("closure needs a square diagram")
-    return ops.closure_cycles(d.partner, d.k)
+    r = d.k
+    return ops.compose_partners(d.partner, 0, 2 * r, identity(r).partner, 0)[0]
 
 
 def diagram_to_json(d):

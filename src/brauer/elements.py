@@ -142,15 +142,6 @@ def _check_ep_degree(m, **indices):
     _check_sizes(ElementError, "E_p", m=m, **indices)
 
 
-def _guard_ep_terms(m, i):
-    """Refuse E_i in degree m + 1 before building it when its at most
-    (m + 1)! terms of 2(m + 1) nodes exceed the cell budget."""
-    r = m + 1
-    guard_cells(chain((2 * r,), range(2, r + 1)),
-                "E_%d in degree %d has up to %d! terms of %d nodes"
-                % (i, r, r, 2 * r), ElementError)
-
-
 def f_p(m, p):
     """Sigma_1(p) (x) Sigma_1(m+1-p): the antisymmetrizer blocks on strands
     [1, p] and [p+1, m+1] in degree m+1, at delta = m."""
@@ -167,13 +158,13 @@ def e_p_rotation(m, p):
     the bend of :func:`_bend` with p legs turned on each side.
 
     With the boundary-position index i = m+1-p this realizes the bent
-    antisymmetrizer E_i at delta = m; coefficients stay +-1.  Budgeted like
-    :func:`e_p_formula`, before Sigma is built.
+    antisymmetrizer E_i at delta = m; coefficients stay +-1.  Budgeted by
+    :func:`sigma` on its (m+1)! terms of 2(m+1) nodes, before anything is
+    built.
     """
     _check_ep_degree(m, p=p)
     if not p <= m + 1:
         raise ElementError("rotation count %d out of range" % p)
-    _guard_ep_terms(m, m + 1 - p)
     return _bend(1, m + 1, p, p, m)
 
 
@@ -194,9 +185,11 @@ def e_p_formula(m, i):
     _check_ep_degree(m, i=i)
     if not i <= m + 1:
         raise ElementError("index %d out of range" % i)
-    _guard_ep_terms(m, i)
-    ring, delta = QQ, Fraction(m)
     r = m + 1
+    guard_cells(chain((2 * r,), range(2, r + 1)),
+                "E_%d in degree %d has up to %d! terms of %d nodes"
+                % (i, r, r, 2 * r), ElementError)
+    ring, delta = QQ, Fraction(m)
     blocks = (i, r - i)
     acc = zero_morphism(r, r, ring=ring, delta=delta)
     for j in range(min(i, r - i) + 1):
@@ -232,6 +225,8 @@ def _bend(eps, w, p, q, delta):
     of a permutation ends on the bottom, so an arc joins two bottom legs
     and no loop closes.
     """
+    # sigma charges its budget first, so a refused bend builds nothing.
+    src = sigma(eps, w, ring=QQ, delta=Fraction(delta))
     narcs = p - q
     straight_top = w - 2 * narcs - q
     nr = w - p + q
@@ -245,7 +240,6 @@ def _bend(eps, w, p, q, delta):
     arc = {w + straight_top + u: w + straight_top + 2 * narcs - 1 - u
            for u in range(2 * narcs)}
     ends = [x for x in range(2 * w) if new[x] >= 0]
-    src = sigma(eps, w, ring=QQ, delta=Fraction(delta))
     terms = {}
     for d, c in src.terms.items():
         partner = d.partner

@@ -13,13 +13,15 @@ functorial (composition goes to matrix product, juxtaposition to Kronecker
 product) and kills every loop factor ``delta`` at the numeric value
 ``eps * m``.
 
-Two independent evaluators are provided: :func:`functor_matrix` contracts a
-diagram directly cell by cell, while :func:`functor_matrix_layered` applies
-layers by index action: each layer I^a (x) g (x) I^b of a synthesized
-generator word moves the entries of the running matrix through the middle
-digits of their row indices, as monoidality allows, without building a
-Kronecker product.  They must agree on every input; the verification suites
-compare them.
+Two independent evaluators of a diagram's matrix are provided:
+:func:`functor_matrix` contracts a diagram directly cell by cell, while
+:func:`functor_matrix_layered` applies layers by index action: each layer
+I^a (x) g (x) I^b of a synthesized generator word moves the entries of the
+running matrix through the middle digits of their row indices, as
+monoidality allows, without building a Kronecker product.  They must agree
+on every diagram; the verification suites compare them.  A morphism's
+matrix is summed from its diagrams' direct contractions in one place
+(:func:`functor_matrix`), so only that evaluator takes morphisms.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ def group_spec(family, m, modulus=None, allow_small_modulus=False):
     ``modulus`` switches the coefficient field from the rationals to the
     prime field of that order; the characteristic must be at least ``m + 2``
     (the range where the characteristic-zero kernel statements persist)
-    unless ``allow_small_modulus`` is set.
+    unless ``allow_small_modulus`` is set.  No input backs ``m``, so its
+    m pairs are charged to the cell budget before the form is built.
     """
     key = _FAMILY_ALIASES.get(str(family).lower())
     if key is None:
@@ -138,6 +141,8 @@ def group_spec(family, m, modulus=None, allow_small_modulus=False):
             raise FunctorError(
                 "modulus %d is below m + 2 = %d, outside the guaranteed "
                 "range; pass allow_small_modulus to proceed" % (modulus, m + 2))
+    guard_cells((m,), "the form of dimension %d has %d signed pairs" % (m, m),
+                FunctorError)
     if key == "orthogonal":
         form = tuple((i, 1) for i in range(m))
     else:
@@ -446,15 +451,15 @@ def _morphism_to_spec_field(x, spec):
     return x
 
 
-def _sum_of_terms(x, spec, diagram_matrix):
-    """Sum over the terms c * d of a morphism of c times
-    diagram_matrix(d, spec), accumulated in one dict."""
+def _sum_of_terms(x, spec):
+    """Sum over the terms c * d of a morphism of c times the matrix of d,
+    accumulated in one dict: the one place a morphism's matrix is summed."""
     x = _morphism_to_spec_field(x, spec)
     ring = spec.ring
     zero = ring.zero()
     entries = {}
     for d, c in x.terms.items():
-        for key, v in diagram_matrix(d, spec).entries.items():
+        for key, v in _diagram_matrix(d, spec).entries.items():
             entries[key] = ring.add(entries.get(key, zero), ring.mul(c, v))
     return ExactMatrix._trusted(spec.m ** x.l, spec.m ** x.k, ring,
                                 _drop_zeros(entries))
@@ -467,21 +472,22 @@ def functor_matrix(x, spec):
         return _diagram_matrix(x, spec)
     if not isinstance(x, Morphism):
         raise FunctorError("expected a Diagram or Morphism, got %r" % (x,))
-    return _sum_of_terms(x, spec, _diagram_matrix)
+    return _sum_of_terms(x, spec)
 
 
 def functor_matrix_layered(x, spec):
-    """Same matrix as :func:`functor_matrix`, computed independently: the
-    layers of a synthesized generator word are applied by index action.
+    """Same matrix as :func:`functor_matrix` on a diagram, computed
+    independently: the layers of a synthesized generator word are applied
+    by index action.
 
     A layer I^a (x) g (x) I^b acts on a row index of width a + in(g) + b
     through its middle in(g) digits only, so each entry of the running
     matrix moves to the rows that the generator's column for those digits
-    names, scaled by that column's values; no layer matrix is built."""
-    if isinstance(x, Morphism):
-        return _sum_of_terms(x, spec, functor_matrix_layered)
+    names, scaled by that column's values; no layer matrix is built.  A
+    morphism's matrix is the sum of its diagrams' matrices either way, so
+    only diagrams are taken: FunctorError for anything else."""
     if not isinstance(x, Diagram):
-        raise FunctorError("expected a Diagram or Morphism, got %r" % (x,))
+        raise FunctorError("expected a Diagram, got %r" % (x,))
     m, ring = spec.m, spec.ring
     guard_cells(repeat(m, x.k + x.l),
                 "computation needs %d^%d matrix cells" % (m, x.k + x.l),

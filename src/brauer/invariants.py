@@ -59,10 +59,9 @@ def _vectorized_rows(k, l, spec):
     if n % 2:
         # B(k, l) is empty: no rows, whatever the group.
         return [], [], 0
-    guard_cells(repeat(spec.m, n), "computation needs %d^%d matrix cells"
-                % (spec.m, n), FunctorError)
     # Each of the |B(k, l)| diagrams has one nonzero per choice of an index
-    # on each of its n / 2 arcs.
+    # on each of its n / 2 arcs.  The m^n cells of each matrix are charged
+    # by functor_matrix.
     guard_cells(chain(range(3, n, 2), repeat(spec.m, n // 2)),
                 "computation needs %d!! * %d^%d row nonzeros"
                 % (n - 1, spec.m, n // 2), FunctorError)

@@ -177,9 +177,7 @@ def identity_morphism(r, ring=QQ_DELTA, delta=None):
 
 
 def delta_factor(ring, delta, loops):
-    """The coefficient contributed by ``loops`` closed loops."""
-    if loops == 0:
-        return ring.one()
+    """The coefficient contributed by ``loops`` >= 1 closed loops."""
     if delta is None:
         return ring.delta_power(loops)
     return ring.power(delta, loops)

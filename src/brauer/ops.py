@@ -1,5 +1,7 @@
-"""Matching kernels: diagram composition (path tracing through the glued
-middle boundary, deleting closed loops) and closure loop counting.
+"""The matching kernel: diagram composition by path tracing through the
+glued middle boundary, deleting closed loops.  It is the one loop counter:
+a diagram's closure loops are the loops of a composite too (see
+:func:`brauer.diagram.closure_loops`).
 
 A matching on n nodes is given by its partner tuple: partner[i] = j iff
 {i, j} is an arc.  Node layout follows the package convention: for a (k, l)
@@ -9,7 +11,7 @@ diagram, nodes 0..k-1 are the bottom boundary and k..k+l-1 the top.
 # perfbench/one_pass.py records this in its info line; there is one backend.
 BACKEND = "python"
 
-__all__ = ["compose_partners", "closure_cycles", "BACKEND"]
+__all__ = ["compose_partners", "BACKEND"]
 
 
 def compose_partners(lower, k, mid, upper, top):
@@ -67,25 +69,3 @@ def compose_partners(lower, k, mid, upper, top):
             if cur == j:
                 break
     return loops, tuple(res)
-
-
-def closure_cycles(partner, r):
-    """Number of cycles when bottom node i is joined to top node i.
-
-    `partner` is the matching of an (r, r) diagram on 2r nodes.  This equals
-    the loop count of the full right closure of the diagram.
-    """
-    n = 2 * r
-    seen = [False] * n
-    cycles = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        cycles += 1
-        cur = s
-        while not seen[cur]:
-            seen[cur] = True
-            p = partner[cur]
-            seen[p] = True
-            cur = p + r if p < r else p - r
-    return cycles

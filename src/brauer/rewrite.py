@@ -7,8 +7,11 @@ parameterized layer templates: each template layer is (dl, gen, dr) and
 stands for the concrete layer (a + dl, gen, b + dr) at free paddings
 a, b >= 0.  Every relation also exists in its three transformed versions:
 star (turn the relation upside down, swapping caps and cups), sharp (mirror
-left-right), and both.  Loop removal changes the scalar: its left side
-evaluates to one more loop than its right.
+left-right), and both.  Every base template has least left and least
+right offset 0, and the transforms keep that (star reverses the layers,
+sharp swaps each layer's two offsets), so every variant is stored as
+built.  Loop removal changes the scalar: its left side evaluates to one
+more loop than its right.
 
 :func:`verify_relation_soundness` evaluates both sides of every rule at
 several paddings; the ``relations`` suite of :mod:`brauer.verify` runs it.
@@ -62,16 +65,6 @@ def _sharp_side(side):
     return tuple((dr, g, dl) for (dl, g, dr) in side)
 
 
-def _normalize(rule):
-    layers = rule.lhs + rule.rhs
-    if not layers:
-        return rule
-    min_dl = min(dl for dl, _g, _dr in layers)
-    min_dr = min(dr for _dl, _g, dr in layers)
-    shift = lambda side: tuple((dl - min_dl, g, dr - min_dr) for (dl, g, dr) in side)
-    return Rule(rule.rid, shift(rule.lhs), shift(rule.rhs), rule.delta)
-
-
 def _build_rules():
     rules = {}
     for base in _BASE_RULES:
@@ -81,9 +74,8 @@ def _build_rules():
                 lhs, rhs = _star_side(lhs), _star_side(rhs)
             if "#" in suffix:
                 lhs, rhs = _sharp_side(lhs), _sharp_side(rhs)
-            rules[base.rid + suffix] = _normalize(
-                Rule(base.rid + suffix, lhs, rhs, base.delta)
-            )
+            rules[base.rid + suffix] = Rule(base.rid + suffix, lhs, rhs,
+                                            base.delta)
     return rules
 
 

@@ -375,8 +375,7 @@ def verify_pau(spec):
     ring = spec.ring
     m = spec.m
     gens = generator_matrices(spec)
-    ident, x_mat, a_mat, u_mat = gens["I"], gens["X"], gens["A"], gens["U"]
-    id1 = ExactMatrix.identity(m, ring)
+    id1, x_mat, a_mat, u_mat = gens["I"], gens["X"], gens["A"], gens["U"]
     id2 = id1.tensor(id1)
     eps_elt = ring.from_int(spec.eps)
     checks = []

@@ -131,6 +131,19 @@ class TestWordCommands:
         rc, _ = invoke(capsys, "word-eval", "--domain", "2", "0:Q:0")
         assert rc == 2
 
+    def test_group_dimension_over_budget_is_user_error(self, capsys):
+        # the form's m pairs would be built before any matrix is asked for
+        m = max_cells() + 1
+        rc = run(["rank", "--family", "o", "--m", str(m), "--k", "0",
+                  "--l", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the form of dimension %d has %d signed pairs, above the "
+            "limit %d; raise BRAUER_MAX_CELLS to allow it\n"
+            % (m, m, max_cells()))
+
     def test_domain_over_budget_is_user_error(self, capsys):
         rc = run(["word-eval", "--domain", "1000000000", ""])
         captured = capsys.readouterr()
@@ -284,6 +297,17 @@ class TestElementCommands:
         assert captured.err == (
             "error: E_5 in degree 10 has up to 10! terms of 20 nodes, above "
             "the limit %d; raise BRAUER_MAX_CELLS to allow it\n" % max_cells())
+
+    def test_dpq_over_term_budget_is_refused_before_the_bend(self, capsys):
+        # the bend's node maps would hold 4 * 10^9 entries
+        rc = run(["dpq", "--n", "1000000000", "--p", "0", "--q", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a sum over Sym_2000000001 has 2000000001! terms of "
+            "4000000002 nodes, above the limit %d; raise BRAUER_MAX_CELLS to "
+            "allow it\n" % max_cells())
 
     def test_phi_over_term_budget_is_user_error(self, capsys):
         # |B_10| = 19!! = 654729075 terms, refused before enumerating

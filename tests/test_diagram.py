@@ -255,6 +255,19 @@ def test_closure_loops_examples():
     assert closure_loops(s_i(2, 1)) == 1
 
 
+def test_closure_loops_count_the_closure_composite():
+    # cap_r o (D (x) I_r) o cup_r with nested cups and caps, each strand of
+    # D closed around the right: two compositions, all loops summed
+    for r in range(6):
+        arcs = [(i, 2 * r - 1 - i) for i in range(r)]
+        cup_r, cap_r = make_diagram(0, 2 * r, arcs), make_diagram(2 * r, 0, arcs)
+        for d in enumerate_diagrams(r, r):
+            lower, body = compose(tensor(d, identity(r)), cup_r)
+            upper, closed = compose(cap_r, body)
+            assert (closed.k, closed.l) == (0, 0)
+            assert closure_loops(d) == lower + upper
+
+
 def test_json_round_trip():
     d = e_pair(4, 1, 3)
     assert diagram_from_json(diagram_to_json(d)) == d

@@ -1,5 +1,6 @@
 """Tests for the distinguished algebra elements and their exact identities."""
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -324,16 +325,21 @@ class TestBentAntisymmetrizers:
         assert len(e_p_formula(2, 1).terms) == 6
         assert len(e_p_rotation(2, 2).terms) == 6
         monkeypatch.setenv("BRAUER_MAX_CELLS", "35")
-        # E_1 by formula, and by rotating 2 strands
-        for make, arg in ((e_p_formula, 1), (e_p_rotation, 2)):
-            with pytest.raises(ElementError, match="E_1 in degree 3 has up "
-                                                   "to 3! terms of 6 nodes"):
-                make(2, arg)
+        # E_1 by formula; by rotating 2 strands the sigma it bends refuses
+        # the same count
+        with pytest.raises(ElementError, match="E_1 in degree 3 has up "
+                                               "to 3! terms of 6 nodes"):
+            e_p_formula(2, 1)
+        with pytest.raises(ElementError, match="a sum over Sym_3 has 3! "
+                                               "terms of 6 nodes"):
+            e_p_rotation(2, 2)
 
     def test_huge_degree_refused_without_forming_the_count(self):
-        for make in (e_p_formula, e_p_rotation):
-            with pytest.raises(ElementError, match=r"up to 1000001! terms"):
-                make(10 ** 6, 3)
+        with pytest.raises(ElementError, match=r"up to 1000001! terms"):
+            e_p_formula(10 ** 6, 3)
+        with pytest.raises(ElementError, match=r"Sym_1000001 has 1000001! "
+                                               r"terms"):
+            e_p_rotation(10 ** 6, 3)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rotation_coefficients_are_units(self, m):
@@ -422,6 +428,19 @@ class TestBentSymmetrizers:
             d_pq(1, 2, 0)
         with pytest.raises(ElementError):
             d_pq(-1, 0, 0)
+
+    def test_huge_degree_refused_before_allocating(self):
+        # the bend's node maps would hold 4 * 10^6 entries; sigma refuses
+        # its (2 * 10^6 + 1)! terms before any of them is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ElementError, match=r"Sym_2000001 has "
+                                                   r"2000001! terms"):
+                d_pq(10 ** 6, 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
 
 class TestPresentation:

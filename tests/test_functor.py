@@ -168,6 +168,15 @@ class TestGroupSpec:
     def test_large_orthogonal_rank_needs_no_dense_form(self):
         assert hom_rank(1, 1, group_spec("o", 3000)) == 1
 
+    def test_group_dimension_is_budgeted(self, monkeypatch):
+        # m pairs against the cell budget, charged before the form exists
+        monkeypatch.setenv("BRAUER_MAX_CELLS", "6")
+        assert group_spec("sp", 6).m == 6
+        for family in ("o", "sp"):
+            with pytest.raises(FunctorError, match="the form of dimension 8 "
+                                                   "has 8 signed pairs"):
+                group_spec(family, 8)
+
     def test_small_modulus_guard(self):
         with pytest.raises(FunctorError):
             group_spec("o", 3, modulus=3)
@@ -385,19 +394,20 @@ class TestFunctorMatrix:
     @pytest.mark.parametrize("spec", DESK_SPECS + [group_spec("o", 3, modulus=7)],
                              ids=lambda s: s.label())
     def test_entries_are_keyed_by_ints(self, spec):
-        # both evaluators, on diagrams and on a morphism, key every cell by
-        # one int in [0, rows * cols)
+        # both evaluators on diagrams, and functor_matrix on a morphism, key
+        # every cell by one int in [0, rows * cols)
         for k, l in ((2, 2), (3, 1), (0, 2), (1, 3)):
             diagrams = enumerate_diagrams(k, l)
             x = make_morphism(k, l, {d: 1 for d in diagrams}, ring=spec.ring,
                               delta=spec.delta_value())
-            for y in diagrams + [x]:
-                for mat in (functor_matrix(y, spec),
-                            functor_matrix_layered(y, spec)):
-                    assert mat.entries or y is x
-                    assert all(key.__class__ is int
-                               and 0 <= key < mat.rows * mat.cols
-                               for key in mat.entries)
+            mats = [functor_matrix(x, spec)]
+            for d in diagrams:
+                mats += [functor_matrix(d, spec), functor_matrix_layered(d, spec)]
+            for mat in mats:
+                assert mat.entries or mat is mats[0]
+                assert all(key.__class__ is int
+                           and 0 <= key < mat.rows * mat.cols
+                           for key in mat.entries)
 
     @pytest.mark.parametrize("spec", [group_spec("sp", 2), group_spec("o", 1)],
                              ids=lambda s: s.label())
@@ -405,8 +415,21 @@ class TestFunctorMatrix:
         # a kernel vector: its terms' matrices cancel to zero cell by cell
         x = kernel_basis(2, 2, spec)[0]
         assert len(x.terms) > 1
-        assert functor_matrix_layered(x, spec).nnz() == 0
+        total = ExactMatrix.zero(spec.m ** 2, spec.m ** 2, spec.ring)
+        for d, c in x.terms.items():
+            total = total.add(functor_matrix_layered(d, spec).scale(c))
+        assert total.nnz() == 0
         assert functor_matrix(x, spec).nnz() == 0
+
+    def test_layered_takes_diagrams_only(self):
+        # a morphism's matrix is summed by functor_matrix alone
+        spec = group_spec("o", 2)
+        x = identity_morphism(1, ring=QQ, delta=Fraction(2))
+        with pytest.raises(FunctorError, match="expected a Diagram"):
+            functor_matrix_layered(x, spec)
+        with pytest.raises(FunctorError, match="expected a Diagram"):
+            functor_matrix_layered("not a diagram", spec)
+        assert functor_matrix(x, spec) == ExactMatrix.identity(2, QQ)
 
     def test_morphism_linearity(self):
         spec = group_spec("sp", 2)
@@ -418,7 +441,6 @@ class TestFunctorMatrix:
         expected = functor_matrix(e_i(2, 1), spec).scale(Fraction(3)).add(
             functor_matrix(s_i(2, 1), spec).scale(Fraction(-1)))
         assert functor_matrix(x, spec) == expected
-        assert functor_matrix_layered(x, spec) == expected
 
     def test_symbolic_morphism_specializes(self):
         spec = group_spec("o", 2)
@@ -452,7 +474,6 @@ class TestFunctorMatrix:
         expected = functor_matrix(reduce_mod_p(x, 5), spec)
         assert not expected.is_zero()
         assert functor_matrix(x, spec) == expected
-        assert functor_matrix_layered(x, spec) == expected
         assert functor_matrix(from_diagram(e_i(2, 1)), spec) == \
             functor_matrix(e_i(2, 1), spec)
 

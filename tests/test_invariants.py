@@ -163,9 +163,8 @@ def _oracle_rank_and_kernel(k, l, spec):
     kernel = []
     for lead in sorted((c for c in basis.pivots if c > top - n), reverse=True):
         vec = basis.pivots[lead]
-        if isinstance(ring, PrimeField):
-            inv = pow(vec[lead], -1, ring.p)
-            vec = {c: v * inv % ring.p for c, v in vec.items()}
+        # F_p pivot rows are stored monic; over QQ they are primitive.
+        assert vec[lead] == 1 or not isinstance(ring, PrimeField)
         kernel.append(make_morphism(k, l, {diagrams[top - c]: v
                                            for c, v in vec.items()},
                                     ring=ring, delta=spec.delta_value()))

@@ -126,6 +126,17 @@ def test_text_allows_space_around_layers():
     assert word_from_text(2, "0:A:0;0:U:0") == w
 
 
+def test_rule_templates_have_least_padding_zero():
+    # each side's offsets are relative: every variant, starred and
+    # mirrored ones too, has a layer flush left and one flush right
+    for rule in RULES.values():
+        layers = rule.lhs + rule.rhs
+        if layers:
+            assert min(dl for dl, _, _ in layers) == 0, rule.rid
+            assert min(dr for _, _, dr in layers) == 0, rule.rid
+    assert len(RULES) == 28
+
+
 def test_relation_soundness_report():
     checks = verify_relation_soundness()
     assert len(checks) == len(RULES) * 4
